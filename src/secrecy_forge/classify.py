@@ -33,8 +33,8 @@ import numpy as np
 
 from . import config
 from .common_info import (
-    CommonPartition,
     CondCommonFunction,
+    _component_roots,
     conditional_common_function,
     maximal_common_partition,
 )
@@ -53,11 +53,9 @@ __all__ = [
     "ClassReport",
     "PDCertificate",
     "PDDownResult",
-    "is_block_independent",
     "is_ubi",
     "is_semi_unambiguous",
     "is_unambiguous",
-    "is_ubi_pd",
     "is_ubi_pd_down",
     "classify",
     "set_partitions",
@@ -75,9 +73,9 @@ INCONCLUSIVE = "inconclusive"
 def _blockwise(d: Dist3, ccf: CondCommonFunction):
     """Yield (z, block, submatrix, mass) over supported (z, block) cells."""
     for z, part in ccf.per_z.items():
-        pz = float(ccf.z_probs[z])
+        slice_ = d.p[:, :, z]
         for b, (bxs, bys) in enumerate(part.blocks):
-            sub = d.p[np.ix_(bxs, bys, [z])][:, :, 0]
+            sub = slice_[np.array(bxs)[:, None], np.array(bys)]
             mass = float(sub.sum())
             if mass > 0.0:
                 yield z, b, sub / mass, mass
@@ -105,15 +103,6 @@ def h_xy_given_blocks(d: Dist3, ccf: CondCommonFunction) -> float:
 
 # ---------------------------------------------------------------------------
 # elementary class checks
-
-
-def is_block_independent(
-    d: Dist3,
-    tol: float = config.ENTROPY_TOL,
-    support_eps: float = config.SUPPORT_EPS,
-) -> bool:
-    ccf = conditional_common_function(d, support_eps)
-    return cmi_xy_given_blocks(d, ccf) <= tol
 
 
 def is_ubi(
@@ -188,10 +177,18 @@ class PDCertificate:
 
 
 def _pd_canonical(
-    d: Dist3, tol: float, support_eps: float
+    d: Dist3,
+    tol: float,
+    support_eps: float,
+    ccf: CondCommonFunction,
+    maps: tuple[dict[int, int], dict[int, int]],
 ) -> tuple[str, PDCertificate]:
-    """Run the canonical protocol; returns (yes|inconclusive, certificate)."""
-    ma, mb = _common_part_maps(d, support_eps)
+    """Run the canonical protocol; returns (yes|inconclusive, certificate).
+
+    ``ccf`` and ``maps`` are d's conditional common function and common
+    part maps, built once by the caller.
+    """
+    ma, mb = maps
     dx, dy, dz = d.dims
 
     entries = [
@@ -212,7 +209,6 @@ def _pd_canonical(
     ext_ubi = is_ubi(ext, tol, support_eps)
 
     # does the announced message leak anything about the block label?
-    ccf = conditional_common_function(d, support_eps)
     max_blocks = max((len(p) for p in ccf.per_z.values()), default=1)
     joint = np.zeros((dz, nm, max_blocks))
     for x, y, z, w in entries:
@@ -225,15 +221,20 @@ def _pd_canonical(
     return status, cert
 
 
-def is_ubi_pd(
-    d: Dist3,
-    tol: float = config.ENTROPY_TOL,
-    support_eps: float = config.SUPPORT_EPS,
-) -> tuple[str, PDCertificate | None]:
-    """Canonical-protocol UBI-PD check: yes, no (not BI), or inconclusive."""
-    if not is_block_independent(d, tol, support_eps):
-        return NO, None
-    return _pd_canonical(d, tol, support_eps)
+def _ubi_pd_certified(
+    d: Dist3, ccf: CondCommonFunction, tol: float, support_eps: float
+) -> bool:
+    """Whether classify would report d as UBI-PD, computing only what that needs.
+
+    UBI implies UBI-PD (the nesting ClassReport enforces), so the
+    canonical protocol runs only for a BI distribution that is not UBI.
+    """
+    if cmi_xy_given_blocks(d, ccf) > tol:
+        return False
+    if ccf.per_z_injective:
+        return True
+    maps = _common_part_maps(d, support_eps)
+    return _pd_canonical(d, tol, support_eps, ccf, maps)[0] == YES
 
 
 # ---------------------------------------------------------------------------
@@ -283,12 +284,18 @@ class PDDownResult:
 
 
 def _pd_down_extra_cmi(
-    d: Dist3, ch: Channel, dbar: Dist3, support_eps: float
+    d: Dist3,
+    ch: Channel,
+    ccf_bar: CondCommonFunction,
+    maps_bar: tuple[dict[int, int], dict[int, int]],
+    support_eps: float,
 ) -> float:
-    """I(Z : block label of the degraded distribution | message, Zbar)."""
+    """I(Z : block label of the degraded distribution | message, Zbar).
+
+    ``ccf_bar`` and ``maps_bar`` belong to the degraded distribution.
+    """
     assignment = ch.assignment()
-    ccf_bar = conditional_common_function(dbar, support_eps)
-    ma, mb = _common_part_maps(dbar, support_eps)
+    ma, mb = maps_bar
     dz = d.dims[2]
     dzbar = ch.out_dim
     max_blocks = max((len(p) for p in ccf_bar.per_z.values()), default=1)
@@ -301,6 +308,60 @@ def _pd_down_extra_cmi(
         m = m_index[(ma[x], mb[y])]
         joint[z, zbar, m, b] += d.p[x, y, z]
     return conditional_mutual_information(joint, (0,), (3,), (1, 2))
+
+
+# The prefilter below rejects a channel when its block-independence gap
+# exceeds tol by this margin.  It sums the same terms as
+# cmi_xy_given_blocks in another order (unnormalized, all slices at once),
+# so the two agree to about 1e-14; the margin keeps every rejection one
+# that the exact test would make too.
+PREFILTER_MARGIN = 1e-10
+
+
+def _xlogx(a: np.ndarray) -> np.ndarray:
+    """Elementwise a log2 a, with 0 log 0 = 0."""
+    return a * np.log2(np.where(a > 0.0, a, 1.0))
+
+
+def _block_gaps(
+    d: Dist3, channels: list[tuple[int, ...]], support_eps: float
+) -> np.ndarray:
+    """I(X:Y | block label, Zbar) in bits after each deterministic channel.
+
+    Each degraded pmf is computed as ``apply_channel_z`` computes it, so
+    the conditional supports, and with them the blocks, are the ones the
+    exact path sees.  All slices of all channels are then labelled and
+    summed at once: a (z, block) cell with in-block entries s, row sums r,
+    column sums c and mass m contributes
+    -sum r log r - sum c log c + sum s log s + m log m.
+    """
+    dx, dy, dz = d.dims
+    q = np.zeros((dx, dy, len(channels), dz))
+    support = np.zeros(q.shape, dtype=bool)
+    eye = np.eye(dz)
+    for i, rgs in enumerate(channels):
+        k = max(rgs) + 1
+        # the same matrix as Channel.deterministic(rgs).k
+        qi = np.einsum("xyz,zw->xyw", d.p, eye[:k, :k][list(rgs)])
+        zbar_probs = qi.sum(axis=(0, 1))
+        zs = np.flatnonzero(zbar_probs > support_eps)
+        q[:, :, i, :k] = qi
+        support[:, :, i, zs] = qi[:, :, zs] / zbar_probs[zs] > support_eps
+    row_roots, col_roots = _component_roots(support)
+    in_block = row_roots[:, None] == col_roots[None]
+    cells = np.where(in_block, q, 0.0)
+    rows = cells.sum(axis=1)
+    cols = cells.sum(axis=0)
+    masses = (
+        (row_roots[:, None] == np.arange(dx)[None, :, None, None]) * rows[:, None]
+    ).sum(axis=0)
+    gap = (
+        _xlogx(cells).sum(axis=(0, 1))
+        + _xlogx(masses).sum(axis=0)
+        - _xlogx(rows).sum(axis=0)
+        - _xlogx(cols).sum(axis=0)
+    )
+    return gap.sum(axis=1)
 
 
 def is_ubi_pd_down(
@@ -317,22 +378,33 @@ def is_ubi_pd_down(
     channel must make the degraded distribution UBI-PD under the canonical
     protocol and leave the original symbol independent of the new block
     label given the message and the degraded symbol.
+
+    A vectorized prefilter sets aside the channels whose degraded
+    distribution is not block independent by a clear margin; the exact
+    checks decide every other channel.
     """
-    dz = d.dims[2]
-    tested = 0
-    for rgs in set_partitions(dz):
-        if tested >= budget:
-            return PDDownResult(INCONCLUSIVE, None, tested, "budget exhausted")
-        tested += 1
+    partitions = set_partitions(d.dims[2])
+    channels = list(itertools.islice(partitions, max(budget, 0)))
+    cut = next(partitions, None) is not None
+    gaps = _block_gaps(d, channels, support_eps)
+    for tested, (rgs, gap) in enumerate(zip(channels, gaps), start=1):
+        if gap > tol + PREFILTER_MARGIN:
+            continue
         ch = Channel.deterministic(rgs)
         dbar = apply_channel_z(d, ch)
-        status, cert = is_ubi_pd(dbar, tol, support_eps)
-        if status != YES:
+        ccf = conditional_common_function(dbar, support_eps)
+        if cmi_xy_given_blocks(dbar, ccf) > tol:
             continue
-        extra = _pd_down_extra_cmi(d, ch, dbar, support_eps)
-        if extra <= tol:
+        maps = _common_part_maps(dbar, support_eps)
+        # both tests must pass; the leak test is cheaper and fails more often
+        extra = _pd_down_extra_cmi(d, ch, ccf, maps, support_eps)
+        if extra > tol:
+            continue
+        status, cert = _pd_canonical(dbar, tol, support_eps, ccf, maps)
+        if status == YES:
             return PDDownResult(YES, ch, tested, "channel found", cert, extra)
-    return PDDownResult(INCONCLUSIVE, None, tested, "search space exhausted")
+    reason = "budget exhausted" if cut else "search space exhausted"
+    return PDDownResult(INCONCLUSIVE, None, len(channels), reason)
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +488,8 @@ def classify(
         pd_status: str = NO
         pd_cert = None
     else:
-        pd_status, pd_cert = _pd_canonical(d, tol, support_eps)
+        maps = _common_part_maps(d, support_eps)
+        pd_status, pd_cert = _pd_canonical(d, tol, support_eps, ccf, maps)
     if pd_cert is not None:
         certificates["ubi_pd"] = pd_cert.to_json()
 

@@ -22,10 +22,8 @@ import numpy as np
 
 from . import config
 from .distributions import Dist2, Dist3, entropy_bits
-from .errors import InvalidDistribution
 
 __all__ = [
-    "UnionFind",
     "CommonPartition",
     "CondCommonFunction",
     "maximal_common_partition",
@@ -35,24 +33,26 @@ __all__ = [
 ]
 
 
-class UnionFind:
-    """Disjoint sets over range(n) with path compression."""
+def _component_roots(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Connected components of bipartite graphs, one per trailing index.
 
-    def __init__(self, n: int) -> None:
-        self.parent = list(range(n))
-
-    def find(self, a: int) -> int:
-        root = a
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[a] != root:
-            self.parent[a], a = root, self.parent[a]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
+    ``adj`` is a boolean (rows, cols, ...) array whose entry [r, c, k] is
+    an edge of graph k.  Returns, for every row and every column, the
+    smallest row index in its component.  A row without edges is its own
+    root; a column without edges gets ``rows``, which no row carries.
+    """
+    n = adj.shape[0]
+    row_roots = np.broadcast_to(
+        np.arange(n).reshape((n,) + (1,) * (adj.ndim - 2)), (n,) + adj.shape[2:]
+    )
+    while True:
+        col_roots = np.where(adj, row_roots[:, None], n).min(axis=0, initial=n)
+        new = np.minimum(
+            row_roots, np.where(adj, col_roots[None], n).min(axis=1, initial=n)
+        )
+        if np.array_equal(new, row_roots):
+            return row_roots, col_roots
+        row_roots = new
 
 
 @dataclass(frozen=True)
@@ -73,7 +73,7 @@ class CommonPartition:
         """Probability mass of each block under a compatible Dist2."""
         out = np.zeros(len(self.blocks))
         for i, (xs, ys) in enumerate(self.blocks):
-            out[i] = d2.p[np.ix_(xs, ys)].sum()
+            out[i] = d2.p[np.array(xs)[:, None], np.array(ys)].sum()
         return out
 
     def to_json(self) -> dict:
@@ -84,42 +84,44 @@ class CommonPartition:
         }
 
 
+def _partitions(support: np.ndarray) -> list[CommonPartition]:
+    """Maximal common partition of each (x, y, k) support graph, per k."""
+    row_roots, col_roots = _component_roots(support)
+    out = []
+    for rx, ry, has_x, has_y in zip(
+        row_roots.T.tolist(),
+        col_roots.T.tolist(),
+        support.any(axis=1).T.tolist(),
+        support.any(axis=0).T.tolist(),
+    ):
+        # a block's root is its smallest x, so visiting x in ascending
+        # order meets the blocks ordered by smallest x
+        block_of_root: dict[int, int] = {}
+        members_x: list[list[int]] = []
+        for x, (r, has) in enumerate(zip(rx, has_x)):
+            if has:
+                if r not in block_of_root:
+                    block_of_root[r] = len(members_x)
+                    members_x.append([])
+                members_x[block_of_root[r]].append(x)
+        members_y: list[list[int]] = [[] for _ in members_x]
+        for y, (r, has) in enumerate(zip(ry, has_y)):
+            if has:
+                members_y[block_of_root[r]].append(y)
+        blocks = tuple(
+            (tuple(mx), tuple(my)) for mx, my in zip(members_x, members_y)
+        )
+        block_of_x = {x: i for i, mx in enumerate(members_x) for x in mx}
+        block_of_y = {y: i for i, my in enumerate(members_y) for y in my}
+        out.append(CommonPartition(blocks, block_of_x, block_of_y))
+    return out
+
+
 def maximal_common_partition(
     d2: Dist2, support_eps: float = config.SUPPORT_EPS
 ) -> CommonPartition:
     """Connected components of the bipartite support graph of a Dist2."""
-    dx, dy = d2.dims
-    uf = UnionFind(dx + dy)
-    xs, ys = np.nonzero(d2.p > support_eps)
-    for x, y in zip(xs.tolist(), ys.tolist()):
-        uf.union(x, dx + y)
-
-    supp_x = sorted(set(xs.tolist()))
-    supp_y = sorted(set(ys.tolist()))
-    roots: dict[int, int] = {}
-    members_x: list[list[int]] = []
-    members_y: list[list[int]] = []
-    for x in supp_x:  # ascending, so blocks come out ordered by smallest x
-        r = uf.find(x)
-        if r not in roots:
-            roots[r] = len(members_x)
-            members_x.append([])
-            members_y.append([])
-        members_x[roots[r]].append(x)
-    for y in supp_y:
-        r = uf.find(dx + y)
-        if r not in roots:
-            # cannot happen for a normalized pmf: every supported y has
-            # a supported x partner
-            raise InvalidDistribution("y-symbol with mass but no x partner")
-        members_y[roots[r]].append(y)
-
-    blocks = tuple(
-        (tuple(mx), tuple(my)) for mx, my in zip(members_x, members_y)
-    )
-    block_of_x = {x: i for i, (mx, _) in enumerate(blocks) for x in mx}
-    block_of_y = {y: i for i, (_, my) in enumerate(blocks) for y in my}
-    return CommonPartition(blocks, block_of_x, block_of_y)
+    return _partitions((d2.p > support_eps)[:, :, None])[0]
 
 
 def common_information(
@@ -151,6 +153,15 @@ class CondCommonFunction:
     def n_labels(self) -> int:
         return 1 + max(self.global_labels.values(), default=-1)
 
+    def block_entropy(self, d: Dist3) -> float:
+        """H(block label | Z) under d, the pmf this function was built from."""
+        total = 0.0
+        for z, part in self.per_z.items():
+            pz = float(self.z_probs[z])
+            cond = Dist2(d.p[:, :, z] / pz)
+            total += pz * entropy_bits(part.probabilities(cond))
+        return total
+
     def label_of_xz(self, x: int, z: int) -> int | None:
         part = self.per_z.get(z)
         if part is None or x not in part.block_of_x:
@@ -177,51 +188,33 @@ def conditional_common_function(
     d: Dist3, support_eps: float = config.SUPPORT_EPS
 ) -> CondCommonFunction:
     """Per-z maximal common partitions with canonical cross-z merge labels."""
-    dx, dy, dz = d.dims
+    dx, dy, _ = d.dims
     z_probs = d.p.sum(axis=(0, 1))
-    per_z: dict[int, CommonPartition] = {}
-    for z in range(dz):
-        if z_probs[z] <= support_eps:
-            continue
-        per_z[z] = maximal_common_partition(
-            Dist2(d.p[:, :, z] / z_probs[z]), support_eps
-        )
+    zs = np.flatnonzero(z_probs > support_eps)
+    support = d.p[:, :, zs] / z_probs[zs] > support_eps
+    per_z = dict(zip(zs.tolist(), _partitions(support)))
 
-    # merge block instances across z that share an x or a y symbol
-    nodes = [(z, b) for z in sorted(per_z) for b in range(len(per_z[z]))]
-    index = {node: i for i, node in enumerate(nodes)}
-    uf = UnionFind(len(nodes))
-    seen_x: dict[int, int] = {}
-    seen_y: dict[int, int] = {}
-    for z in sorted(per_z):
-        for b, (bxs, bys) in enumerate(per_z[z].blocks):
-            i = index[(z, b)]
-            for x in bxs:
-                if x in seen_x:
-                    uf.union(seen_x[x], i)
-                else:
-                    seen_x[x] = i
-            for y in bys:
-                if y in seen_y:
-                    uf.union(seen_y[y], i)
-                else:
-                    seen_y[y] = i
+    # merge block instances across z that share an x or a y symbol: the
+    # components of the graph joining each (z, block) to its symbols
+    nodes = [(z, b) for z, part in per_z.items() for b in range(len(part))]
+    incidence = np.zeros((len(nodes), dx + dy), dtype=bool)
+    for i, (z, b) in enumerate(nodes):
+        bxs, bys = per_z[z].blocks[b]
+        incidence[i, list(bxs)] = True
+        incidence[i, [dx + y for y in bys]] = True
+    node_roots, _ = _component_roots(incidence)
+    # nodes are sorted by (z, block), so numbering the components by their
+    # smallest node makes the labels canonical
+    number: dict[int, int] = {}
+    labels = {
+        node: number.setdefault(root, len(number))
+        for node, root in zip(nodes, node_roots.tolist())
+    }
 
-    labels: dict[tuple[int, int], int] = {}
-    root_label: dict[int, int] = {}
-    for node in nodes:  # nodes sorted by (z, block): labels are canonical
-        r = uf.find(index[node])
-        if r not in root_label:
-            root_label[r] = len(root_label)
-        labels[node] = root_label[r]
-
-    injective = True
-    for z in per_z:
-        zl = [labels[(z, b)] for b in range(len(per_z[z]))]
-        if len(set(zl)) != len(zl):
-            injective = False
-            break
-
+    injective = all(
+        len({labels[(z, b)] for b in range(len(part))}) == len(part)
+        for z, part in per_z.items()
+    )
     return CondCommonFunction(per_z, labels, injective, z_probs)
 
 
@@ -229,10 +222,4 @@ def cond_common_entropy(
     d: Dist3, support_eps: float = config.SUPPORT_EPS
 ) -> float:
     """H of the per-z block label given Z: sum_z p(z) H(blocks of p(.,.|z))."""
-    ccf = conditional_common_function(d, support_eps)
-    total = 0.0
-    for z, part in ccf.per_z.items():
-        pz = float(ccf.z_probs[z])
-        cond = Dist2(d.p[:, :, z] / pz)
-        total += pz * entropy_bits(part.probabilities(cond))
-    return total
+    return conditional_common_function(d, support_eps).block_entropy(d)

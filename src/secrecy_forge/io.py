@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from pathlib import Path
 from typing import Any
 
@@ -41,7 +42,10 @@ SIG_DIGITS = 12
 
 
 def jsonable(obj: Any) -> Any:
-    """Convert to plain JSON types, rounding floats to 12 significant digits."""
+    """Convert to plain JSON types, rounding floats to 12 significant digits.
+
+    Non-finite floats become None: strict JSON has no NaN or infinity.
+    """
     if isinstance(obj, dict):
         return {str(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -53,6 +57,8 @@ def jsonable(obj: Any) -> Any:
     if isinstance(obj, (int, np.integer)):
         return int(obj)
     if isinstance(obj, (float, np.floating)):
+        if not math.isfinite(obj):
+            return None
         return float(f"{float(obj):.{SIG_DIGITS}g}")
     if obj is None or isinstance(obj, str):
         return obj
@@ -60,7 +66,7 @@ def jsonable(obj: Any) -> Any:
 
 
 def json_text(obj: Any) -> str:
-    return json.dumps(jsonable(obj), indent=2, sort_keys=True) + "\n"
+    return json.dumps(jsonable(obj), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def load_json(path: str | Path) -> Any:

@@ -22,7 +22,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import config
-from .classify import YES, ClassReport, classify, set_partitions
+from .classify import (
+    YES,
+    ClassReport,
+    classify,
+    _ubi_pd_certified,
+    is_ubi_pd_down,
+    set_partitions,
+)
 from .common_info import cond_common_entropy, conditional_common_function
 from .distributions import (
     Channel,
@@ -206,11 +213,23 @@ def kd_class(
     exact H(J|Zbar) on the degraded distribution.  Otherwise the result
     kind is ``inconclusive``; ``value`` then carries the best cheap
     upper bound and ``diagnostics`` the certified interval.
+
+    Without a report only what the value needs is computed, along the
+    class chain: UBI, then the canonical protocol, and the channel search
+    only when neither certifies UBI-PD.  Wherever classify returns a
+    report, the result is the same as with
+    ``report=classify(d, tol, support_eps, budget)``.
     """
     if report is None:
-        report = classify(d, tol, support_eps, budget)
-    if report.ubi_pd == YES:
-        value = cond_common_entropy(d, support_eps)
+        ccf = conditional_common_function(d, support_eps)
+        pd = _ubi_pd_certified(d, ccf, tol, support_eps)
+        ch = None if pd else is_ubi_pd_down(d, tol, support_eps, budget).channel
+    else:
+        pd = report.ubi_pd == YES
+        ch = _certificate_channel(report) if report.ubi_pd_down == YES else None
+        ccf = conditional_common_function(d, support_eps) if pd else None
+    if pd:
+        value = ccf.block_entropy(d)
         return MeasureResult(
             name="K_D",
             value=value,
@@ -218,8 +237,7 @@ def kd_class(
             method="common-block-entropy",
             diagnostics={"class": "ubi_pd"},
         )
-    ch = _certificate_channel(report)
-    if report.ubi_pd_down == YES and ch is not None:
+    if ch is not None:
         dbar = apply_channel_z(d, ch)
         value = cond_common_entropy(dbar, support_eps)
         return MeasureResult(

@@ -6,6 +6,7 @@ summary so the verdicts survive pytest's capture.
 """
 
 import contextlib
+import hashlib
 import io as stringio
 import json
 import math
@@ -199,27 +200,44 @@ NESTING_IMPLICATIONS = (
 )
 
 
+# sha256 over the classify reports of criterion 6's corpus, and over the
+# kd_class results of its UBI members and their squares, each as
+# json.dumps(..., sort_keys=True).  Computed before classification became
+# one pass; a change that moves any verdict, certificate, search count or
+# reported float by one bit changes them.
+GOLDEN_CLASSIFY = "f131dcd80bc0b69ebdf690e5af26ab32505d32430d508b401d8df733c9f604fb"
+GOLDEN_KD = "84370f44f621ceb887cf70856fc615519890d905450c862657444128e0d484bc"
+
+
 def test_criterion_6_nesting_and_additivity():
     start = time.time()
     rng = np.random.default_rng(20250825)
     violations = 0
     worst_add = 0.0
     n_ubi = 0
+    classify_hash = hashlib.sha256()
+    kd_hash = hashlib.sha256()
     for i in range(1000):
         d = block_product_dist(rng) if i % 10 < 3 else random_small_dist(rng)
         doc = classify(d).to_json()
+        classify_hash.update(json.dumps(doc, sort_keys=True).encode())
         for premise, conclusion in NESTING_IMPLICATIONS:
             if doc[premise] == "yes" and doc[conclusion] == "no":
                 violations += 1
         if doc["ubi"] == "yes":
             n_ubi += 1
-            single = kd_class(d).value
-            double = kd_class(product_power(d, 2)).value
-            worst_add = max(worst_add, abs(double - 2 * single))
-    ok = violations == 0 and worst_add <= 1e-9 and n_ubi > 0
+            single = kd_class(d)
+            double = kd_class(product_power(d, 2))
+            for kd in (single, double):
+                kd_hash.update(json.dumps(kd.to_json(), sort_keys=True).encode())
+            worst_add = max(worst_add, abs(double.value - 2 * single.value))
+    golden = (classify_hash.hexdigest() == GOLDEN_CLASSIFY
+              and kd_hash.hexdigest() == GOLDEN_KD)
+    ok = violations == 0 and worst_add <= 1e-9 and n_ubi > 0 and golden
     elapsed = time.time() - start
     ok &= elapsed < 60.0
     announce(6, ok, f"{n_ubi} ubi, worst additivity {worst_add:.2e}, "
+                    f"golden hashes {'match' if golden else 'DIFFER'}, "
                     f"{elapsed:.2f}s")
     assert ok
 

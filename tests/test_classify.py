@@ -3,12 +3,23 @@
 from __future__ import annotations
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from secrecy_forge.classify import classify
-from secrecy_forge.distributions import Dist3
+from secrecy_forge import config
+from secrecy_forge.classify import (
+    PREFILTER_MARGIN,
+    _block_gaps,
+    classify,
+    cmi_xy_given_blocks,
+    set_partitions,
+)
+from secrecy_forge.common_info import conditional_common_function
+from secrecy_forge.distributions import Channel, Dist3, apply_channel_z
 from secrecy_forge.keyrates import (
     binary_eve_family,
     independent_eve_example,
+    kd_class,
     one_sided_coherence_example,
     two_block_uniform_example,
 )
@@ -185,3 +196,34 @@ def test_classification_is_deterministic(make_dist):
     a = classify(d).to_json()
     b = classify(d).to_json()
     assert a == b
+
+
+@st.composite
+def small_dist3(draw):
+    """Sparse integer weights: every class of the chain turns up often."""
+    dims = (draw(st.integers(2, 3)), draw(st.integers(2, 3)), draw(st.integers(1, 4)))
+    n = int(np.prod(dims))
+    weight = st.sampled_from((0, 0, 0, 1, 2))
+    w = np.array(draw(st.lists(weight, min_size=n, max_size=n)), float)
+    if w.sum() == 0.0:
+        w[0] = 1.0
+    return Dist3(w.reshape(dims) / w.sum())
+
+
+@settings(max_examples=150)
+@given(small_dist3())
+def test_kd_class_without_report_matches_report_path(d):
+    assert kd_class(d).to_json() == kd_class(d, classify(d)).to_json()
+
+
+@given(small_dist3())
+def test_prefilter_rejects_only_channels_the_exact_test_rejects(d):
+    tol = config.ENTROPY_TOL
+    channels = list(set_partitions(d.dims[2]))
+    gaps = _block_gaps(d, channels, config.SUPPORT_EPS)
+    for rgs, gap in zip(channels, gaps):
+        dbar = apply_channel_z(d, Channel.deterministic(rgs))
+        exact = cmi_xy_given_blocks(dbar, conditional_common_function(dbar))
+        assert abs(gap - exact) <= 1e-12
+        if gap > tol + PREFILTER_MARGIN:
+            assert exact > tol

@@ -1,12 +1,13 @@
 """Command-line surface: envelopes, exit codes, determinism."""
 
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
-from secrecy_forge import cli
+from secrecy_forge import cli, keyrates
 from secrecy_forge.dequantize import random_instrument_tree
 from secrecy_forge.io import (
     dump_dist,
@@ -146,6 +147,55 @@ class TestCommands:
                         "--dist", files["dist"]]) == 2
 
 
+class TestToleranceRouting:
+    def test_entropy_tolerance_reaches_chain_classification(
+        self, capsys, files, monkeypatch
+    ):
+        seen = []
+        real = keyrates.classify
+
+        def spy(d, tol, *args, **kwargs):
+            seen.append(tol)
+            return real(d, tol, *args, **kwargs)
+
+        monkeypatch.setattr(keyrates, "classify", spy)
+        code, doc = run_json(capsys, ["chain", "--dist", files["dist"],
+                                      "--tol.entropy", "1e-7",
+                                      "--tol.equality", "1e-5"])
+        assert code == 0
+        assert seen == [1e-7]
+        assert doc["result"]["classification"]["tolerances"]["entropy"] == 1e-7
+
+    @pytest.mark.parametrize("example, report_path", [
+        ("thm6b", ("advantage", "classification")),
+        ("thm7d", ("chain", "classification")),
+        ("table2", ("chain", "classification")),
+    ])
+    def test_entropy_tolerance_reaches_examples(self, capsys, example,
+                                                report_path):
+        code, doc = run_json(capsys, ["reproduce", example,
+                                      "--tol.entropy", "1e-7",
+                                      "--tol.equality", "1e-5"])
+        assert code == 0
+        report = doc["result"]
+        for key in report_path:
+            report = report[key]
+        assert report["tolerances"]["entropy"] == 1e-7
+
+    def test_support_tolerance_reaches_thm7d_key_rate(self, capsys,
+                                                      monkeypatch):
+        seen = []
+        real = cli.kd_class
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs.get("support_eps"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "kd_class", spy)
+        assert cli.run(["reproduce", "thm7d", "--tol.support", "1e-10"]) == 0
+        assert seen == [1e-10]
+
+
 class TestReproduce:
     def test_lemma(self, capsys, files):
         code, doc = run_json(capsys, ["reproduce", "lemma"])
@@ -166,6 +216,36 @@ class TestReproduce:
         assert code == 0
         assert doc["result"]["notes"]
         assert any("1 - h(1/3)" in note for note in doc["result"]["notes"])
+
+    def test_unpinned_quantum_rate_is_null_and_fails(self, capsys,
+                                                     monkeypatch):
+        real = cli.advantage_report
+
+        def unpinned(*args, **kwargs):
+            return dataclasses.replace(real(*args, **kwargs), quantum_value=None)
+
+        def reject(token):
+            raise AssertionError(f"non-JSON constant {token}")
+
+        monkeypatch.setattr(cli, "advantage_report", unpinned)
+        assert cli.run(["reproduce", "thm6b"]) == 1
+        doc = json.loads(capsys.readouterr().out, parse_constant=reject)
+        items = {item["name"]: item for item in doc["result"]["items"]}
+        for name in ("quantum_rate", "gap_positive"):
+            assert items[name]["value"] is None
+            assert items[name]["passed"] is False
+
+    def test_formation_note_states_the_closed_form(self, capsys):
+        code, doc = run_json(capsys, ["reproduce", "thm6a"])
+        assert code == 0
+        assert doc["result"]["notes"] == [cli.NOTE_EF_FORMULA]
+        assert "negative radicand" not in cli.NOTE_EF_FORMULA
+        # the note's closed form, evaluated here, against the reported value
+        lam = doc["result"]["lambda"]
+        c = 0.5 + math.sqrt(lam * (1 - lam))
+        x = (1 + math.sqrt(1 - c * c)) / 2
+        closed = -x * math.log2(x) - (1 - x) * math.log2(1 - x)
+        assert doc["result"]["eof_ab"] == pytest.approx(closed, abs=1e-11)
 
     def test_lambda_restricted_to_family_id(self, capsys, files):
         assert cli.run(["reproduce", "thm7d", "--lambda", "0.3"]) == 2

@@ -219,6 +219,13 @@ class TestJsonText:
             "i": 3, "f": 0.5, "arr": [0, 1, 2], "c": True, "n": None,
         }
 
+    def test_non_finite_floats_become_null(self):
+        def reject(token):
+            raise AssertionError(f"non-JSON constant {token}")
+
+        text = json_text({"v": float("nan"), "w": [float("inf"), np.float64(-np.inf)]})
+        assert json.loads(text, parse_constant=reject) == {"v": None, "w": [None, None]}
+
 
 class TestSha256:
     def test_matches_hashlib(self, tmp_path):
