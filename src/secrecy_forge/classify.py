@@ -36,6 +36,7 @@ from .common_info import (
     CondCommonFunction,
     _component_roots,
     conditional_common_function,
+    conditional_support,
     maximal_common_partition,
 )
 from .distributions import (
@@ -191,9 +192,12 @@ def _pd_canonical(
     ma, mb = maps
     dx, dy, dz = d.dims
 
+    # the entries the conditional common function sees, so every entry has a block
     entries = [
         (x, y, z, float(d.p[x, y, z]))
-        for x, y, z in zip(*np.nonzero(d.p > support_eps))
+        for x, y, z in zip(
+            *np.nonzero(conditional_support(d.p, ccf.z_probs, support_eps))
+        )
     ]
     pairs = sorted({(ma[x], mb[y]) for x, y, _, _ in entries})
     m_index = {pair: i for i, pair in enumerate(pairs)}

@@ -184,6 +184,20 @@ class CondCommonFunction:
         }
 
 
+def conditional_support(
+    p: np.ndarray, z_probs: np.ndarray, support_eps: float
+) -> np.ndarray:
+    """Mask of the (x, y, z) with p(z) > support_eps and p(x, y | z) > support_eps.
+
+    The support rule of the conditional common function; code that pairs
+    entries of p with its blocks must use the same rule.
+    """
+    support = np.zeros(p.shape, dtype=bool)
+    zs = z_probs > support_eps
+    support[:, :, zs] = p[:, :, zs] / z_probs[zs] > support_eps
+    return support
+
+
 def conditional_common_function(
     d: Dist3, support_eps: float = config.SUPPORT_EPS
 ) -> CondCommonFunction:
@@ -191,7 +205,7 @@ def conditional_common_function(
     dx, dy, _ = d.dims
     z_probs = d.p.sum(axis=(0, 1))
     zs = np.flatnonzero(z_probs > support_eps)
-    support = d.p[:, :, zs] / z_probs[zs] > support_eps
+    support = conditional_support(d.p, z_probs, support_eps)[:, :, zs]
     per_z = dict(zip(zs.tolist(), _partitions(support)))
 
     # merge block instances across z that share an x or a y symbol: the

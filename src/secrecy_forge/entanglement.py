@@ -164,43 +164,105 @@ def eof_ensemble_value(
 
 def _ensemble_energy_grad(
     u: np.ndarray, w: np.ndarray, da: int, db: int
-) -> tuple[float, np.ndarray]:
-    """Average ensemble entanglement and its euclidean Wirtinger gradient.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Average ensemble entanglement and its euclidean Wirtinger gradient,
+    for each isometry of a stack.
 
-    u: (m, r) isometry; w: (d, r) square-root eigenvector matrix of rho.
-    Member j of the ensemble is c_j = w @ conj(u[j]); the value is
-    sum_j [ -tr K_j log2 K_j + p_j log2 p_j ] with K_j = M_j M_j^dag,
-    M_j the (da, db) reshape of c_j and p_j = tr K_j.
+    u: (n, m, r) stack of isometries; w: (d, r) square-root eigenvector
+    matrix of rho.  Member j of ensemble i is c_ij = w @ conj(u[i, j]); the
+    value is sum_j [ -tr K_ij log2 K_ij + p_ij log2 p_ij ] with
+    K_ij = M_ij M_ij^dag, M_ij the (da, db) reshape of c_ij and
+    p_ij = tr K_ij.  Returns the (n,) values and the (n, m, r) gradients.
     """
-    m = u.shape[0]
+    n, m = u.shape[:2]
     c = u.conj() @ w.T  # rows are unnormalized member vectors
-    mats = c.reshape(m, da, db)
-    k = mats @ mats.conj().transpose(0, 2, 1)
+    mats = c.reshape(n, m, da, db)
+    k = mats @ mats.conj().transpose(0, 1, 3, 2)
     ev, vec = np.linalg.eigh(k)
     ev = np.clip(ev, 0.0, None)
-    p = ev.sum(axis=1)
+    p = ev.sum(axis=2)
     p_safe = np.maximum(p, EIG_FLOOR)
     ev_safe = np.maximum(ev, EIG_FLOOR)
-    value = float((-ev * np.log2(ev_safe)).sum() + (p * np.log2(p_safe)).sum())
-    # G_j = (log2(p_j) I - log2 K_j) M_j, via the eigenbasis of K_j
-    scale = np.log2(p_safe)[:, None] - np.log2(ev_safe)
-    inner = vec.conj().transpose(0, 2, 1) @ mats
-    g = vec @ (scale[:, :, None] * inner)
-    g_flat = g.reshape(m, da * db)
-    grad_u = g_flat.conj() @ w  # d E / d conj(U)
+    value = (-ev * np.log2(ev_safe)).reshape(n, m * da).sum(axis=1) + (
+        p * np.log2(p_safe)
+    ).sum(axis=1)
+    # G_ij = (log2(p_ij) I - log2 K_ij) M_ij, via the eigenbasis of K_ij
+    scale = np.log2(p_safe)[:, :, None] - np.log2(ev_safe)
+    inner = vec.conj().transpose(0, 1, 3, 2) @ mats
+    g = vec @ (scale[..., None] * inner)
+    grad_u = g.reshape(n, m, da * db).conj() @ w  # d E / d conj(U)
     return value, grad_u
 
 
 def _stiefel_project(u: np.ndarray, g: np.ndarray) -> np.ndarray:
-    s = u.conj().T @ g
-    return g - u @ ((s + s.conj().T) / 2.0)
+    s = u.conj().transpose(0, 2, 1) @ g
+    return g - u @ ((s + s.conj().transpose(0, 2, 1)) / 2.0)
 
 
 def _qr_retract(u: np.ndarray) -> np.ndarray:
     q, r = np.linalg.qr(u)
-    ph = np.diagonal(r).copy()
+    ph = np.diagonal(r, axis1=1, axis2=2).copy()
     ph = np.where(np.abs(ph) < 1e-14, 1.0, ph / np.abs(ph))
-    return q * ph
+    return q * ph[:, None, :]
+
+
+# Why a restart of the formation optimizer stopped.
+CONVERGED, STALLED, AT_MAX_ITER = range(3)
+
+
+def _descend(
+    u: np.ndarray, w: np.ndarray, da: int, db: int, max_iter: int, conv_tol: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Projected steepest descent on a stack of isometries, one restart each.
+
+    Each restart keeps its own Armijo step size and leaves the stack when
+    it stops: CONVERGED when the tangent gradient vanishes or a step gains
+    less than ``conv_tol``, STALLED when 30 step halvings find no
+    sufficient decrease, AT_MAX_ITER after ``max_iter`` steps.  Only the
+    restarts still backtracking are evaluated again.  Returns the final
+    values, the iteration counts and the stop reasons, all of shape (n,).
+    """
+    n = u.shape[0]
+    val, grad = _ensemble_energy_grad(u, w, da, db)
+    step = np.ones(n)
+    iters = np.zeros(n, dtype=int)
+    stop = np.full(n, AT_MAX_ITER)
+    live = np.arange(n)
+    for _ in range(max_iter):
+        if not live.size:
+            break
+        iters[live] += 1
+        tang = _stiefel_project(u[live], grad[live])
+        sq = np.array([np.vdot(t, t).real for t in tang])
+        flat = sq < 1e-18
+        stop[live[flat]] = CONVERGED
+        live, tang, sq = live[~flat], tang[~flat], sq[~flat]
+        # Armijo backtracking on the retracted step
+        cand = np.empty_like(tang)
+        cgrad = np.empty_like(tang)
+        cval = np.empty(live.size)
+        pend = np.arange(live.size)
+        for _ in range(30):
+            if not pend.size:
+                break
+            idx = live[pend]
+            c = _qr_retract(u[idx] - step[idx, None, None] * tang[pend])
+            v, g = _ensemble_energy_grad(c, w, da, db)
+            ok = v <= val[idx] - 0.1 * step[idx] * sq[pend]
+            cand[pend[ok]], cval[pend[ok]], cgrad[pend[ok]] = c[ok], v[ok], g[ok]
+            step[idx[~ok]] *= 0.5
+            pend = pend[~ok]
+        stop[live[pend]] = STALLED
+        acc = np.ones(live.size, dtype=bool)
+        acc[pend] = False
+        live = live[acc]
+        moved = val[live] - cval[acc]
+        u[live], val[live], grad[live] = cand[acc], cval[acc], cgrad[acc]
+        step[live] = np.minimum(step[live] * 2.0, 1.0)
+        small = moved < conv_tol
+        stop[live[small]] = CONVERGED
+        live = live[~small]
+    return val, iters, stop
 
 
 def eof_numeric(
@@ -219,7 +281,15 @@ def eof_numeric(
     ``ensemble_size`` is given, restarts alternate between rank-sized and
     rank-squared ensembles: the small manifold converges tightly when few
     decomposition members suffice, the large one keeps the general
-    attainability guarantee.  Deterministic for a fixed seed.
+    attainability guarantee.  All restarts of one ensemble size descend
+    together as one stack.  Restart 0 starts at the identity isometry, the
+    others at random ones drawn in restart order, so the result is
+    deterministic for a fixed seed.
+
+    The diagnostics count how each restart stopped: ``restarts_converged``
+    (the tangent gradient vanished or a step gained less than
+    ``conv_tol``), ``restarts_stalled`` (the line search found no
+    decrease in 30 halvings) and ``restarts_at_max_iter``.
     """
     da, db = _require_bipartite(rho.dims, "eof_numeric")
     if da * db > OPT_DIM_CAP:
@@ -241,49 +311,31 @@ def eof_numeric(
         raise SecrecyForgeError(f"ensemble size {m} below rank {r}")
     sizes = (m,) if (ensemble_size or m == r) else (r, m)
     rng = np.random.default_rng(seed)
-    best = math.inf
-    best_restart = -1
-    total_iters = 0
-    converged = False
+    starts = []
     for restart in range(restarts):
         mr = sizes[restart % len(sizes)]
         if restart == 0:
-            u = np.eye(mr, r, dtype=complex)
+            starts.append(np.eye(mr, r, dtype=complex))
         else:
-            g = rng.normal(size=(mr, r)) + 1j * rng.normal(size=(mr, r))
-            u = _qr_retract(g)
-        val, grad = _ensemble_energy_grad(u, w, da, db)
-        step = 1.0
-        this_converged = False
-        for it in range(max_iter):
-            total_iters += 1
-            tang = _stiefel_project(u, grad)
-            sq = float(np.real(np.vdot(tang, tang)))
-            if sq < 1e-18:
-                this_converged = True
-                break
-            # Armijo backtracking on the retracted step
-            accepted = False
-            for _ in range(30):
-                cand = _qr_retract(u - step * tang)
-                cval, cgrad = _ensemble_energy_grad(cand, w, da, db)
-                if cval <= val - 0.1 * step * sq:
-                    accepted = True
-                    break
-                step *= 0.5
-            if not accepted:
-                this_converged = True
-                break
-            moved = val - cval
-            u, val, grad = cand, cval, cgrad
-            step = min(step * 2.0, 1.0)
-            if moved < conv_tol:
-                this_converged = True
-                break
+            starts.append(rng.normal(size=(mr, r)) + 1j * rng.normal(size=(mr, r)))
+    values = np.empty(len(starts))
+    iters = np.zeros(len(starts), dtype=int)
+    stops = np.empty(len(starts), dtype=int)
+    for first in range(len(sizes)):
+        ids = np.arange(first, len(starts), len(sizes))
+        if not ids.size:
+            continue
+        u = np.stack([starts[i] for i in ids])
+        rand = ids > 0
+        if rand.any():
+            u[rand] = _qr_retract(u[rand])
+        values[ids], iters[ids], stops[ids] = _descend(u, w, da, db, max_iter, conv_tol)
+    best = math.inf
+    best_restart = -1
+    for restart, val in enumerate(values):
         if val < best:
-            best = val
+            best = float(val)
             best_restart = restart
-        converged = converged or this_converged
     return MeasureResult(
         name="E_F",
         value=best,
@@ -295,8 +347,10 @@ def eof_numeric(
             "ensemble_size": m,
             "rank": r,
             "best_restart": best_restart,
-            "iterations": total_iters,
-            "converged": converged,
+            "iterations": int(iters.sum()),
+            "restarts_converged": int((stops == CONVERGED).sum()),
+            "restarts_stalled": int((stops == STALLED).sum()),
+            "restarts_at_max_iter": int((stops == AT_MAX_ITER).sum()),
         },
     )
 
@@ -359,10 +413,18 @@ def _unpack(params: np.ndarray, k: int, da: int, db: int):
 
 
 def _rel_ent_objective(
-    params: np.ndarray, rho: np.ndarray, k: int, da: int, db: int, mix: float
+    params: np.ndarray,
+    rho: np.ndarray,
+    rho_log_rho: float,
+    k: int,
+    da: int,
+    db: int,
+    mix: float,
 ) -> tuple[float, np.ndarray]:
-    """S(rho || sigma(params)) in bits minus the constant tr rho log2 rho,
-    plus that constant; returns (value, gradient) for L-BFGS."""
+    """S(rho || sigma(params)) in bits and its gradient, for L-BFGS.
+
+    ``rho_log_rho`` is the constant tr rho log2 rho, computed once by the
+    caller."""
     d = da * db
     theta, a, b = _unpack(params, k, da, db)
     t = theta - theta.max()
@@ -382,9 +444,7 @@ def _rel_ent_objective(
     s = np.maximum(s, 1e-300)
     vrv = v.conj().T @ rho @ v
     cross = float(np.real(np.diagonal(vrv) @ np.log(s))) / LN2
-    ew = np.linalg.eigvalsh(rho)
-    ew = ew[ew > 1e-12]
-    value = float((ew * np.log2(ew)).sum()) - cross
+    value = rho_log_rho - cross
 
     # Frechet derivative of -tr[rho log2 sigma] wrt sigma
     ls = np.log(s)
@@ -481,6 +541,9 @@ def rel_ent_upper(
             [theta, a.real.ravel(), a.imag.ravel(), b.real.ravel(), b.imag.ravel()]
         )
 
+    ew = np.linalg.eigvalsh(rho.rho)
+    ew = ew[ew > 1e-12]
+    rho_log_rho = float((ew * np.log2(ew)).sum())
     best = math.inf
     best_restart = -1
     nit = 0
@@ -489,7 +552,7 @@ def rel_ent_upper(
         res = minimize(
             _rel_ent_objective,
             x0,
-            args=(rho.rho, k, da, db, mix),
+            args=(rho.rho, rho_log_rho, k, da, db, mix),
             jac=True,
             method="L-BFGS-B",
             options={"maxiter": max_iter, "ftol": 1e-12, "gtol": 1e-10},
@@ -515,13 +578,20 @@ def rel_ent_upper(
 
 
 def negativity_log(rho: QState) -> MeasureResult:
-    """Logarithmic negativity log2 ||rho^{T_B}||_1 (entanglement witness)."""
+    """Logarithmic negativity log2 ||rho^{T_B}||_1 (exact).
+
+    The value is computed exactly from the partial transpose.  It is an
+    upper bound on the distillable entanglement (Vidal & Werner, PRA 65,
+    032314 (2002)) and a witness: a positive value proves rho entangled.
+    It bounds neither E_F nor E_r from below: on sqrt(0.9)|00> +
+    sqrt(0.1)|11> it is 0.678 while E_F = E_r = 0.469.
+    """
     da, db = _require_bipartite(rho.dims, "negativity_log")
     pt = rho.rho.reshape(da, db, da, db).transpose(0, 3, 2, 1).reshape(da * db, da * db)
     w = np.linalg.eigvalsh(pt)
     return MeasureResult(
         name="neg",
         value=max(0.0, float(np.log2(np.abs(w).sum()))),
-        kind="lower_bound",
+        kind="exact",
         method="partial-transpose",
     )

@@ -184,7 +184,10 @@ def _coarse_graining_bound(
     d: Dist3, budget: int
 ) -> tuple[float, tuple[int, ...], int]:
     """min over deterministic channels on Z of I(X:Y|Zbar); sound upper
-    bound on the key rate (the all-merge channel gives plain I(X:Y))."""
+    bound on the key rate (the all-merge channel gives plain I(X:Y)).
+
+    The bound is clamped at 0, where rounding can leave a vanishing
+    I(X:Y|Zbar) just below the interval's lower bound."""
     best = math.inf
     best_rgs: tuple[int, ...] = ()
     tested = 0
@@ -197,7 +200,7 @@ def _coarse_graining_bound(
         if val < best:
             best = val
             best_rgs = rgs
-    return best, best_rgs, tested
+    return max(best, 0.0), best_rgs, tested
 
 
 def kd_class(

@@ -191,6 +191,23 @@ def test_nesting_on_random_distributions(make_dist):
             assert_no_nesting_violation(statuses(classify(d)))
 
 
+def test_canonical_protocol_uses_the_conditional_support():
+    # Entries whose conditional mass p(x, y | z) exceeds support_eps while
+    # their absolute mass does not: the canonical protocol once dropped
+    # them and classify raised "class nesting violated" on this pmf.
+    rng = np.random.default_rng(1243)
+    dims = rng.integers(2, 4, size=3)
+    p = rng.random(dims) ** rng.integers(1, 6)
+    p[rng.random(dims) < 0.4] = 0
+    d = Dist3(p / p.sum())
+    tols = {"tol": 1e-3, "support_eps": 1e-2}
+    report = classify(d, **tols)
+    s = statuses(report)
+    assert_no_nesting_violation(s)
+    assert s["ubi"] == s["ubi_pd"] == "yes"
+    assert kd_class(d, **tols).to_json() == kd_class(d, report, **tols).to_json()
+
+
 def test_classification_is_deterministic(make_dist):
     d = make_dist((3, 3, 2), sparsity=0.5)
     a = classify(d).to_json()

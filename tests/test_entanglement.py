@@ -13,8 +13,14 @@ from secrecy_forge.entanglement import (
     negativity_log,
     rel_ent_upper,
 )
+from secrecy_forge.embeddings import embed_qqq
 from secrecy_forge.errors import InvalidState, SecrecyForgeError
-from secrecy_forge.qlinalg import PureState, QState
+from secrecy_forge.keyrates import (
+    binary_eve_family,
+    one_sided_coherence_example,
+    two_block_uniform_example,
+)
+from secrecy_forge.qlinalg import PureState, QState, partial_trace
 
 BELL = PureState(np.array([1, 0, 0, 1]) / math.sqrt(2), (2, 2)).density()
 PRODUCT = PureState(np.array([1, 0, 0, 0]), (2, 2)).density()
@@ -35,6 +41,44 @@ def werner_eof_oracle(p: float) -> float:
     # concurrence of the Werner state is max(0, (3p - 1) / 2)
     c = max(0.0, (3 * p - 1) / 2)
     return h2((1 + math.sqrt(1 - c * c)) / 2)
+
+
+def _pair_state(d, phases=None) -> QState:
+    """The AB marginal of the coherent embedding, as verify_chain builds it."""
+    return partial_trace(embed_qqq(d, phases).density(), (0, 1))
+
+
+def _full_rank_2q(seed: int) -> QState:
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    rho = g @ g.conj().T
+    return QState(rho / np.trace(rho).real, (2, 2))
+
+
+PIN_STATES = {
+    "lambda-quarter": lambda: _pair_state(binary_eve_family(0.25)),
+    "two-block": lambda: _pair_state(two_block_uniform_example()),
+    "one-sided": lambda: _pair_state(*one_sided_coherence_example()),
+    "full-rank-101": lambda: _full_rank_2q(101),
+    "full-rank-202": lambda: _full_rank_2q(202),
+}
+
+# (state, seed, ensemble_size, value, best_restart, iterations) of
+# eof_numeric, recorded from the one-restart-at-a-time optimizer that the
+# stacked descent replaced; the stacked form must reproduce them exactly.
+EOF_PINS = [
+    ("lambda-quarter", 0, None, 0.904467099210105, 0, 12074),
+    ("lambda-quarter", 3, None, 0.9044665788005122, 10, 11469),
+    ("two-block", 0, None, 1.0, 0, 359),
+    ("two-block", 3, None, 1.0, 0, 336),
+    ("one-sided", 0, None, 1.0000000000000004, 0, 1654),
+    ("one-sided", 3, None, 1.0000000000000004, 0, 1251),
+    ("one-sided", 3, 6, 1.0, 0, 1814),
+    ("full-rank-101", 0, None, 0.20162605797969313, 28, 3998),
+    ("full-rank-101", 3, None, 0.20162606274087613, 0, 4108),
+    ("full-rank-202", 0, None, 0.2251605449157379, 0, 2325),
+    ("full-rank-202", 3, None, 0.22516050192920778, 18, 2080),
+]
 
 
 class TestTwoQubitFormation:
@@ -87,6 +131,31 @@ class TestNumericFormation:
         rho = make_density((2, 2))
         assert eof_numeric(rho, seed=1).value >= eof_2q(rho).value - 1e-7
 
+    @pytest.mark.parametrize(
+        "state, seed, ensemble_size, value, best_restart, iterations", EOF_PINS
+    )
+    def test_stacked_descent_reproduces_sequential_restarts(
+        self, state, seed, ensemble_size, value, best_restart, iterations
+    ):
+        res = eof_numeric(PIN_STATES[state](), seed=seed, ensemble_size=ensemble_size)
+        diag = res.diagnostics
+        assert res.value == value
+        assert diag["best_restart"] == best_restart
+        assert diag["iterations"] == iterations
+        stops = (
+            diag["restarts_converged"]
+            + diag["restarts_stalled"]
+            + diag["restarts_at_max_iter"]
+        )
+        assert stops == diag["restarts"] == 32
+
+    def test_restarts_cut_by_max_iter_are_counted(self, make_density):
+        res = eof_numeric(make_density((2, 2)), restarts=5, max_iter=3)
+        diag = res.diagnostics
+        assert diag["restarts_at_max_iter"] == 5
+        assert diag["restarts_converged"] == diag["restarts_stalled"] == 0
+        assert diag["iterations"] == 15
+
 
 class TestNegativity:
     def test_bell_is_one(self):
@@ -95,8 +164,19 @@ class TestNegativity:
     def test_product_is_zero(self):
         assert negativity_log(PRODUCT).value == 0.0
 
-    def test_kind_is_lower_bound(self):
-        assert negativity_log(BELL).kind == "lower_bound"
+    def test_kind_is_exact(self):
+        assert negativity_log(BELL).kind == "exact"
+
+    def test_not_a_lower_bound_on_formation(self):
+        # on sqrt(q)|00> + sqrt(1-q)|11>: E_N = log2((sqrt(q) + sqrt(1-q))^2)
+        # and E_F = E_r = h(q), which is smaller
+        q = 0.9
+        vec = np.array([math.sqrt(q), 0, 0, math.sqrt(1 - q)])
+        rho = PureState(vec, (2, 2)).density()
+        neg = negativity_log(rho).value
+        assert neg == pytest.approx(math.log2(1 + 2 * math.sqrt(q * (1 - q))), abs=1e-12)
+        assert eof_numeric(rho).value == pytest.approx(h2(q), abs=1e-12)
+        assert neg > h2(q) + 0.2
 
     def test_ppt_werner_has_zero_negativity(self):
         # Werner states are PPT exactly for p <= 1/3

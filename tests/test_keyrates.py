@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from secrecy_forge.classify import classify
 from secrecy_forge.distributions import Dist3, product_power
 from secrecy_forge.errors import InvalidDistribution
 from secrecy_forge.keyrates import (
@@ -88,6 +91,34 @@ class TestKdClass:
         assert res.value == diag["upper_bound"]
         assert diag["channels_tested"] >= 1
         assert isinstance(diag["upper_bound_channel"], list)
+
+
+@st.composite
+def independent_pair_eve_holds_sum(draw):
+    """X and Y independent, Eve holds (X + Y) mod |Z|.
+
+    I(X:Y) is 0, so the all-merge channel's bound is 0 up to rounding.
+    """
+    dx, dy, dz = (draw(st.integers(2, 3)) for _ in range(3))
+    weight = st.floats(0.05, 1.0)
+    a = np.array(draw(st.lists(weight, min_size=dx, max_size=dx)))
+    b = np.array(draw(st.lists(weight, min_size=dy, max_size=dy)))
+    p = np.zeros((dx, dy, dz))
+    for x in range(dx):
+        for y in range(dy):
+            p[x, y, (x + y) % dz] = a[x] * b[y]
+    return Dist3(p / p.sum())
+
+
+@given(independent_pair_eve_holds_sum())
+def test_unresolved_interval_contains_its_value(d):
+    # without the channel search the report leaves UBI-PD-down open, so
+    # kd_class falls back to the coarse-graining interval
+    for report in (None, classify(d, channel_search=False)):
+        res = kd_class(d, report)
+        if res.kind != "exact":
+            diag = res.diagnostics
+            assert diag["lower_bound"] <= res.value <= diag["upper_bound"]
 
 
 class TestIndependentEve:
