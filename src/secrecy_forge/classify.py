@@ -35,18 +35,15 @@ from . import config
 from .common_info import (
     CondCommonFunction,
     _component_roots,
+    _partitions,
     conditional_common_function,
-    conditional_support,
-    maximal_common_partition,
 )
 from .distributions import (
     Channel,
-    Dist2,
     Dist3,
     apply_channel_z,
     conditional_mutual_information,
     entropy_bits,
-    joint_marginal,
 )
 from .errors import SecrecyForgeError
 
@@ -147,13 +144,15 @@ def is_unambiguous(
 
 
 def _common_part_maps(
-    d: Dist3, support_eps: float
+    ccf: CondCommonFunction,
 ) -> tuple[dict[int, int], dict[int, int]]:
-    """Common part of X with Z as a map on x, and of Y with Z as a map on y."""
-    pxz = Dist2(joint_marginal(d.p, (0, 2)))
-    pyz = Dist2(joint_marginal(d.p, (1, 2)))
-    part_xz = maximal_common_partition(pxz, support_eps)
-    part_yz = maximal_common_partition(pyz, support_eps)
+    """Common part of X with Z as a map on x, and of Y with Z as a map on y.
+
+    Both are read off ccf's support, so every entry the canonical protocol
+    takes from that support has a message.
+    """
+    (part_xz,) = _partitions(ccf.support.any(axis=1)[:, :, None])
+    (part_yz,) = _partitions(ccf.support.any(axis=0)[:, :, None])
     return dict(part_xz.block_of_x), dict(part_yz.block_of_x)
 
 
@@ -194,20 +193,24 @@ def _pd_canonical(
 
     # the entries the conditional common function sees, so every entry has a block
     entries = [
-        (x, y, z, float(d.p[x, y, z]))
-        for x, y, z in zip(
-            *np.nonzero(conditional_support(d.p, ccf.z_probs, support_eps))
-        )
+        (x, y, z, float(d.p[x, y, z])) for x, y, z in zip(*np.nonzero(ccf.support))
     ]
-    pairs = sorted({(ma[x], mb[y]) for x, y, _, _ in entries})
+    # x and y share their common-part blocks with z, so on the support the
+    # message (ma[x], mb[y]) is a function of z
+    message_of_z = {z: (ma[x], mb[y]) for x, y, z, _ in entries}
+    pairs = sorted(set(message_of_z.values()))
     m_index = {pair: i for i, pair in enumerate(pairs)}
     nm = len(pairs)
 
-    # extended distribution over ((M, X), (M, Y), (Z, M))
+    # extended distribution over ((M, X), (M, Y), (Z, M)); it keeps all of
+    # d's mass on the z that carry a message, also below support_eps, so
+    # that it is d relabelled and its block statistics are d's
+    zs = np.array(sorted(message_of_z), dtype=int)
+    m_of_z = np.array([m_index[message_of_z[z]] for z in zs.tolist()], dtype=int)
+    xi, yi, k = np.nonzero(d.p[:, :, zs])
+    m = m_of_z[k]
     q = np.zeros((nm * dx, nm * dy, dz * nm))
-    for x, y, z, w in entries:
-        m = m_index[(ma[x], mb[y])]
-        q[m * dx + x, m * dy + y, z * nm + m] = w
+    q[m * dx + xi, m * dy + yi, zs[k] * nm + m] = d.p[xi, yi, zs[k]]
     q /= q.sum()
     ext = Dist3(q)
     ext_ubi = is_ubi(ext, tol, support_eps)
@@ -217,7 +220,7 @@ def _pd_canonical(
     joint = np.zeros((dz, nm, max_blocks))
     for x, y, z, w in entries:
         b = ccf.per_z[z].block_of_x[x]
-        joint[z, m_index[(ma[x], mb[y])], b] += w
+        joint[z, m_index[message_of_z[z]], b] += w
     leak = conditional_mutual_information(joint, (1,), (2,), (0,))
 
     cert = PDCertificate(ma, mb, nm, leak, ext_ubi)
@@ -237,7 +240,7 @@ def _ubi_pd_certified(
         return False
     if ccf.per_z_injective:
         return True
-    maps = _common_part_maps(d, support_eps)
+    maps = _common_part_maps(ccf)
     return _pd_canonical(d, tol, support_eps, ccf, maps)[0] == YES
 
 
@@ -306,6 +309,8 @@ def _pd_down_extra_cmi(
     pairs = sorted({(a, b) for a in set(ma.values()) for b in set(mb.values())})
     m_index = {pair: i for i, pair in enumerate(pairs)}
     joint = np.zeros((dz, dzbar, len(pairs), max_blocks))
+    # p(x, y, z) > support_eps puts (x, y, zbar) in ccf_bar's support, as
+    # p(x, y | zbar) >= p(x, y, z), so every entry here has a block and a message
     for x, y, z in zip(*np.nonzero(d.p > support_eps)):
         zbar = assignment[z]
         b = ccf_bar.per_z[zbar].block_of_x[x]
@@ -399,7 +404,7 @@ def is_ubi_pd_down(
         ccf = conditional_common_function(dbar, support_eps)
         if cmi_xy_given_blocks(dbar, ccf) > tol:
             continue
-        maps = _common_part_maps(dbar, support_eps)
+        maps = _common_part_maps(ccf)
         # both tests must pass; the leak test is cheaper and fails more often
         extra = _pd_down_extra_cmi(d, ch, ccf, maps, support_eps)
         if extra > tol:
@@ -492,7 +497,7 @@ def classify(
         pd_status: str = NO
         pd_cert = None
     else:
-        maps = _common_part_maps(d, support_eps)
+        maps = _common_part_maps(ccf)
         pd_status, pd_cert = _pd_canonical(d, tol, support_eps, ccf, maps)
     if pd_cert is not None:
         certificates["ubi_pd"] = pd_cert.to_json()

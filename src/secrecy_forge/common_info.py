@@ -142,12 +142,18 @@ class CondCommonFunction:
     blocks of one z ever share a component, which is exactly the obstacle
     to relabelling the per-z partitions into a single function of x alone
     and of y alone.
+
+    ``support`` marks the (x, y, z) with p(z) > support_eps and
+    p(x, y | z) > support_eps, the entries the blocks are built from; code
+    that pairs entries of the pmf with these blocks must take its entries
+    from this mask.
     """
 
     per_z: Mapping[int, CommonPartition]
     global_labels: Mapping[tuple[int, int], int]
     per_z_injective: bool
     z_probs: np.ndarray = field(repr=False)
+    support: np.ndarray = field(repr=False)
 
     @property
     def n_labels(self) -> int:
@@ -184,20 +190,6 @@ class CondCommonFunction:
         }
 
 
-def conditional_support(
-    p: np.ndarray, z_probs: np.ndarray, support_eps: float
-) -> np.ndarray:
-    """Mask of the (x, y, z) with p(z) > support_eps and p(x, y | z) > support_eps.
-
-    The support rule of the conditional common function; code that pairs
-    entries of p with its blocks must use the same rule.
-    """
-    support = np.zeros(p.shape, dtype=bool)
-    zs = z_probs > support_eps
-    support[:, :, zs] = p[:, :, zs] / z_probs[zs] > support_eps
-    return support
-
-
 def conditional_common_function(
     d: Dist3, support_eps: float = config.SUPPORT_EPS
 ) -> CondCommonFunction:
@@ -205,8 +197,9 @@ def conditional_common_function(
     dx, dy, _ = d.dims
     z_probs = d.p.sum(axis=(0, 1))
     zs = np.flatnonzero(z_probs > support_eps)
-    support = conditional_support(d.p, z_probs, support_eps)[:, :, zs]
-    per_z = dict(zip(zs.tolist(), _partitions(support)))
+    support = np.zeros(d.p.shape, dtype=bool)
+    support[:, :, zs] = d.p[:, :, zs] / z_probs[zs] > support_eps
+    per_z = dict(zip(zs.tolist(), _partitions(support[:, :, zs])))
 
     # merge block instances across z that share an x or a y symbol: the
     # components of the graph joining each (z, block) to its symbols
@@ -229,7 +222,7 @@ def conditional_common_function(
         len({labels[(z, b)] for b in range(len(part))}) == len(part)
         for z, part in per_z.items()
     )
-    return CondCommonFunction(per_z, labels, injective, z_probs)
+    return CondCommonFunction(per_z, labels, injective, z_probs, support)
 
 
 def cond_common_entropy(

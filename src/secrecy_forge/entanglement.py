@@ -317,7 +317,8 @@ def eof_numeric(
         if restart == 0:
             starts.append(np.eye(mr, r, dtype=complex))
         else:
-            starts.append(rng.normal(size=(mr, r)) + 1j * rng.normal(size=(mr, r)))
+            g = rng.normal(size=(mr, r)) + 1j * rng.normal(size=(mr, r))
+            starts.append(_qr_retract(g[None])[0])
     values = np.empty(len(starts))
     iters = np.zeros(len(starts), dtype=int)
     stops = np.empty(len(starts), dtype=int)
@@ -326,9 +327,6 @@ def eof_numeric(
         if not ids.size:
             continue
         u = np.stack([starts[i] for i in ids])
-        rand = ids > 0
-        if rand.any():
-            u[rand] = _qr_retract(u[rand])
         values[ids], iters[ids], stops[ids] = _descend(u, w, da, db, max_iter, conv_tol)
     best = math.inf
     best_restart = -1

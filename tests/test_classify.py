@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -206,6 +207,47 @@ def test_canonical_protocol_uses_the_conditional_support():
     assert_no_nesting_violation(s)
     assert s["ubi"] == s["ubi_pd"] == "yes"
     assert kd_class(d, **tols).to_json() == kd_class(d, report, **tols).to_json()
+
+
+def _light_x1_pmf(small):
+    # x = 1 has total mass below support_eps but conditional mass above
+    # it given z = 0
+    p = np.zeros((2, 1, 2))
+    p[0, 0, 0], p[1, 0, 0], p[0, 0, 1] = 0.2 - small, small, 0.8
+    return p
+
+
+def _near_independent_block_pmf():
+    # Given z = 0, (x1, y1) has conditional mass above support_eps = 1e-2
+    # and (x0, y1) below it; both are below it in absolute mass.  An
+    # extension that kept only the supported entries and renormalized
+    # would make the near-independent block correlated and fail UBI.
+    p = np.zeros((3, 2, 2))
+    p[:2, :, 0] = [[0.19, 0.003], [0.12, 0.004]]
+    p[2, 0, 1] = 0.683
+    return p / p.sum()
+
+
+@pytest.mark.parametrize(
+    "p, support_eps",
+    [
+        (_light_x1_pmf(0.009), 1e-2),
+        (_light_x1_pmf(5e-13), 1e-12),
+        (_near_independent_block_pmf(), 1e-2),
+    ],
+    ids=["light-x-eps-1e-2", "light-x-eps-default", "near-independent-block"],
+)
+def test_canonical_protocol_on_mass_below_support_eps(p, support_eps):
+    # The common-part maps give every supported x and y a message, and the
+    # extension keeps all of d's mass, so a UBI distribution stays UBI-PD.
+    report = classify(Dist3(p), tol=1e-3, support_eps=support_eps)
+    s = statuses(report)
+    assert_no_nesting_violation(s)
+    assert s["ubi"] == s["ubi_pd"] == "yes"
+    cert = report.certificates["ubi_pd"]
+    assert cert["extension_ubi"] is True
+    assert sorted(cert["message_of_x"]) == [str(x) for x in range(p.shape[0])]
+    assert sorted(cert["message_of_y"]) == [str(y) for y in range(p.shape[1])]
 
 
 def test_classification_is_deterministic(make_dist):
