@@ -7,162 +7,44 @@ three coherence levels, and checks the resulting key rates against
 entanglement measures of the embedded states.  A separate module
 dequantizes tree-shaped measurement protocols acting on incoherent
 inputs into equivalent classical protocols.
+
+The top level exports the version and the names the benchmark reads
+from it; everything else is imported from its module.
 """
 
 from __future__ import annotations
 
 __version__ = "0.1.0"
 
-from .classify import ClassReport, classify
-from .common_info import (
-    CommonPartition,
-    CondCommonFunction,
-    common_information,
-    cond_common_entropy,
-    conditional_common_function,
-    maximal_common_partition,
-)
-from .config import Caps, default_tolerances, load_caps
-from .dequantize import (
-    ClassicalProtocol,
-    InstrumentTree,
-    computational_announce_tree,
-    dequantize,
-    random_instrument_tree,
-    simulate_classical,
-    simulate_quantum,
-    trivial_tree,
-    verify_equivalence,
-)
-from .distributions import (
-    Channel,
-    Dist1,
-    Dist2,
-    Dist3,
-    binary_entropy,
-    entropy_bits,
-    product_power,
-)
-from .embeddings import (
-    BlockMeasurement,
-    PhaseAssignment,
-    embed_ccc,
-    embed_ccq,
-    embed_cqq,
-    embed_qqq,
-    extension_sigma,
-    omega_measurement,
-)
-from .entanglement import (
-    MeasureResult,
-    eof_2q,
-    eof_numeric,
-    esq_classical_extension_bound,
-    negativity_log,
-    rel_ent_upper,
-)
-from .errors import (
-    DimensionCapExceeded,
-    EnsembleMismatch,
-    InvalidChannel,
-    InvalidDistribution,
-    InvalidProtocol,
-    InvalidState,
-    SecrecyForgeError,
-    UsageError,
-)
+from .classify import classify
+from .dequantize import random_instrument_tree, verify_equivalence
+from .distributions import Dist3, product_power
+from .embeddings import embed_qqq
+from .entanglement import eof_2q, eof_numeric, negativity_log, rel_ent_upper
 from .keyrates import (
-    AdvantageReport,
-    ChainReport,
-    advantage_report,
     binary_eve_family,
-    independent_eve_example,
     kd_class,
-    kd_independent_eve,
-    lemma_example_rates,
     one_sided_coherence_example,
     two_block_uniform_example,
-    verify_chain,
 )
-from .qlinalg import (
-    PureState,
-    QState,
-    cond_mutual_info_q,
-    dephase,
-    partial_trace,
-    tensor,
-    trace_distance,
-    von_neumann_entropy,
-)
+from .qlinalg import QState, partial_trace
 
 __all__ = [
     "__version__",
-    "AdvantageReport",
-    "BlockMeasurement",
-    "Caps",
-    "Channel",
-    "ChainReport",
-    "ClassReport",
-    "ClassicalProtocol",
-    "CommonPartition",
-    "CondCommonFunction",
-    "DimensionCapExceeded",
-    "Dist1",
-    "Dist2",
     "Dist3",
-    "EnsembleMismatch",
-    "InstrumentTree",
-    "InvalidChannel",
-    "InvalidDistribution",
-    "InvalidProtocol",
-    "InvalidState",
-    "MeasureResult",
-    "PhaseAssignment",
-    "PureState",
     "QState",
-    "SecrecyForgeError",
-    "UsageError",
-    "advantage_report",
-    "binary_entropy",
     "binary_eve_family",
     "classify",
-    "common_information",
-    "computational_announce_tree",
-    "cond_common_entropy",
-    "cond_mutual_info_q",
-    "conditional_common_function",
-    "default_tolerances",
-    "dephase",
-    "dequantize",
-    "embed_ccc",
-    "embed_ccq",
-    "embed_cqq",
     "embed_qqq",
-    "entropy_bits",
     "eof_2q",
     "eof_numeric",
-    "esq_classical_extension_bound",
-    "extension_sigma",
-    "independent_eve_example",
     "kd_class",
-    "kd_independent_eve",
-    "lemma_example_rates",
-    "load_caps",
-    "maximal_common_partition",
     "negativity_log",
-    "omega_measurement",
     "one_sided_coherence_example",
     "partial_trace",
     "product_power",
     "random_instrument_tree",
     "rel_ent_upper",
-    "simulate_classical",
-    "simulate_quantum",
-    "tensor",
-    "trace_distance",
-    "trivial_tree",
     "two_block_uniform_example",
-    "verify_chain",
     "verify_equivalence",
-    "von_neumann_entropy",
 ]

@@ -53,7 +53,6 @@ __all__ = [
     "PDDownResult",
     "is_ubi",
     "is_semi_unambiguous",
-    "is_unambiguous",
     "is_ubi_pd_down",
     "classify",
     "set_partitions",
@@ -126,17 +125,6 @@ def is_semi_unambiguous(
     counts = (d.p > support_eps).sum(axis=2)
     pair_supported = d.p.sum(axis=2) > support_eps
     return bool(np.all(counts[pair_supported] == 1))
-
-
-def is_unambiguous(
-    d: Dist3,
-    tol: float = config.ENTROPY_TOL,
-    support_eps: float = config.SUPPORT_EPS,
-) -> bool:
-    if not is_semi_unambiguous(d, support_eps):
-        return False
-    ccf = conditional_common_function(d, support_eps)
-    return h_xy_given_blocks(d, ccf) <= tol
 
 
 # ---------------------------------------------------------------------------

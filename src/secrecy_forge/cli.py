@@ -21,7 +21,6 @@ from . import __version__, config, io
 from .classify import classify
 from .common_info import (
     common_information,
-    cond_common_entropy,
     conditional_common_function,
 )
 from .dequantize import random_instrument_tree, verify_equivalence
@@ -105,7 +104,6 @@ def _extract_tol_flags(argv: list[str]) -> tuple[dict[str, float], list[str]]:
 
 def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--seed", type=int, default=0, help="seed echoed into the report")
-    sp.add_argument("--jobs", type=int, default=1, help="accepted; evaluation is serial")
     sp.add_argument("--out", help="write the JSON envelope here instead of stdout")
 
 
@@ -229,7 +227,7 @@ def _cmd_commoninfo(args, tols) -> int:
     d = io.load_dist(args.dist)
     ccf = conditional_common_function(d, support_eps=tols["support"])
     result = {
-        "cond_common_entropy": cond_common_entropy(d, support_eps=tols["support"]),
+        "cond_common_entropy": ccf.block_entropy(d),
         "conditional_common_function": ccf.to_json(),
         "xy_common_information": common_information(
             marginal(d, "xy"), support_eps=tols["support"]
@@ -580,8 +578,6 @@ def run(argv: list[str] | None = None) -> int:
     try:
         tols, rest = _extract_tol_flags(argv)
         args = _parser().parse_args(rest)
-        if args.jobs < 1:
-            raise UsageError("--jobs must be at least 1")
         return _HANDLERS[args.command](args, tols)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -77,6 +77,24 @@ def _completeness_defect(maps: tuple[tuple[np.ndarray, ...], ...], din: int) -> 
     return float(np.abs(total - np.eye(din)).max())
 
 
+def _walk(rounds: int, root, expand) -> list[tuple[History, object]]:
+    """Level-order walk of a protocol tree, one visit per node.
+
+    ``root`` is the state at the empty transcript, and ``expand(h, state)``
+    returns the states of node h's children, one per broadcast outcome.
+    Returns every full transcript with its state, in lexicographic
+    (broadcast) order.
+    """
+    level = [((), root)]
+    for _ in range(rounds):
+        level = [
+            (h + (m,), child)
+            for h, state in level
+            for m, child in enumerate(expand(h, state))
+        ]
+    return level
+
+
 @dataclass(frozen=True)
 class InstrumentTree:
     """Protocol tree of local instruments plus per-transcript leaf channels.
@@ -104,40 +122,13 @@ class InstrumentTree:
             raise InvalidProtocol(f"rounds must be even and >= 0, got {self.rounds}")
         if self.dim_a < 1 or self.dim_b < 1:
             raise InvalidProtocol(f"bad local dims ({self.dim_a}, {self.dim_b})")
-        out_a, out_b = self._normalize_and_check()
-        object.__setattr__(self, "out_a", out_a)
-        object.__setattr__(self, "out_b", out_b)
-
-    def _normalize_and_check(self) -> tuple[int, int]:
-        """Walk every path, normalizing Kraus data and checking invariants."""
         instruments = dict(self.instruments)
-        leaf_a = dict(self.leaf_a)
-        leaf_b = dict(self.leaf_b)
-        out_dims: dict[str, int] = {}
-        # Stack entries carry the acting dims reached along the path.
-        stack: list[tuple[History, int, int]] = [((), self.dim_a, self.dim_b)]
-        while stack:
-            h, da, db = stack.pop()
-            if len(h) == self.rounds:
-                for reg, leaves, din in (("a", leaf_a, da), ("b", leaf_b, db)):
-                    if h not in leaves:
-                        raise InvalidProtocol(f"missing leaf_{reg} for transcript {h}")
-                    kraus = _as_kraus(leaves[h], din, f"leaf_{reg}{h}")
-                    defect = _completeness_defect((kraus,), din)
-                    if defect > NODE_TOL:
-                        raise InvalidChannel(
-                            f"leaf_{reg}{h} not trace preserving (defect {defect:.2e})"
-                        )
-                    leaves[h] = kraus
-                    dout = kraus[0].shape[0]
-                    if out_dims.setdefault(reg, dout) != dout:
-                        raise InvalidProtocol(
-                            f"leaf_{reg} output dims disagree across transcripts"
-                        )
-                continue
+
+        def expand(h: History, dims: tuple[int, int]) -> list[tuple[int, int]]:
             if h not in instruments:
                 raise InvalidProtocol(f"missing instrument for transcript {h}")
-            din = da if len(h) % 2 == 0 else db
+            alice = len(h) % 2 == 0
+            din = dims[0] if alice else dims[1]
             node = tuple(
                 _as_kraus(cp, din, f"node{h}[{m}]")
                 for m, cp in enumerate(instruments[h])
@@ -150,23 +141,38 @@ class InstrumentTree:
                     f"node{h} not trace preserving (defect {defect:.2e})"
                 )
             instruments[h] = node
-            for m, cp in enumerate(node):
-                dout = cp[0].shape[0]
-                if len(h) % 2 == 0:
-                    stack.append((h + (m,), dout, db))
-                else:
-                    stack.append((h + (m,), da, dout))
+            return [
+                (cp[0].shape[0], dims[1]) if alice else (dims[0], cp[0].shape[0])
+                for cp in node
+            ]
+
+        # Each full transcript carries the acting dims reached along its path.
+        leaves = _walk(self.rounds, (self.dim_a, self.dim_b), expand)
+        for reg, given, k in (("a", self.leaf_a, 0), ("b", self.leaf_b, 1)):
+            maps = dict(given)
+            for h, dims in leaves:
+                if h not in maps:
+                    raise InvalidProtocol(f"missing leaf_{reg} for transcript {h}")
+                kraus = _as_kraus(maps[h], dims[k], f"leaf_{reg}{h}")
+                defect = _completeness_defect((kraus,), dims[k])
+                if defect > NODE_TOL:
+                    raise InvalidChannel(
+                        f"leaf_{reg}{h} not trace preserving (defect {defect:.2e})"
+                    )
+                maps[h] = kraus
+            out_dims = {maps[h][0].shape[0] for h, _ in leaves}
+            if len(out_dims) != 1:
+                raise InvalidProtocol(
+                    f"leaf_{reg} output dims disagree across transcripts"
+                )
+            object.__setattr__(self, f"leaf_{reg}", maps)
+            object.__setattr__(self, f"out_{reg}", out_dims.pop())
         object.__setattr__(self, "instruments", instruments)
-        object.__setattr__(self, "leaf_a", leaf_a)
-        object.__setattr__(self, "leaf_b", leaf_b)
-        return out_dims["a"], out_dims["b"]
+        object.__setattr__(self, "_histories", tuple(h for h, _ in leaves))
 
     def histories(self) -> tuple[History, ...]:
         """All full transcripts in lexicographic (broadcast) order."""
-        hs: list[History] = [()]
-        for _ in range(self.rounds):
-            hs = [h + (m,) for h in hs for m in range(len(self.instruments[h]))]
-        return tuple(hs)
+        return self._histories
 
 
 @dataclass(frozen=True)
@@ -192,38 +198,33 @@ class ClassicalProtocol:
         if self.rounds < 0 or self.rounds % 2 != 0:
             raise InvalidProtocol(f"rounds must be even and >= 0, got {self.rounds}")
         kernels = dict(self.kernels)
-        final_a = dict(self.final_a)
-        final_b = dict(self.final_b)
-        stack: list[History] = [()]
-        while stack:
-            h = stack.pop()
-            if len(h) == self.rounds:
-                for reg, tables, rows, cols in (
-                    ("a", final_a, self.dim_a, self.out_a),
-                    ("b", final_b, self.dim_b, self.out_b),
-                ):
-                    if h not in tables:
-                        raise InvalidProtocol(f"missing final_{reg} for transcript {h}")
-                    tables[h] = _check_stochastic(
-                        tables[h], rows, cols, f"final_{reg}{h}"
-                    )
-                continue
+
+        def expand(h: History, _) -> list[None]:
             if h not in kernels:
                 raise InvalidProtocol(f"missing kernel for transcript {h}")
             rows = self.dim_a if len(h) % 2 == 0 else self.dim_b
-            table = _check_stochastic(kernels[h], rows, None, f"kernel{h}")
-            kernels[h] = table
-            for m in range(table.shape[1]):
-                stack.append(h + (m,))
+            kernels[h] = _check_stochastic(kernels[h], rows, None, f"kernel{h}")
+            return [None] * kernels[h].shape[1]
+
+        hist = tuple(h for h, _ in _walk(self.rounds, None, expand))
+        for reg, given, rows, cols in (
+            ("a", self.final_a, self.dim_a, self.out_a),
+            ("b", self.final_b, self.dim_b, self.out_b),
+        ):
+            tables = dict(given)
+            for h in hist:
+                if h not in tables:
+                    raise InvalidProtocol(f"missing final_{reg} for transcript {h}")
+                tables[h] = _check_stochastic(
+                    tables[h], rows, cols, f"final_{reg}{h}"
+                )
+            object.__setattr__(self, f"final_{reg}", tables)
         object.__setattr__(self, "kernels", kernels)
-        object.__setattr__(self, "final_a", final_a)
-        object.__setattr__(self, "final_b", final_b)
+        object.__setattr__(self, "_histories", hist)
 
     def histories(self) -> tuple[History, ...]:
-        hs: list[History] = [()]
-        for _ in range(self.rounds):
-            hs = [h + (m,) for h in hs for m in range(self.kernels[h].shape[1])]
-        return tuple(hs)
+        """All full transcripts in lexicographic (broadcast) order."""
+        return self._histories
 
 
 def _check_stochastic(
@@ -268,31 +269,33 @@ def _apply_cp(kraus: tuple[np.ndarray, ...], stack: np.ndarray) -> np.ndarray:
     return out
 
 
-def _leaf_states(
+def _path_maps(
     tree: InstrumentTree,
-) -> tuple[dict[History, np.ndarray], dict[History, np.ndarray]]:
-    """Per full transcript, each party's composed map on basis inputs.
+) -> tuple[dict[History, np.ndarray], list[np.ndarray], list[np.ndarray]]:
+    """Apply each CP map of the tree once per path, on basis inputs.
 
-    The returned stacks are unnormalized: the trace of entry s is the
-    probability of the transcript given original symbol s.
+    Returns, per node, the traces of its outcome maps (rows: the acting
+    party's original symbol, columns: outcomes), and, per full transcript
+    in ``tree.histories()`` order, each party's composed map.  Those
+    stacks are unnormalized: the trace of entry s is the probability of
+    the transcript given original symbol s.
     """
-    fin_a: dict[History, np.ndarray] = {}
-    fin_b: dict[History, np.ndarray] = {}
-    stack = [((), _basis_stack(tree.dim_a), _basis_stack(tree.dim_b))]
-    while stack:
-        h, sa, sb = stack.pop()
-        if len(h) == tree.rounds:
-            fin_a[h] = _apply_cp(tree.leaf_a[h], sa)
-            fin_b[h] = _apply_cp(tree.leaf_b[h], sb)
-            continue
-        node = tree.instruments[h]
-        if len(h) % 2 == 0:
-            for m, cp in enumerate(node):
-                stack.append((h + (m,), _apply_cp(cp, sa), sb))
-        else:
-            for m, cp in enumerate(node):
-                stack.append((h + (m,), sa, _apply_cp(cp, sb)))
-    return fin_a, fin_b
+    traces: dict[History, np.ndarray] = {}
+
+    def expand(h: History, state: tuple[np.ndarray, np.ndarray]) -> list:
+        sa, sb = state
+        alice = len(h) % 2 == 0
+        children = [_apply_cp(cp, sa if alice else sb) for cp in tree.instruments[h]]
+        traces[h] = np.stack(
+            [np.einsum("xii->x", child).real for child in children], axis=1
+        )
+        return [(child, sb) if alice else (sa, child) for child in children]
+
+    root = (_basis_stack(tree.dim_a), _basis_stack(tree.dim_b))
+    leaves = _walk(tree.rounds, root, expand)
+    fin_a = [_apply_cp(tree.leaf_a[h], sa) for h, (sa, _) in leaves]
+    fin_b = [_apply_cp(tree.leaf_b[h], sb) for h, (_, sb) in leaves]
+    return traces, fin_a, fin_b
 
 
 def _check_caps(
@@ -336,9 +339,9 @@ def simulate_quantum(
     hist = tree.histories()
     dzn = pn.dims[2]
     _check_caps(pn.dims[:2], (tree.out_a, tree.out_b), dzn, len(hist), caps)
-    fin_a, fin_b = _leaf_states(tree)
-    a_stack = np.stack([fin_a[h] for h in hist])
-    b_stack = np.stack([fin_b[h] for h in hist])
+    _, fin_a, fin_b = _path_maps(tree)
+    a_stack = np.stack(fin_a)
+    b_stack = np.stack(fin_b)
     # block[h, z, a, b, a', b'] with E and M diagonal by construction.
     block = np.einsum("xyz,hxac,hybd->hzabcd", pn.p, a_stack, b_stack)
     oa, ob = tree.out_a, tree.out_b
@@ -388,34 +391,13 @@ def dequantize(tree: InstrumentTree, d: Dist3) -> ClassicalProtocol:
     transcripts are set uniform; they never influence the output law.
     """
     _infer_copies(tree, d)
-    kernels: dict[History, np.ndarray] = {}
-    final_a: dict[History, np.ndarray] = {}
-    final_b: dict[History, np.ndarray] = {}
-    stack = [((), _basis_stack(tree.dim_a), _basis_stack(tree.dim_b))]
-    while stack:
-        h, sa, sb = stack.pop()
-        if len(h) == tree.rounds:
-            for reg, tables, leaves, cur in (
-                ("a", final_a, tree.leaf_a, sa),
-                ("b", final_b, tree.leaf_b, sb),
-            ):
-                fin = _apply_cp(leaves[h], cur)
-                diag = np.einsum("xii->xi", fin).real
-                tables[h] = _ratio_rows(diag)
-            continue
-        node = tree.instruments[h]
-        alice = len(h) % 2 == 0
-        cur = sa if alice else sb
-        children = [_apply_cp(cp, cur) for cp in node]
-        traces = np.stack(
-            [np.einsum("xii->x", child).real for child in children], axis=1
-        )
-        kernels[h] = _ratio_rows(traces)
-        for m, child in enumerate(children):
-            if alice:
-                stack.append((h + (m,), child, sb))
-            else:
-                stack.append((h + (m,), sa, child))
+    traces, fin_a, fin_b = _path_maps(tree)
+    hist = tree.histories()
+    kernels = {h: _ratio_rows(t) for h, t in traces.items()}
+    final_a, final_b = (
+        {h: _ratio_rows(np.einsum("xii->xi", fin).real) for h, fin in zip(hist, fins)}
+        for fins in (fin_a, fin_b)
+    )
     return ClassicalProtocol(
         rounds=tree.rounds,
         dim_a=tree.dim_a,
@@ -443,22 +425,20 @@ def simulate_classical(
     hist = proto.histories()
     dzn = pn.dims[2]
     _check_caps(pn.dims[:2], (proto.out_a, proto.out_b), dzn, len(hist), caps)
-    index = {h: i for i, h in enumerate(hist)}
     joint = np.zeros((proto.out_a, proto.out_b, dzn, len(hist)))
-    stack = [((), np.ones(proto.dim_a), np.ones(proto.dim_b))]
-    while stack:
-        h, wa, wb = stack.pop()
-        if len(h) == proto.rounds:
-            ta = wa[:, None] * proto.final_a[h]
-            tb = wb[:, None] * proto.final_b[h]
-            joint[:, :, :, index[h]] = np.einsum("xyz,xa,yb->abz", pn.p, ta, tb)
-            continue
+
+    def expand(h: History, w: tuple[np.ndarray, np.ndarray]) -> list:
+        wa, wb = w
         table = proto.kernels[h]
-        for m in range(table.shape[1]):
-            if len(h) % 2 == 0:
-                stack.append((h + (m,), wa * table[:, m], wb))
-            else:
-                stack.append((h + (m,), wa, wb * table[:, m]))
+        if len(h) % 2 == 0:
+            return [(wa * table[:, m], wb) for m in range(table.shape[1])]
+        return [(wa, wb * table[:, m]) for m in range(table.shape[1])]
+
+    root = (np.ones(proto.dim_a), np.ones(proto.dim_b))
+    for i, (h, (wa, wb)) in enumerate(_walk(proto.rounds, root, expand)):
+        ta = wa[:, None] * proto.final_a[h]
+        tb = wb[:, None] * proto.final_b[h]
+        joint[:, :, :, i] = np.einsum("xyz,xa,yb->abz", pn.p, ta, tb)
     return QState(np.diag(joint.ravel()), (proto.out_a, proto.out_b, dzn, len(hist)))
 
 

@@ -107,9 +107,6 @@ class Dist2:
     def entropy(self) -> float:
         return entropy_bits(self.p)
 
-    def mutual_information(self) -> float:
-        return mutual_information(self.p, (0,), (1,))
-
 
 @dataclass(frozen=True)
 class Dist3:
@@ -126,16 +123,6 @@ class Dist3:
 
     def entropy(self) -> float:
         return entropy_bits(self.p)
-
-    def marginal(self, keep: str) -> "Dist1 | Dist2 | Dist3":
-        return marginal(self, keep)
-
-    def conditional_xy_given_z(self, z: int) -> Dist2:
-        return conditional_xy_given_z(self, z)
-
-    def cond_mutual_info_xy_given_z(self) -> float:
-        """I(X:Y|Z) in bits."""
-        return conditional_mutual_information(self.p, (0,), (1,), (2,))
 
 
 @dataclass(frozen=True)

@@ -23,9 +23,8 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .distributions import binary_entropy
-from .errors import EnsembleMismatch, InvalidState, SecrecyForgeError
+from .errors import InvalidState, SecrecyForgeError
 from .qlinalg import (
-    PureState,
     QState,
     partial_trace,
     von_neumann_entropy,
@@ -33,10 +32,8 @@ from .qlinalg import (
 
 __all__ = [
     "MeasureResult",
-    "entanglement_entropy",
     "concurrence_2q",
     "eof_2q",
-    "eof_ensemble_value",
     "eof_numeric",
     "esq_classical_extension_bound",
     "rel_ent_upper",
@@ -86,17 +83,6 @@ def _schmidt_entropy(amp: np.ndarray, da: int, db: int) -> float:
     return float(-(w * np.log2(w)).sum())
 
 
-def entanglement_entropy(s: PureState) -> MeasureResult:
-    """Reduced-state entropy of a bipartite pure state (exact)."""
-    da, db = _require_bipartite(s.dims, "entanglement_entropy")
-    return MeasureResult(
-        name="E_entropy",
-        value=_schmidt_entropy(s.amp, da, db),
-        kind="exact",
-        method="schmidt",
-    )
-
-
 _PAULI_YY = np.array(
     [
         [0, 0, 0, -1],
@@ -136,29 +122,6 @@ def eof_2q(rho: QState) -> MeasureResult:
         kind="exact",
         method="wootters",
         diagnostics={"concurrence": c},
-    )
-
-
-def eof_ensemble_value(
-    rho: QState, ensemble: list[tuple[float, PureState]]
-) -> MeasureResult:
-    """Average entanglement of a supplied pure-state ensemble (upper bound)."""
-    da, db = _require_bipartite(rho.dims, "eof_ensemble_value")
-    mix = np.zeros_like(rho.rho)
-    total = 0.0
-    value = 0.0
-    for p, psi in ensemble:
-        if p < -1e-12:
-            raise EnsembleMismatch(f"negative ensemble weight {p}")
-        if psi.dims != rho.dims:
-            raise EnsembleMismatch(f"member dims {psi.dims} != state dims {rho.dims}")
-        mix += p * np.outer(psi.amp, psi.amp.conj())
-        total += p
-        value += p * _schmidt_entropy(psi.amp, da, db)
-    if abs(total - 1.0) > 1e-9 or np.abs(mix - rho.rho).max() > 1e-9:
-        raise EnsembleMismatch("ensemble does not average to the given state")
-    return MeasureResult(
-        name="E_F", value=value, kind="upper_bound", method="given-ensemble"
     )
 
 

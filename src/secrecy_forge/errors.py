@@ -23,10 +23,6 @@ class DimensionCapExceeded(SecrecyForgeError, ValueError):
     """An operation would build an object above the configured size cap."""
 
 
-class EnsembleMismatch(SecrecyForgeError, ValueError):
-    """A pure-state ensemble does not average to the target density matrix."""
-
-
 class InvalidProtocol(SecrecyForgeError, ValueError):
     """An instrument tree or classical protocol violates its invariants."""
 

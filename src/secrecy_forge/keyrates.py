@@ -30,7 +30,11 @@ from .classify import (
     is_ubi_pd_down,
     set_partitions,
 )
-from .common_info import cond_common_entropy, conditional_common_function
+from .common_info import (
+    CondCommonFunction,
+    cond_common_entropy,
+    conditional_common_function,
+)
 from .distributions import (
     Channel,
     Dist3,
@@ -62,7 +66,6 @@ from .qlinalg import (
 )
 
 __all__ = [
-    "TargetKeyState",
     "ChainCheck",
     "ChainReport",
     "AdvantageReport",
@@ -78,28 +81,6 @@ __all__ = [
 ]
 
 EQ_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class TargetKeyState:
-    """The ideal key state: r uniformly random bits shared by two parties."""
-
-    r: int
-
-    def __post_init__(self) -> None:
-        if self.r < 0:
-            raise SecrecyForgeError(f"key length must be nonnegative, got {self.r}")
-
-    @property
-    def n_values(self) -> int:
-        return 2**self.r
-
-    def state(self) -> QState:
-        s = self.n_values
-        rho = np.zeros((s * s, s * s), dtype=complex)
-        for i in range(s):
-            rho[i * s + i, i * s + i] = 1.0 / s
-        return QState(rho, (s, s))
 
 
 # ---------------------------------------------------------------------------
@@ -229,8 +210,22 @@ def kd_class(
         ch = None if pd else is_ubi_pd_down(d, tol, support_eps, budget).channel
     else:
         pd = report.ubi_pd == YES
-        ch = _certificate_channel(report) if report.ubi_pd_down == YES else None
+        ch = _certificate_channel(report)
         ccf = conditional_common_function(d, support_eps) if pd else None
+    return _kd(d, pd, ccf, ch, support_eps, budget)
+
+
+def _kd(
+    d: Dist3,
+    pd: bool,
+    ccf: CondCommonFunction | None,
+    ch: Channel | None,
+    support_eps: float,
+    budget: int,
+) -> MeasureResult:
+    """K_D of d from its class: ``pd`` says whether d is UBI-PD, ``ccf`` is
+    d's conditional common function (read only then), and ``ch`` is a
+    certificate channel for UBI-PD-down or None."""
     if pd:
         value = ccf.block_entropy(d)
         return MeasureResult(
@@ -289,9 +284,10 @@ def kd_independent_eve(d: Dist3, tol: float = config.ENTROPY_TOL) -> MeasureResu
 def _phases_block_compatible(
     d: Dist3,
     phases: PhaseAssignment | None,
-    support_eps: float = config.SUPPORT_EPS,
+    ccf: CondCommonFunction,
 ) -> bool:
-    """True when every per-(z, block) amplitude submatrix has rank one.
+    """True when every per-(z, block) amplitude submatrix of d has rank one;
+    ``ccf`` is d's conditional common function.
 
     This is the premise under which the embedding's branch states factor
     across blocks and the class equalities transfer to the quantum side.
@@ -299,7 +295,6 @@ def _phases_block_compatible(
     if phases is None:
         return True
     amp = np.sqrt(d.p) * np.exp(1j * phases.phi)
-    ccf = conditional_common_function(d, support_eps)
     for z, part in ccf.per_z.items():
         for xs, ys in part.blocks:
             sub = amp[np.ix_(list(xs), list(ys), [z])][:, :, 0]
@@ -392,9 +387,11 @@ def verify_chain(
     """
     if report is None:
         report = classify(d, tol, support_eps, budget)
-    kd = kd_class(d, report, tol, support_eps, budget)
-    hjz = cond_common_entropy(d, support_eps)
-    compatible = _phases_block_compatible(d, phases, support_eps)
+    ccf = conditional_common_function(d, support_eps)
+    kd = _kd(d, report.ubi_pd == YES, ccf, _certificate_channel(report),
+             support_eps, budget)
+    hjz = ccf.block_entropy(d)
+    compatible = _phases_block_compatible(d, phases, ccf)
 
     psi = embed_qqq(d, phases)
     rho_ab = partial_trace(psi.density(), (0, 1))
@@ -520,7 +517,9 @@ def advantage_report(
     """
     if report is None:
         report = classify(d, tol, support_eps, budget)
-    kd = kd_class(d, report, tol, support_eps, budget)
+    ccf = conditional_common_function(d, support_eps)
+    kd = _kd(d, report.ubi_pd == YES, ccf, _certificate_channel(report),
+             support_eps, budget)
     if kd.kind != "exact" and mutual_information(d.p, (0, 1), (2,)) <= tol:
         kd = kd_independent_eve(d, tol)
     if kd.kind == "exact":
@@ -529,7 +528,7 @@ def advantage_report(
         c_lo = kd.diagnostics["lower_bound"]
         c_hi = kd.diagnostics["upper_bound"]
 
-    compatible = _phases_block_compatible(d, phases, support_eps)
+    compatible = _phases_block_compatible(d, phases, ccf)
     psi = embed_qqq(d, phases)
     rho_ab = partial_trace(psi.density(), (0, 1))
     purity = float(np.real(np.trace(rho_ab.rho @ rho_ab.rho)))

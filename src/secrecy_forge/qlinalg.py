@@ -25,7 +25,6 @@ __all__ = [
     "tensor",
     "partial_trace",
     "dephase",
-    "hermitian_eigs",
     "von_neumann_entropy",
     "trace_distance",
     "cond_mutual_info_q",
@@ -82,10 +81,6 @@ class QState:
     @property
     def dim(self) -> int:
         return self.rho.shape[0]
-
-    def eigenvalues(self) -> np.ndarray:
-        w = np.linalg.eigvalsh(self.rho)[::-1]
-        return np.clip(w, 0.0, None)
 
 
 @dataclass(frozen=True)
@@ -155,24 +150,6 @@ def dephase(state: QState, subsystem: int) -> QState:
     mask = np.eye(dk).reshape(shape)
     r = state.rho.reshape(state.dims + state.dims) * mask
     return QState(r.reshape(state.dim, state.dim), state.dims)
-
-
-def hermitian_eigs(h: np.ndarray, tol: float = config.STATE_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (descending) and matching eigenvector columns.
-
-    The decomposition is verified by reconstruction to 1e-9.
-    """
-    h = np.asarray(h, dtype=complex)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise SecrecyForgeError(f"expected a square matrix, got {h.shape}")
-    if np.abs(h - h.conj().T).max() > tol:
-        raise SecrecyForgeError("matrix is not Hermitian")
-    w, v = np.linalg.eigh(h)
-    w, v = w[::-1], v[:, ::-1]
-    err = np.abs((v * w) @ v.conj().T - h).max()
-    if err > 1e-9:
-        raise SecrecyForgeError(f"eigendecomposition reconstruction error {err:.3e}")
-    return w, v
 
 
 def von_neumann_entropy(state: QState) -> float:

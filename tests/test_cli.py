@@ -1,12 +1,15 @@
 """Command-line surface: envelopes, exit codes, determinism."""
 
 import dataclasses
+import importlib
 import json
 import math
+import pkgutil
 
 import numpy as np
 import pytest
 
+import secrecy_forge
 from secrecy_forge import cli, keyrates
 from secrecy_forge.dequantize import random_instrument_tree
 from secrecy_forge.io import (
@@ -282,9 +285,10 @@ class TestExitCodes:
         assert cli.run(["classify", "--dist", files["dist"],
                         "--tol.entropy", "0"]) == 2
 
-    def test_jobs_must_be_positive(self, capsys, files):
-        assert cli.run(["classify", "--dist", files["dist"],
-                        "--jobs", "0"]) == 2
+    def test_jobs_is_an_unknown_argument(self, capsys, files):
+        with pytest.raises(SystemExit) as info:
+            cli.run(["classify", "--dist", files["dist"], "--jobs", "1"])
+        assert info.value.code == 2
 
     def test_property_failure_is_exit_one(self, capsys, files):
         assert cli.run(["dequantize-check", "--tree", files["tree"],
@@ -297,3 +301,14 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as info:
             cli.run(["frobnicate"])
         assert info.value.code == 2
+
+
+def test_every_exported_name_resolves():
+    modules = [secrecy_forge] + [
+        importlib.import_module(f"secrecy_forge.{info.name}")
+        for info in pkgutil.iter_modules(secrecy_forge.__path__)
+    ]
+    for mod in modules:
+        missing = [name for name in getattr(mod, "__all__", ())
+                   if not hasattr(mod, name)]
+        assert not missing, (mod.__name__, missing)

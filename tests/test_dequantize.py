@@ -1,5 +1,7 @@
 """Instrument trees, classical extraction, and output-law equivalence."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -167,3 +169,120 @@ class TestValidation:
         tight = Caps(product_states=4096, rho_dim=4, branch_terms=10**6)
         with pytest.raises(DimensionCapExceeded):
             simulate_quantum(tree, make_dist((2, 2, 2)), caps=tight)
+
+
+def _digest(*arrays: np.ndarray) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+def _seeded_dist(dims: tuple[int, int, int], seed: int) -> Dist3:
+    p = np.random.default_rng(seed).random(dims)
+    return Dist3(p / p.sum())
+
+
+def _seeded_tree(dim_a, dim_b, rounds, outcomes, kraus_each, seed):
+    return random_instrument_tree(dim_a, dim_b, rounds, outcomes, kraus_each,
+                                  np.random.default_rng(seed))
+
+
+# (tree, distribution, copies) per case
+PIN_CASES = {
+    "random-r0-o2-k1": lambda: (_seeded_tree(2, 2, 0, 2, 1, 1),
+                                _seeded_dist((2, 2, 2), 11), 1),
+    "random-r2-o2-k1": lambda: (_seeded_tree(2, 2, 2, 2, 1, 2),
+                                _seeded_dist((2, 2, 2), 12), 1),
+    "random-r2-o3-k2": lambda: (_seeded_tree(2, 3, 2, 3, 2, 3),
+                                _seeded_dist((2, 3, 2), 13), 1),
+    "random-r4-o2-k2": lambda: (_seeded_tree(2, 2, 4, 2, 2, 4),
+                                _seeded_dist((2, 2, 3), 14), 1),
+    "random-r4-o2-k1": lambda: (_seeded_tree(3, 2, 4, 2, 1, 5),
+                                _seeded_dist((3, 2, 1), 15), 1),
+    "random-r2-o3-k1": lambda: (_seeded_tree(3, 3, 2, 3, 1, 7),
+                                _seeded_dist((3, 3, 2), 19), 1),
+    "random-n2": lambda: (_seeded_tree(4, 4, 2, 2, 1, 6),
+                          _seeded_dist((2, 2, 2), 16), 2),
+    "announce-3x3": lambda: (computational_announce_tree(3, 3),
+                             _seeded_dist((3, 3, 2), 17), 1),
+    "trivial-2x2": lambda: (trivial_tree(2, 2), _seeded_dist((2, 2, 2), 18), 1),
+}
+
+# sha256 of simulate_quantum(...).rho, of simulate_classical(...).rho and
+# of the dequantized tables (kernels in transcript order, then final_a and
+# final_b in histories() order), and verify_equivalence as float.hex
+DEQUANTIZE_PINS = {
+    "random-r0-o2-k1": (
+        "49d0d25cfe97b5a6fc7710f251aa4053f05a5d0402cdbf6389e07d98d8338e0a",
+        "443594e848b9b2aae111bfcb1349bf1c4e68f33041289f88fad2fd06583abb32",
+        "0ee72c0b4ee98e1dddffe018748891f4b8c696902d56d616c1a7822cacc7d394",
+        "0x1.2000000000000p-54",
+    ),  # 1 transcripts
+    "random-r2-o2-k1": (
+        "b7994167b26981aca059c059cf545dc5884d33c539aba29eee2dac3cda7e7fa2",
+        "b6af49f2298d4b726f263eb1116d90f1377c8e87c8b4814e8338ba70739e2f4a",
+        "b6275a52243a136a095c856b66bc5c716b2a2172d545f1be1635175454776d58",
+        "0x1.b838000000000p-53",
+    ),  # 4 transcripts
+    "random-r2-o3-k2": (
+        "5a47238622f8d08528a4f6d0e743eefd753ca318a3bcaf4a63efbe2150846d46",
+        "75e77749fc6c6baea15e01816bc35fed4983aaa0b9cf42c195cfed689daf9e6c",
+        "df0f5a8733db5f60e749a1dcc60da7e5e8a37e72880b5b75eed1285e9687a951",
+        "0x1.8300000000000p-53",
+    ),  # 9 transcripts
+    "random-r4-o2-k2": (
+        "b1c77355c30afb6f673cae4c95f2e6ea5ac91cffd9e84ab85296c729b7e9224a",
+        "1a0f2bf1c7618adf4dd6cf37187b2a1645b6117400a1389c20148c2bd9e873b4",
+        "b8c3defbd613f1098b3598ac73d1f8615ab19cda09fd5dedc008f0ec8a167d2d",
+        "0x1.dec0000000000p-53",
+    ),  # 16 transcripts
+    "random-r4-o2-k1": (
+        "c3d8f8afb1cd87a8d4ecb78176ab6cd926f55d15f305ef98d211f2d3b48786e1",
+        "17d96beab53a8183174f72ff1922e2f4824fb2ae185c364a66ae0e0ca67cdbf1",
+        "788e41780ce6697f7d875118f0188b2732c35d242e16715e2713c7035862eb38",
+        "0x1.eebc000000000p-53",
+    ),  # 16 transcripts
+    "random-r2-o3-k1": (
+        "db07bbfd15f400812efe7c7070dd38e4e6011c18bbd1e8499da44f8cc0b7dda7",
+        "0aed33f8f4568653d6e1e55baaf8a009bbb03c4497f1e2846afdad7618410842",
+        "4d78ba74d04e1338a287cf6115b9d2df4c47042be700b0e9efd493873c19c239",
+        "0x1.e1f0000000000p-53",
+    ),  # 9 transcripts
+    "random-n2": (
+        "115fcb971d7bc547244646e012f9e5779b752bc8cf24842a95fb1542c788f5c5",
+        "67cbb575e3fc65bdd649f919dbaa098cbbc7914b8b45c186147d88d44121c5d9",
+        "05a510ac3560dc24230d5ae381b3e2853969fe0948fd20f446e27bcb412c135e",
+        "0x1.8be0000000000p-53",
+    ),  # 4 transcripts
+    "announce-3x3": (
+        "3b8359c289e5b8fdf40e783daf25aa1b1a43bf2826acc119a7d5c14a9d034ff9",
+        "3b8359c289e5b8fdf40e783daf25aa1b1a43bf2826acc119a7d5c14a9d034ff9",
+        "b89e5d116d8bd9a3490c48856740902c38d40eb81a4971cbaf96e796a9602005",
+        "0x0.0p+0",
+    ),  # 3 transcripts
+    "trivial-2x2": (
+        "a8292a31e8f263220c4ef24fc5992a62884d0130b9be669f7938f1a9fb647ce0",
+        "a8292a31e8f263220c4ef24fc5992a62884d0130b9be669f7938f1a9fb647ce0",
+        "07ea47b9b2dfc1615fd554ebd45ff7ab2a36b5ab674c8e37f22df1ccf74f8422",
+        "0x0.0p+0",
+    ),  # 1 transcripts
+}
+
+
+@pytest.mark.parametrize("case", sorted(PIN_CASES))
+def test_dequantization_is_bitwise_pinned(case):
+    tree, d, n = PIN_CASES[case]()
+    hist = tree.histories()
+    assert list(hist) == sorted(hist)
+    proto = dequantize(tree, d)
+    assert proto.histories() == hist
+    tables = [proto.kernels[h] for h in sorted(proto.kernels)]
+    tables += [proto.final_a[h] for h in hist] + [proto.final_b[h] for h in hist]
+    got = (
+        _digest(simulate_quantum(tree, d, n).rho),
+        _digest(simulate_classical(proto, d, n).rho),
+        _digest(*tables),
+        verify_equivalence(tree, d, n).hex(),
+    )
+    assert got == DEQUANTIZE_PINS[case]

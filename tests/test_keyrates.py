@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from secrecy_forge import cli, common_info, keyrates
 from secrecy_forge.classify import classify
 from secrecy_forge.distributions import Dist3, product_power
 from secrecy_forge.errors import InvalidDistribution
+from secrecy_forge.io import dump_dist, dump_json
 from secrecy_forge.keyrates import (
     advantage_report,
     binary_eve_family,
@@ -254,3 +256,41 @@ class TestAdvantageReport:
                             "quantum_interval", "quantum_value", "gap",
                             "phases_block_compatible", "classification",
                             "measures"}
+
+
+class TestConditionalCommonFunctionBuilds:
+    """One call builds d's conditional common function once."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        calls = []
+        original = common_info.conditional_common_function
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        for mod in (common_info, keyrates, cli):
+            monkeypatch.setattr(mod, "conditional_common_function", counted)
+        return calls
+
+    @pytest.fixture(scope="class")
+    def example(self):
+        d, phases = one_sided_coherence_example()
+        return d, phases, classify(d)
+
+    def test_verify_chain(self, builds, example):
+        d, phases, report = example
+        verify_chain(d, phases, report=report, restarts=1, er_restarts=1)
+        assert len(builds) == 1
+
+    def test_advantage_report(self, builds, example):
+        d, phases, report = example
+        advantage_report(d, phases, report=report, er_restarts=1)
+        assert len(builds) == 1
+
+    def test_commoninfo_command(self, builds, example, tmp_path, capsys):
+        path = tmp_path / "osc.json"
+        dump_json(dump_dist(example[0]), path)
+        assert cli.run(["commoninfo", "--dist", str(path)]) == 0
+        assert len(builds) == 1

@@ -13,7 +13,6 @@ from secrecy_forge.qlinalg import (
     QState,
     cond_mutual_info_q,
     dephase,
-    hermitian_eigs,
     partial_trace,
     tensor,
     trace_distance,
@@ -163,15 +162,6 @@ def test_entropy_of_pure_state_is_zero(make_density):
 def test_bell_reduced_entropy_is_one():
     red = partial_trace(BELL.density(), (0,))
     assert abs(von_neumann_entropy(red) - 1.0) < 1e-12
-
-
-def test_hermitian_eigs_sorted_descending(make_density):
-    st = make_density((2, 2))
-    vals, vecs = hermitian_eigs(st.rho)
-    assert np.all(np.diff(vals) <= 1e-12)
-    np.testing.assert_allclose(
-        (vecs * vals) @ vecs.conj().T, st.rho, atol=1e-12
-    )
 
 
 def test_trace_distance_extremes():
