@@ -45,7 +45,6 @@ from .keyrates import (
     independent_eve_example,
     kd_class,
     lemma_example_rates,
-    one_sided_coherence_example,
     two_block_uniform_example,
     verify_chain,
 )
@@ -284,7 +283,7 @@ def _cmd_measures(args, tols) -> int:
             elif name == "esq":
                 m = esq_classical_extension_bound(state)
             elif name == "er":
-                m = rel_ent_upper(state, seed=args.seed)
+                m = rel_ent_upper(state, seed=args.seed, tol=tols["entropy"])
             else:
                 m = negativity_log(state)
         except SecrecyForgeError as exc:

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import config
 from .common_info import maximal_common_partition
-from .distributions import Channel, Dist2, Dist3, conditional_xy_given_z, joint_marginal
+from .distributions import Channel, Dist2, Dist3, conditional_xy_given_z
 from .errors import InvalidDistribution, SecrecyForgeError
 from .qlinalg import PureState, QState
 

@@ -5,8 +5,12 @@ and formation), numerical upper bounds elsewhere:
 
 * entanglement of formation via gradient descent over pure-state
   ensembles in the purification-isometry parametrization;
-* relative entropy of entanglement via a parametrized separable state
-  (mixture of product vectors) minimized with L-BFGS;
+* relative entropy of entanglement bracketed in closed form first: the
+  hashing floor max(S(A), S(B)) - S(AB) below and the product-basis
+  dephasing ceiling S(Delta rho) - S(rho) above.  Where the two meet
+  (pure and maximally correlated states) the value is exact; elsewhere
+  a parametrized separable state (mixture of product vectors) is
+  minimized with L-BFGS and the smaller of it and the ceiling reported;
 * squashed entanglement only as the classical-extension upper bound
   (1/2) sum_zbar p(zbar) I(A:B) per block.
 
@@ -22,6 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import minimize
 
+from . import config
 from .distributions import binary_entropy
 from .errors import InvalidState, SecrecyForgeError
 from .qlinalg import (
@@ -76,11 +81,15 @@ def _require_bipartite(dims: tuple[int, ...], what: str) -> tuple[int, int]:
     return dims[0], dims[1]
 
 
-def _schmidt_entropy(amp: np.ndarray, da: int, db: int) -> float:
-    s = np.linalg.svd(amp.reshape(da, db), compute_uv=False)
-    w = s * s
+def _entropy(w: np.ndarray) -> float:
+    """Entropy in bits of a spectrum; entries below 1e-12 count as zero."""
     w = w[w > 1e-12]
     return float(-(w * np.log2(w)).sum())
+
+
+def _schmidt_entropy(amp: np.ndarray, da: int, db: int) -> float:
+    s = np.linalg.svd(amp.reshape(da, db), compute_uv=False)
+    return _entropy(s * s)
 
 
 _PAULI_YY = np.array(
@@ -446,6 +455,30 @@ def _rel_ent_objective(
     return value, grad
 
 
+def _rel_ent_bracket(
+    r: np.ndarray, da: int, db: int, s_ab: float
+) -> tuple[float, float]:
+    """Closed-form bounds on E_r of the (da*db)-dim density matrix r with
+    entropy ``s_ab``.
+
+    Returns (floor, ceiling) in bits.  The floor is the hashing
+    bound max(S(A), S(B)) - S(AB) (Plenio, Virmani & Papadopoulos, J. Phys.
+    A 33, L193 (2000)).  The ceiling is S(Delta r) - S(r) = S(r || Delta r)
+    for Delta the dephasing in a product basis, whose output is separable:
+    the smaller of the computational basis and the eigenbases of
+    r_A (x) r_B.  It meets the floor on maximally correlated states (Rains,
+    PRA 60, 179 (1999)).  Both are clamped at 0.
+    """
+    t = r.reshape(da, db, da, db)
+    ea, ua = np.linalg.eigh(np.einsum("ijkj->ik", t))
+    eb, ub = np.linalg.eigh(np.einsum("ijil->jl", t))
+    floor = max(_entropy(ea), _entropy(eb)) - s_ab
+    local = np.kron(ua, ub)
+    local_diag = np.einsum("ki,kl,li->i", local.conj(), r, local).real
+    ceiling = min(_entropy(np.diag(r).real), _entropy(local_diag)) - s_ab
+    return max(0.0, floor), max(0.0, ceiling)
+
+
 def rel_ent_upper(
     rho: QState,
     k_terms: int | None = None,
@@ -453,14 +486,23 @@ def rel_ent_upper(
     seed: int = 0,
     max_iter: int = 500,
     mix: float = 1e-6,
+    tol: float = config.ENTROPY_TOL,
 ) -> MeasureResult:
-    """Relative entropy of entanglement, upper bound.
+    """Relative entropy of entanglement: exact where a closed-form bracket
+    closes, an upper bound otherwise.
 
-    Minimizes S(rho || sigma) over sigma = mixtures of k product vectors
-    (softmax weights, L-BFGS with analytic gradients).  sigma is blended
-    with the maximally mixed state at weight `mix` so the relative
-    entropy stays finite; the blend is itself separable, so every value
-    reported is a valid upper bound.  Deterministic for a fixed seed.
+    A pure rho is exact at its Schmidt entropy.  Otherwise the hashing
+    floor and the dephasing ceiling of ``_rel_ent_bracket`` are computed
+    first; when they lie within ``tol`` the ceiling is reported as exact
+    and no optimizer runs.  Only an open bracket runs the optimizer: it
+    minimizes S(rho || sigma) over sigma = mixtures of k product vectors
+    (softmax weights, L-BFGS with analytic gradients), with sigma blended
+    with the maximally mixed state at weight `mix` so the relative entropy
+    stays finite; the blend is itself separable, so every optimizer value
+    is a valid upper bound.  The smaller of it and the ceiling is
+    reported.  Deterministic for a fixed seed.  The diagnostics carry the
+    bracket as ``lower_bound`` and ``upper_bound`` and the optimizer's
+    ``iterations`` (0 when it did not run).
     """
     da, db = _require_bipartite(rho.dims, "rel_ent_upper")
     d = da * db
@@ -469,6 +511,23 @@ def rel_ent_upper(
     k = k_terms or 2 * d
     if k < 1:
         raise SecrecyForgeError("need at least one product term")
+    ew = np.linalg.eigvalsh(rho.rho)
+    s_ab = _entropy(ew)
+    if int((ew > 1e-12).sum()) == 1:
+        ev, vec = np.linalg.eigh(rho.rho)
+        floor = ceiling = _schmidt_entropy(vec[:, -1] * math.sqrt(ev[-1]), da, db)
+        method = "pure-state"
+    else:
+        floor, ceiling = _rel_ent_bracket(rho.rho, da, db, s_ab)
+        method = "hashing-dephasing-bracket"
+    if ceiling - floor <= tol:
+        return MeasureResult(
+            name="E_r",
+            value=ceiling,
+            kind="exact",
+            method=method,
+            diagnostics={"lower_bound": floor, "upper_bound": ceiling, "iterations": 0},
+        )
     rng = np.random.default_rng(seed)
     diag = np.clip(np.real(np.diag(rho.rho)), 0.0, None)
 
@@ -502,9 +561,7 @@ def rel_ent_upper(
             [theta, a.real.ravel(), a.imag.ravel(), b.real.ravel(), b.imag.ravel()]
         )
 
-    ew = np.linalg.eigvalsh(rho.rho)
-    ew = ew[ew > 1e-12]
-    rho_log_rho = float((ew * np.log2(ew)).sum())
+    rho_log_rho = -s_ab
     best = math.inf
     best_restart = -1
     nit = 0
@@ -522,9 +579,10 @@ def rel_ent_upper(
         if res.fun < best:
             best = float(res.fun)
             best_restart = restart
+    value = max(0.0, min(best, ceiling))
     return MeasureResult(
         name="E_r",
-        value=max(0.0, best),
+        value=value,
         kind="upper_bound",
         method="product-mixture-lbfgs",
         diagnostics={
@@ -534,6 +592,9 @@ def rel_ent_upper(
             "mixing": mix,
             "best_restart": best_restart,
             "iterations": nit,
+            "optimizer_value": best,
+            "lower_bound": floor,
+            "upper_bound": value,
         },
     )
 

@@ -383,7 +383,8 @@ def verify_chain(
     classical-extension squashed-entanglement bound (tight tolerance);
     UBI-PD -> key rate at least the numeric formation bound (chain
     tolerance); additionally semi-unambiguous -> all quantities agree
-    within the chain tolerance.
+    within the chain tolerance, or within ``tol`` for E_r when its
+    closed-form bracket makes it exact.
     """
     if report is None:
         report = classify(d, tol, support_eps, budget)
@@ -404,7 +405,7 @@ def verify_chain(
     ch = _certificate_channel(report) or Channel.identity(d.dims[2])
     esq = esq_classical_extension_bound(extension_sigma(d, ch, phases, support_eps))
     measures["E_sq_bound"] = esq
-    er = rel_ent_upper(rho_ab, restarts=er_restarts, seed=seed)
+    er = rel_ent_upper(rho_ab, restarts=er_restarts, seed=seed, tol=tol)
     measures["E_r_bound"] = er
 
     values: dict[str, float] = {
@@ -443,12 +444,13 @@ def verify_chain(
             )
         if report.ubi_pd == YES and report.semi_unambiguous == YES:
             for name in ("E_F_numeric", "E_sq_bound", "E_r_bound", "H_J_given_Z"):
+                exact = name == "E_r_bound" and er.kind == "exact"
                 checks.append(
                     _check_close(
                         f"equality_band_{name}",
                         "K_D_class_formula", kd.value,
                         name, values[name],
-                        chain_tol,
+                        tol if exact else chain_tol,
                     )
                 )
     return ChainReport(
@@ -549,7 +551,7 @@ def advantage_report(
         )
         measures["E_sq_bound_certificate"] = esq_cert
         uppers.append(esq_cert.value)
-    er = rel_ent_upper(rho_ab, restarts=er_restarts, seed=seed)
+    er = rel_ent_upper(rho_ab, restarts=er_restarts, seed=seed, tol=tol)
     measures["E_r_bound"] = er
     uppers.append(er.value)
     if rho_ab.dims == (2, 2):
@@ -568,7 +570,8 @@ def advantage_report(
     ):
         q_value = kd.value
     q_hi = min(uppers + ([q_value] if q_value is not None else []))
-    q_lo = q_value if q_value is not None else 0.0
+    # coherent information (E_r's floor) <= E_D <= K_D (Devetak & Winter 2005)
+    q_lo = q_value if q_value is not None else er.diagnostics["lower_bound"]
 
     gap: float | None = None
     if kd.kind == "exact" and q_value is not None:

@@ -169,6 +169,28 @@ class TestToleranceRouting:
         assert seen == [1e-7]
         assert doc["result"]["classification"]["tolerances"]["entropy"] == 1e-7
 
+    @pytest.mark.parametrize("argv", [
+        ["chain", "--dist", "dist"],
+        ["reproduce", "thm6b"],
+        ["measures", "--state", "state", "--which", "er"],
+    ])
+    def test_entropy_tolerance_reaches_rel_ent_bracket(self, capsys, files,
+                                                       monkeypatch, argv):
+        seen = []
+        real = keyrates.rel_ent_upper
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs.get("tol"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(keyrates, "rel_ent_upper", spy)
+        monkeypatch.setattr(cli, "rel_ent_upper", spy)
+        argv = [files.get(a, a) for a in argv]
+        code, _ = run_json(capsys, argv + ["--tol.entropy", "1e-7",
+                                           "--tol.equality", "1e-5"])
+        assert code == 0
+        assert seen == [1e-7]
+
     @pytest.mark.parametrize("example, report_path", [
         ("thm6b", ("advantage", "classification")),
         ("thm7d", ("chain", "classification")),

@@ -5,7 +5,6 @@ from __future__ import annotations
 from collections import deque
 
 import numpy as np
-import pytest
 
 from secrecy_forge.common_info import (
     common_information,
@@ -13,7 +12,7 @@ from secrecy_forge.common_info import (
     conditional_common_function,
     maximal_common_partition,
 )
-from secrecy_forge.distributions import Dist2, Dist3, entropy_bits, marginal
+from secrecy_forge.distributions import Dist2, Dist3, entropy_bits
 from secrecy_forge.keyrates import (
     one_sided_coherence_example,
     two_block_uniform_example,

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from secrecy_forge.entanglement import (
     concurrence_2q,
@@ -17,6 +19,7 @@ from secrecy_forge.embeddings import embed_qqq
 from secrecy_forge.errors import InvalidState, SecrecyForgeError
 from secrecy_forge.keyrates import (
     binary_eve_family,
+    independent_eve_example,
     one_sided_coherence_example,
     two_block_uniform_example,
 )
@@ -184,15 +187,148 @@ class TestNegativity:
         assert negativity_log(werner(0.5)).value > 1e-3
 
 
+def entropy(p) -> float:
+    p = np.asarray(p, dtype=float)
+    p = p[p > 1e-15]
+    return float(-(p * np.log2(p)).sum())
+
+
+def spectrum_entropy(m: np.ndarray) -> float:
+    return entropy(np.linalg.eigvalsh(m))
+
+
+def hashing_floor(rho: QState) -> float:
+    """max(S(A), S(B)) - S(AB), clamped at 0."""
+    da, db = rho.dims
+    t = rho.rho.reshape(da, db, da, db)
+    s_a = spectrum_entropy(np.trace(t, axis1=1, axis2=3))
+    s_b = spectrum_entropy(np.trace(t, axis1=0, axis2=2))
+    return max(0.0, max(s_a, s_b) - spectrum_entropy(rho.rho))
+
+
+def computational_ceiling(rho: QState) -> float:
+    """S(rho || Delta rho) for Delta the computational-basis dephasing."""
+    return entropy(np.diag(rho.rho).real) - spectrum_entropy(rho.rho)
+
+
+def local_eigenbasis_ceiling(rho: QState) -> float:
+    """S(rho || Delta rho) for Delta the dephasing in the eigenbasis of
+    rho_A (x) rho_B."""
+    da, db = rho.dims
+    t = rho.rho.reshape(da, db, da, db)
+    u = np.kron(np.linalg.eigh(np.trace(t, axis1=1, axis2=3))[1],
+                np.linalg.eigh(np.trace(t, axis1=0, axis2=2))[1])
+    return entropy(np.diag(u.conj().T @ rho.rho @ u).real) - spectrum_entropy(rho.rho)
+
+
+def random_density(dims: tuple[int, int], rank: int, seed: int) -> QState:
+    d = dims[0] * dims[1]
+    g = np.random.default_rng(seed).standard_normal((d, rank, 2)) @ [1, 1j]
+    rho = g @ g.conj().T
+    return QState(rho / np.trace(rho).real, dims)
+
+
+# Expected E_r from theory; the states are maximally correlated or pure,
+# where the hashing floor meets the dephasing ceiling.
+#  * binary_eve_family(l): S(Delta rho) = h(1/4 + l/2); S(AB) is the
+#    entropy of Eve's Gram matrix, eigenvalues 1/2 +- c with
+#    c = (sqrt(l) + sqrt(1 - l)) / (2 sqrt 2).
+#  * two-block example: four equiprobable diagonal terms (2 bits) over two
+#    orthogonal equal-weight branches (1 bit).
+#  * independent-Eve example: a pure state; rho_A has eigenvalues
+#    1/2 +- 1/sqrt(8).
+CLOSED_FORMS = {
+    "lambda-quarter": (
+        lambda: _pair_state(binary_eve_family(0.25)),
+        h2(0.25 + 0.125) - h2(0.5 + (0.5 + math.sqrt(0.75)) / (2 * math.sqrt(2))),
+        0.829969352,
+    ),
+    "two-block": (
+        lambda: _pair_state(two_block_uniform_example()),
+        entropy([0.25] * 4) - entropy([0.5, 0.5]),
+        1.0,
+    ),
+    "independent-eve": (
+        lambda: _pair_state(independent_eve_example()),
+        h2(0.5 + 1 / math.sqrt(8)),
+        0.600876037,
+    ),
+}
+
+
 class TestRelativeEntropyUpper:
     def test_bell_close_to_one(self):
+        # a pure state's E_r is its entanglement entropy (Vedral & Plenio,
+        # PRA 57, 1619 (1998))
         res = rel_ent_upper(BELL, seed=0)
-        assert res.kind == "upper_bound"
-        assert res.value == pytest.approx(1.0, abs=2e-2)
-        assert res.value >= 1.0 - 1e-9
+        assert res.kind == "exact"
+        assert res.value == pytest.approx(1.0, abs=1e-12)
+        assert res.diagnostics["iterations"] == 0
 
     def test_separable_state_close_to_zero(self):
         assert rel_ent_upper(PRODUCT, seed=0).value <= 1e-5
+
+    @pytest.mark.parametrize("state", sorted(CLOSED_FORMS))
+    def test_closed_forms_are_exact(self, state):
+        make, expected, decimal = CLOSED_FORMS[state]
+        res = rel_ent_upper(make(), seed=0)
+        assert res.kind == "exact"
+        assert res.diagnostics["iterations"] == 0
+        assert res.value == pytest.approx(expected, abs=1e-9)
+        assert expected == pytest.approx(decimal, abs=1e-9)
+
+    def test_open_bracket_runs_the_optimizer(self):
+        rho = _pair_state(*one_sided_coherence_example())
+        res = rel_ent_upper(rho, seed=0)
+        diag = res.diagnostics
+        assert res.kind == "upper_bound"
+        assert diag["iterations"] > 0
+        assert diag["lower_bound"] == pytest.approx(1 / 3, abs=1e-12)
+        assert diag["lower_bound"] == pytest.approx(hashing_floor(rho), abs=1e-12)
+        assert computational_ceiling(rho) == pytest.approx(5 / 3, abs=1e-12)
+        assert res.value == diag["upper_bound"] == diag["optimizer_value"]
+        # the optimizer's trajectory is the one it ran before the bracket
+        assert res.value == 1.0000892571906426
+        assert diag["iterations"] == 119
+
+    @pytest.mark.parametrize("dims, rank, seed", [((2, 2), 4, 0), ((2, 3), 2, 2)])
+    def test_ceiling_caps_a_stuck_optimizer(self, dims, rank, seed):
+        # one restart stops above the local-eigenbasis dephasing ceiling
+        rho = random_density(dims, rank, seed)
+        res = rel_ent_upper(rho, restarts=1)
+        ceiling = min(computational_ceiling(rho), local_eigenbasis_ceiling(rho))
+        assert res.kind == "upper_bound"
+        assert res.value == pytest.approx(ceiling, abs=1e-12)
+        assert res.diagnostics["optimizer_value"] > ceiling + 0.05
+
+    def test_closed_bracket_honours_tol(self):
+        rho = random_density((2, 2), 2, 0)
+        res = rel_ent_upper(rho, restarts=1, tol=1.0)
+        assert res.kind == "exact"
+        assert res.diagnostics["iterations"] == 0
+        assert res.value == res.diagnostics["upper_bound"]
+
+
+@settings(max_examples=30)
+@given(
+    dims=st.sampled_from([(2, 2), (2, 3)]),
+    rank=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(dims=(2, 3), rank=2, seed=2)  # the optimizer stops above the ceiling
+def test_rel_ent_value_lies_in_its_bracket(dims, rank, seed):
+    rho = random_density(dims, min(rank, dims[0] * dims[1]), seed)
+    res = rel_ent_upper(rho, restarts=1)
+    lo, hi = res.diagnostics["lower_bound"], res.diagnostics["upper_bound"]
+    assert lo <= res.value + 1e-12
+    assert res.value <= hi + 1e-12
+    assert lo >= hashing_floor(rho) - 1e-9
+    assert res.value <= computational_ceiling(rho) + 1e-9
+    assert res.value <= local_eigenbasis_ceiling(rho) + 1e-9
+    if res.kind == "exact":
+        assert hi - lo <= 1e-9
+    else:
+        assert res.value == min(res.diagnostics["optimizer_value"], hi)
 
 
 class TestSquashedBound:

@@ -202,6 +202,15 @@ class TestVerifyChain:
         assert check.direction == "abs_leq"
         assert -2e-2 <= check.slack <= 2e-2
 
+    def test_exact_relative_entropy_gets_the_entropy_band(self, chain_report):
+        # K_D = 1 and E_r = 2 - 1 bits are both exact: the band is tol, not
+        # the 0.02 left for optimizer values
+        checks = {c.name: c for c in chain_report.checks}
+        assert chain_report.measures["E_r_bound"].kind == "exact"
+        assert checks["equality_band_E_r_bound"].tol == 1e-9
+        assert checks["equality_band_E_r_bound"].passed
+        assert checks["equality_band_E_F_numeric"].tol == 2e-2
+
     def test_json_shape(self, chain_report):
         doc = chain_report.to_json()
         assert set(doc) == {"values", "checks", "all_passed",
@@ -248,6 +257,16 @@ class TestAdvantageReport:
         assert adv.label == "indeterminate"
         assert not adv.phases_block_compatible
         assert adv.gap is None
+
+    def test_unpinned_quantum_side_starts_at_the_hashing_floor(self):
+        # pair state of the one-sided example: S(A) = H(1/3, 1/3, 1/6, 1/6)
+        # and S(AB) = log2 3, so S(A) - S(AB) = 1/3
+        d, phases = one_sided_coherence_example()
+        adv = advantage_report(d, phases=phases, seed=0, er_restarts=2)
+        assert adv.quantum_value is None
+        lo, hi = adv.quantum_interval
+        assert lo == pytest.approx(1 / 3, abs=1e-12)
+        assert hi == pytest.approx(1.0, abs=1e-3)
 
     def test_json_shape(self):
         doc = advantage_report(binary_eve_family(0.5), seed=0,
