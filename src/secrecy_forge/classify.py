@@ -62,6 +62,10 @@ YES = "yes"
 NO = "no"
 INCONCLUSIVE = "inconclusive"
 
+# Channels tried by the UBI-PD-down search and the coarse-graining bound:
+# Bell(5) = 52 fits, so Eve alphabets of up to five symbols are searched in full.
+CHANNEL_BUDGET = 64
+
 
 # ---------------------------------------------------------------------------
 # entropic helpers on the block decomposition
@@ -365,23 +369,23 @@ def is_ubi_pd_down(
     d: Dist3,
     tol: float = config.ENTROPY_TOL,
     support_eps: float = config.SUPPORT_EPS,
-    budget: int = 64,
 ) -> PDDownResult:
     """Search deterministic channels on Z, coarsest first, for a UBI-PD image.
 
     Channels are enumerated as set partitions of the z-alphabet (one
     representative per output relabelling) in lexicographic restricted
-    growth order, and the first passing channel is returned.  A passing
-    channel must make the degraded distribution UBI-PD under the canonical
-    protocol and leave the original symbol independent of the new block
-    label given the message and the degraded symbol.
+    growth order, at most ``CHANNEL_BUDGET`` of them, and the first passing
+    channel is returned.  A passing channel must make the degraded
+    distribution UBI-PD under the canonical protocol and leave the original
+    symbol independent of the new block label given the message and the
+    degraded symbol.
 
     A vectorized prefilter sets aside the channels whose degraded
     distribution is not block independent by a clear margin; the exact
     checks decide every other channel.
     """
     partitions = set_partitions(d.dims[2])
-    channels = list(itertools.islice(partitions, max(budget, 0)))
+    channels = list(itertools.islice(partitions, CHANNEL_BUDGET))
     cut = next(partitions, None) is not None
     gaps = _block_gaps(d, channels, support_eps)
     for tested, (rgs, gap) in enumerate(zip(channels, gaps), start=1):
@@ -450,14 +454,13 @@ def classify(
     d: Dist3,
     tol: float = config.ENTROPY_TOL,
     support_eps: float = config.SUPPORT_EPS,
-    budget: int = 64,
     channel_search: bool = True,
 ) -> ClassReport:
     """Run every class check and assemble a consistent report.
 
-    ``channel_search=False`` skips the UBI-PD-down enumeration (useful on
-    large Eve alphabets); the verdict is then inconclusive unless implied
-    by a finer class.
+    The UBI-PD-down search tries at most ``CHANNEL_BUDGET`` channels;
+    ``channel_search=False`` skips it (useful on large Eve alphabets), and
+    the verdict is then inconclusive unless implied by a finer class.
     """
     ccf = conditional_common_function(d, support_eps)
     cmi = cmi_xy_given_blocks(d, ccf)
@@ -491,7 +494,7 @@ def classify(
         certificates["ubi_pd"] = pd_cert.to_json()
 
     if channel_search:
-        down = is_ubi_pd_down(d, tol, support_eps, budget)
+        down = is_ubi_pd_down(d, tol, support_eps)
     else:
         down = PDDownResult(INCONCLUSIVE, None, 0, "search skipped")
     if down.status != YES and pd_status == YES:

@@ -317,7 +317,7 @@ def _cmd_dequantize_check(args, tols) -> int:
     tree = io.load_tree(args.tree)
     d = io.load_dist(args.dist)
     try:
-        deviation = verify_equivalence(tree, d, n=args.n, caps=config.load_caps())
+        deviation = verify_equivalence(tree, d, n=args.n)
     except (InvalidProtocol, DimensionCapExceeded) as exc:
         # incompatible or oversized inputs, not a failed equivalence check
         raise UsageError(str(exc)) from exc

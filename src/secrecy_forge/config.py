@@ -1,7 +1,9 @@
 """Numeric policy: default tolerances and size caps.
 
-Caps can be overridden per process through the ``SECRECY_FORGE_CAPS``
-environment variable, a JSON object mapping cap names to integers, e.g.
+Only the tolerances in ``default_tolerances`` can be overridden (by the
+CLI's --tol.<name> flags).  Caps can be overridden per process through the
+``SECRECY_FORGE_CAPS`` environment variable, a JSON object mapping cap
+names to JSON integers (not booleans), e.g.
 
     SECRECY_FORGE_CAPS='{"product_states": 16384}'
 """
@@ -58,7 +60,7 @@ def load_caps(env: dict[str, str] | None = None) -> Caps:
     for name, value in overrides.items():
         if name not in known:
             raise UsageError(f"unknown cap {name!r} in {ENV_CAPS}")
-        if not isinstance(value, int) or value <= 0:
+        if type(value) is not int or value <= 0:
             raise UsageError(f"cap {name!r} must be a positive integer")
         caps = replace(caps, **{name: value})
     return caps
@@ -67,7 +69,6 @@ def load_caps(env: dict[str, str] | None = None) -> Caps:
 def default_tolerances() -> dict[str, float]:
     """Tolerance names accepted by the CLI's --tol.<name> flags."""
     return {
-        "validation": VALIDATION_TOL,
         "support": SUPPORT_EPS,
         "entropy": ENTROPY_TOL,
         "chain": CHAIN_TOL,

@@ -77,13 +77,17 @@ class PhaseAssignment:
     def from_entries(
         cls, dims: tuple[int, int, int], entries: list[dict]
     ) -> "PhaseAssignment":
-        """Sparse form: [{"x":..,"y":..,"z":..,"phi":..}], absent entries zero."""
+        """Sparse form: [{"x":..,"y":..,"z":..,"phi":..}] with int indices
+        inside dims (bools rejected), absent entries zero."""
         phi = np.zeros(dims)
         for e in entries:
             try:
-                phi[int(e["x"]), int(e["y"]), int(e["z"])] = float(e["phi"])
-            except (KeyError, IndexError, TypeError, ValueError) as exc:
-                raise SecrecyForgeError(f"bad phase entry {e!r}") from exc
+                key = (e["x"], e["y"], e["z"])
+                if not all(type(k) is int and 0 <= k < n for k, n in zip(key, dims)):
+                    raise ValueError(f"x, y, z must be integers inside {dims}")
+                phi[key] = float(e["phi"])
+            except (KeyError, TypeError, ValueError) as exc:
+                raise SecrecyForgeError(f"bad phase entry {e!r} ({exc})") from exc
         return cls(phi)
 
     def to_json(self) -> dict:

@@ -48,6 +48,8 @@ __all__ = [
 LN2 = math.log(2.0)
 EIG_FLOOR = 1e-30
 OPT_DIM_CAP = 16
+EOF_CONV_TOL = 1e-8  # a formation restart converges once a step gains less
+REL_ENT_MIX = 1e-6  # weight of I/d in each E_r candidate: S(rho || sigma) < inf
 
 
 @dataclass(frozen=True)
@@ -183,13 +185,13 @@ CONVERGED, STALLED, AT_MAX_ITER = range(3)
 
 
 def _descend(
-    u: np.ndarray, w: np.ndarray, da: int, db: int, max_iter: int, conv_tol: float
+    u: np.ndarray, w: np.ndarray, da: int, db: int, max_iter: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Projected steepest descent on a stack of isometries, one restart each.
 
     Each restart keeps its own Armijo step size and leaves the stack when
     it stops: CONVERGED when the tangent gradient vanishes or a step gains
-    less than ``conv_tol``, STALLED when 30 step halvings find no
+    less than ``EOF_CONV_TOL``, STALLED when 30 step halvings find no
     sufficient decrease, AT_MAX_ITER after ``max_iter`` steps.  Only the
     restarts still backtracking are evaluated again.  Returns the final
     values, the iteration counts and the stop reasons, all of shape (n,).
@@ -231,7 +233,7 @@ def _descend(
         moved = val[live] - cval[acc]
         u[live], val[live], grad[live] = cand[acc], cval[acc], cgrad[acc]
         step[live] = np.minimum(step[live] * 2.0, 1.0)
-        small = moved < conv_tol
+        small = moved < EOF_CONV_TOL
         stop[live[small]] = CONVERGED
         live = live[~small]
     return val, iters, stop
@@ -243,7 +245,6 @@ def eof_numeric(
     max_iter: int = 400,
     seed: int = 0,
     ensemble_size: int | None = None,
-    conv_tol: float = 1e-8,
 ) -> MeasureResult:
     """Entanglement of formation by ensemble optimization (upper bound).
 
@@ -260,7 +261,7 @@ def eof_numeric(
 
     The diagnostics count how each restart stopped: ``restarts_converged``
     (the tangent gradient vanished or a step gained less than
-    ``conv_tol``), ``restarts_stalled`` (the line search found no
+    ``EOF_CONV_TOL``), ``restarts_stalled`` (the line search found no
     decrease in 30 halvings) and ``restarts_at_max_iter``.
     """
     da, db = _require_bipartite(rho.dims, "eof_numeric")
@@ -299,7 +300,7 @@ def eof_numeric(
         if not ids.size:
             continue
         u = np.stack([starts[i] for i in ids])
-        values[ids], iters[ids], stops[ids] = _descend(u, w, da, db, max_iter, conv_tol)
+        values[ids], iters[ids], stops[ids] = _descend(u, w, da, db, max_iter)
     best = math.inf
     best_restart = -1
     for restart, val in enumerate(values):
@@ -325,9 +326,7 @@ def eof_numeric(
     )
 
 
-def esq_classical_extension_bound(
-    sigma: QState, tol: float = 1e-10
-) -> MeasureResult:
+def esq_classical_extension_bound(sigma: QState) -> MeasureResult:
     """(1/2) sum_zbar p(zbar) I(A:B) over the classical third register.
 
     Upper-bounds the squashed entanglement of tr_Zbar sigma.
@@ -342,7 +341,7 @@ def esq_classical_extension_bound(
     off = r.copy()
     for z in range(dz):
         off[:, :, z, :, :, z] = 0.0
-    if np.abs(off).max() > tol:
+    if np.abs(off).max() > 1e-10:
         raise InvalidState("third register is not classical (off-diagonal blocks)")
     value = 0.0
     weights = []
@@ -389,7 +388,6 @@ def _rel_ent_objective(
     k: int,
     da: int,
     db: int,
-    mix: float,
 ) -> tuple[float, np.ndarray]:
     """S(rho || sigma(params)) in bits and its gradient, for L-BFGS.
 
@@ -407,8 +405,9 @@ def _rel_ent_objective(
     av = a / np.sqrt(norm_a)[:, None]
     bv = b / np.sqrt(norm_b)[:, None]
     prod = np.einsum("ki,kj->kij", av, bv).reshape(k, d)
-    sigma = (1.0 - mix) * np.einsum("k,ki,kj->ij", q, prod, prod.conj()) + (
-        mix / d
+    keep = 1.0 - REL_ENT_MIX
+    sigma = keep * np.einsum("k,ki,kj->ij", q, prod, prod.conj()) + (
+        REL_ENT_MIX / d
     ) * np.eye(d)
     s, v = np.linalg.eigh(sigma)
     s = np.maximum(s, 1e-300)
@@ -428,13 +427,13 @@ def _rel_ent_objective(
 
     pr = p_mat.reshape(da, db, da, db)
     vals = np.einsum("ki,kj,ijab,ka,kb->k", av.conj(), bv.conj(), pr, av, bv)
-    g_q = (1.0 - mix) * np.real(vals)
+    g_q = keep * np.real(vals)
     g_theta = q * (g_q - float(q @ g_q))
 
     bmat = np.einsum("kj,kb->kjb", bv, bv.conj())
-    ka_mats = np.einsum("ijab,kjb->kia", pr, bmat) * ((1.0 - mix) * q)[:, None, None]
+    ka_mats = np.einsum("ijab,kjb->kia", pr, bmat) * (keep * q)[:, None, None]
     amat = np.einsum("ki,ka->kia", av, av.conj())
-    kb_mats = np.einsum("ijab,kia->kjb", pr, amat) * ((1.0 - mix) * q)[:, None, None]
+    kb_mats = np.einsum("ijab,kia->kjb", pr, amat) * (keep * q)[:, None, None]
 
     ka_a = np.einsum("kia,ka->ki", ka_mats, a)
     quad_a = np.einsum("ki,ki->k", a.conj(), ka_a).real
@@ -481,11 +480,8 @@ def _rel_ent_bracket(
 
 def rel_ent_upper(
     rho: QState,
-    k_terms: int | None = None,
     restarts: int = 4,
     seed: int = 0,
-    max_iter: int = 500,
-    mix: float = 1e-6,
     tol: float = config.ENTROPY_TOL,
 ) -> MeasureResult:
     """Relative entropy of entanglement: exact where a closed-form bracket
@@ -495,11 +491,12 @@ def rel_ent_upper(
     floor and the dephasing ceiling of ``_rel_ent_bracket`` are computed
     first; when they lie within ``tol`` the ceiling is reported as exact
     and no optimizer runs.  Only an open bracket runs the optimizer: it
-    minimizes S(rho || sigma) over sigma = mixtures of k product vectors
-    (softmax weights, L-BFGS with analytic gradients), with sigma blended
-    with the maximally mixed state at weight `mix` so the relative entropy
-    stays finite; the blend is itself separable, so every optimizer value
-    is a valid upper bound.  The smaller of it and the ceiling is
+    minimizes S(rho || sigma) over sigma = mixtures of k = 2 * dim(rho)
+    product vectors (softmax weights, at most 500 L-BFGS iterations with
+    analytic gradients), with sigma blended with the maximally mixed state
+    at weight ``REL_ENT_MIX`` so the relative entropy stays finite; the
+    blend is itself separable, so every optimizer value is a valid upper
+    bound.  The smaller of it and the ceiling is
     reported.  Deterministic for a fixed seed.  The diagnostics carry the
     bracket as ``lower_bound`` and ``upper_bound`` and the optimizer's
     ``iterations`` (0 when it did not run).
@@ -508,9 +505,7 @@ def rel_ent_upper(
     d = da * db
     if d > OPT_DIM_CAP:
         raise SecrecyForgeError(f"dimension {d} exceeds optimizer cap {OPT_DIM_CAP}")
-    k = k_terms or 2 * d
-    if k < 1:
-        raise SecrecyForgeError("need at least one product term")
+    k = 2 * d
     ew = np.linalg.eigvalsh(rho.rho)
     s_ab = _entropy(ew)
     if int((ew > 1e-12).sum()) == 1:
@@ -538,8 +533,6 @@ def rel_ent_upper(
         idx = 0
         for i in range(da):
             for j in range(db):
-                if idx >= k:
-                    break
                 theta[idx] = math.log(max(diag[i * db + j], 1e-8))
                 a[idx, i] = 1.0
                 b[idx, j] = 1.0
@@ -570,10 +563,10 @@ def rel_ent_upper(
         res = minimize(
             _rel_ent_objective,
             x0,
-            args=(rho.rho, rho_log_rho, k, da, db, mix),
+            args=(rho.rho, rho_log_rho, k, da, db),
             jac=True,
             method="L-BFGS-B",
-            options={"maxiter": max_iter, "ftol": 1e-12, "gtol": 1e-10},
+            options={"maxiter": 500, "ftol": 1e-12, "gtol": 1e-10},
         )
         nit += int(res.nit)
         if res.fun < best:
@@ -589,7 +582,7 @@ def rel_ent_upper(
             "k_terms": k,
             "restarts": restarts,
             "seed": seed,
-            "mixing": mix,
+            "mixing": REL_ENT_MIX,
             "best_restart": best_restart,
             "iterations": nit,
             "optimizer_value": best,

@@ -1,9 +1,11 @@
 """JSON file formats for distributions, phases, states, and protocol trees.
 
 Every loader raises UsageError on malformed input so the CLI can map the
-whole family to exit code 2.  Writers emit plain JSON trees with floats
-rounded to 12 significant digits, which keeps golden files stable across
-platforms without hiding real numeric drift.
+whole family to exit code 2; integer fields take JSON integers only, not
+booleans.  ``json_text`` (the CLI's envelopes) rounds floats to 12
+significant digits, which keeps golden files stable across platforms
+without hiding real numeric drift.  ``dump_json`` writes input files and
+keeps every digit (Python's shortest repr), so a pmf reads back bitwise.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import hashlib
 import json
 import math
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -41,17 +43,17 @@ __all__ = [
 SIG_DIGITS = 12
 
 
-def jsonable(obj: Any) -> Any:
-    """Convert to plain JSON types, rounding floats to 12 significant digits.
+def _plain(obj: Any, num: Callable[[float], float]) -> Any:
+    """Convert to plain JSON types, passing each finite float through ``num``.
 
     Non-finite floats become None: strict JSON has no NaN or infinity.
     """
     if isinstance(obj, dict):
-        return {str(k): jsonable(v) for k, v in obj.items()}
+        return {str(k): _plain(v, num) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [jsonable(v) for v in obj]
+        return [_plain(v, num) for v in obj]
     if isinstance(obj, np.ndarray):
-        return [jsonable(v) for v in obj.tolist()]
+        return [_plain(v, num) for v in obj.tolist()]
     if isinstance(obj, (bool, np.bool_)):
         return bool(obj)
     if isinstance(obj, (int, np.integer)):
@@ -59,14 +61,23 @@ def jsonable(obj: Any) -> Any:
     if isinstance(obj, (float, np.floating)):
         if not math.isfinite(obj):
             return None
-        return float(f"{float(obj):.{SIG_DIGITS}g}")
+        return num(float(obj))
     if obj is None or isinstance(obj, str):
         return obj
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
+def jsonable(obj: Any) -> Any:
+    """Convert to plain JSON types, rounding floats to 12 significant digits."""
+    return _plain(obj, lambda x: float(f"{x:.{SIG_DIGITS}g}"))
+
+
+def _text(doc: Any) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
 def json_text(obj: Any) -> str:
-    return json.dumps(jsonable(obj), indent=2, sort_keys=True, allow_nan=False) + "\n"
+    return _text(jsonable(obj))
 
 
 def load_json(path: str | Path) -> Any:
@@ -80,7 +91,8 @@ def load_json(path: str | Path) -> Any:
 
 
 def dump_json(obj: Any, path: str | Path) -> None:
-    Path(path).write_text(json_text(obj), encoding="utf-8")
+    """Write obj with every float digit kept, so loaders read back the same values."""
+    Path(path).write_text(_text(_plain(obj, float)), encoding="utf-8")
 
 
 def sha256_file(path: str | Path) -> str:
@@ -95,14 +107,16 @@ def _require(cond: bool, path: str | Path, msg: str) -> None:
         raise UsageError(f"{path}: {msg}")
 
 
-def _int_list(doc: Any, path: str | Path, key: str, length: int) -> list[int]:
+def _int_list(doc: Any, path: str | Path, key: str, length: int | None = None) -> list[int]:
+    """doc[key] as positive integers: exactly ``length`` of them, or at least one."""
     val = doc.get(key) if isinstance(doc, dict) else None
     ok = (
         isinstance(val, list)
-        and len(val) == length
-        and all(isinstance(v, int) and v >= 1 for v in val)
+        and (len(val) == length if length else len(val) >= 1)
+        and all(type(v) is int and v >= 1 for v in val)
     )
-    _require(ok, path, f"'{key}' must be a list of {length} positive integers")
+    size = f"{length} " if length else ""
+    _require(ok, path, f"'{key}' must be a list of {size}positive integers")
     return list(val)
 
 
@@ -130,13 +144,13 @@ def load_dist(path: str | Path) -> Dist3:
         seen: set[tuple[int, int, int]] = set()
         for e in entries:
             try:
-                key = (int(e["x"]), int(e["y"]), int(e["z"]))
+                key = (e["x"], e["y"], e["z"])
                 val = float(e["p"])
             except (KeyError, TypeError, ValueError) as exc:
                 raise UsageError(f"{path}: bad entry {e!r}") from exc
+            ok = all(type(k) is int and 0 <= k < n for k, n in zip(key, dims))
+            _require(ok, path, f"entry {e!r}: x, y, z must be integers inside {dims}")
             _require(key not in seen, path, f"duplicate entry at {key}")
-            ok = all(0 <= k < dim for k, dim in zip(key, dims))
-            _require(ok, path, f"entry {key} outside dims {dims}")
             seen.add(key)
             p[key] = val
     else:
@@ -194,13 +208,7 @@ def load_state(path: str | Path) -> QState:
     """Density matrix as {"dims", "re", "im"}; "im" may be omitted."""
     doc = load_json(path)
     _require(isinstance(doc, dict), path, "top level must be an object")
-    dims = doc.get("dims")
-    ok = (
-        isinstance(dims, list)
-        and len(dims) >= 1
-        and all(isinstance(v, int) and v >= 1 for v in dims)
-    )
-    _require(ok, path, "'dims' must be a list of positive integers")
+    dims = _int_list(doc, path, "dims")
     rho = _matrix(doc, path, "state")
     dim = int(np.prod(dims))
     _require(
@@ -249,9 +257,7 @@ def load_tree(path: str | Path) -> InstrumentTree:
     doc = load_json(path)
     _require(isinstance(doc, dict), path, "top level must be an object")
     for key in ("rounds", "dim_a", "dim_b"):
-        _require(
-            isinstance(doc.get(key), int), path, f"'{key}' must be an integer"
-        )
+        _require(type(doc.get(key)) is int, path, f"'{key}' must be an integer")
     for key in ("nodes", "leaf_a", "leaf_b"):
         _require(isinstance(doc.get(key), dict), path, f"'{key}' must be an object")
     instruments: dict[History, tuple[tuple[np.ndarray, ...], ...]] = {}

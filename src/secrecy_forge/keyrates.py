@@ -16,6 +16,7 @@ pinning logic checks block compatibility before applying them.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -23,6 +24,7 @@ import numpy as np
 
 from . import config
 from .classify import (
+    CHANNEL_BUDGET,
     YES,
     ClassReport,
     classify,
@@ -161,27 +163,23 @@ def _certificate_channel(report: ClassReport) -> Channel | None:
     return Channel.deterministic(cert["channel"], cert["out_dim"])
 
 
-def _coarse_graining_bound(
-    d: Dist3, budget: int
-) -> tuple[float, tuple[int, ...], int]:
-    """min over deterministic channels on Z of I(X:Y|Zbar); sound upper
-    bound on the key rate (the all-merge channel gives plain I(X:Y)).
+def _coarse_graining_bound(d: Dist3) -> tuple[float, tuple[int, ...], int]:
+    """min over the first ``CHANNEL_BUDGET`` deterministic channels on Z of
+    I(X:Y|Zbar); sound upper bound on the key rate (the all-merge channel
+    gives plain I(X:Y)).
 
     The bound is clamped at 0, where rounding can leave a vanishing
     I(X:Y|Zbar) just below the interval's lower bound."""
     best = math.inf
     best_rgs: tuple[int, ...] = ()
-    tested = 0
-    for rgs in set_partitions(d.dims[2]):
-        if tested >= budget:
-            break
-        tested += 1
+    channels = list(itertools.islice(set_partitions(d.dims[2]), CHANNEL_BUDGET))
+    for rgs in channels:
         dbar = apply_channel_z(d, Channel.deterministic(rgs))
         val = conditional_mutual_information(dbar.p, (0,), (1,), (2,))
         if val < best:
             best = val
             best_rgs = rgs
-    return max(best, 0.0), best_rgs, tested
+    return max(best, 0.0), best_rgs, len(channels)
 
 
 def kd_class(
@@ -189,7 +187,6 @@ def kd_class(
     report: ClassReport | None = None,
     tol: float = config.ENTROPY_TOL,
     support_eps: float = config.SUPPORT_EPS,
-    budget: int = 64,
 ) -> MeasureResult:
     """Distillable key rate from the classification, when a formula applies.
 
@@ -202,17 +199,18 @@ def kd_class(
     class chain: UBI, then the canonical protocol, and the channel search
     only when neither certifies UBI-PD.  Wherever classify returns a
     report, the result is the same as with
-    ``report=classify(d, tol, support_eps, budget)``.
+    ``report=classify(d, tol, support_eps)``; both search at most
+    ``CHANNEL_BUDGET`` channels.
     """
     if report is None:
         ccf = conditional_common_function(d, support_eps)
         pd = _ubi_pd_certified(d, ccf, tol, support_eps)
-        ch = None if pd else is_ubi_pd_down(d, tol, support_eps, budget).channel
+        ch = None if pd else is_ubi_pd_down(d, tol, support_eps).channel
     else:
         pd = report.ubi_pd == YES
         ch = _certificate_channel(report)
         ccf = conditional_common_function(d, support_eps) if pd else None
-    return _kd(d, pd, ccf, ch, support_eps, budget)
+    return _kd(d, pd, ccf, ch, support_eps)
 
 
 def _kd(
@@ -221,7 +219,6 @@ def _kd(
     ccf: CondCommonFunction | None,
     ch: Channel | None,
     support_eps: float,
-    budget: int,
 ) -> MeasureResult:
     """K_D of d from its class: ``pd`` says whether d is UBI-PD, ``ccf`` is
     d's conditional common function (read only then), and ``ch`` is a
@@ -245,7 +242,7 @@ def _kd(
             method="common-block-entropy-degraded",
             diagnostics={"class": "ubi_pd_down", "channel": ch.assignment()},
         )
-    upper, rgs, tested = _coarse_graining_bound(d, budget)
+    upper, rgs, tested = _coarse_graining_bound(d)
     return MeasureResult(
         name="K_D",
         value=upper,
@@ -375,7 +372,6 @@ def verify_chain(
     tol: float = config.ENTROPY_TOL,
     chain_tol: float = config.CHAIN_TOL,
     support_eps: float = config.SUPPORT_EPS,
-    budget: int = 64,
 ) -> ChainReport:
     """Compute every available rate and bound for d and check the orderings.
 
@@ -387,10 +383,9 @@ def verify_chain(
     closed-form bracket makes it exact.
     """
     if report is None:
-        report = classify(d, tol, support_eps, budget)
+        report = classify(d, tol, support_eps)
     ccf = conditional_common_function(d, support_eps)
-    kd = _kd(d, report.ubi_pd == YES, ccf, _certificate_channel(report),
-             support_eps, budget)
+    kd = _kd(d, report.ubi_pd == YES, ccf, _certificate_channel(report), support_eps)
     hjz = ccf.block_entropy(d)
     compatible = _phases_block_compatible(d, phases, ccf)
 
@@ -507,7 +502,6 @@ def advantage_report(
     er_restarts: int = 4,
     tol: float = config.ENTROPY_TOL,
     support_eps: float = config.SUPPORT_EPS,
-    budget: int = 64,
 ) -> AdvantageReport:
     """Compare the classical key rate of d against its coherent embedding.
 
@@ -518,10 +512,9 @@ def advantage_report(
     the brackets separate strictly.
     """
     if report is None:
-        report = classify(d, tol, support_eps, budget)
+        report = classify(d, tol, support_eps)
     ccf = conditional_common_function(d, support_eps)
-    kd = _kd(d, report.ubi_pd == YES, ccf, _certificate_channel(report),
-             support_eps, budget)
+    kd = _kd(d, report.ubi_pd == YES, ccf, _certificate_channel(report), support_eps)
     if kd.kind != "exact" and mutual_information(d.p, (0, 1), (2,)) <= tol:
         kd = kd_independent_eve(d, tol)
     if kd.kind == "exact":
@@ -629,7 +622,7 @@ _PM = np.array(
 )
 
 
-def _measured_key_value(sigma: QState, support_eps: float = 1e-12) -> float:
+def _measured_key_value(sigma: QState) -> float:
     """Mutual information after the subspace-adapted local measurements.
 
     Each side measures computationally if its own support lies in the
@@ -641,8 +634,8 @@ def _measured_key_value(sigma: QState, support_eps: float = 1e-12) -> float:
     diag_b = np.real(np.diag(partial_trace(sigma, (1,)).rho))
 
     def basis(own: np.ndarray, other: np.ndarray) -> np.ndarray:
-        own_low = own[0] + own[1] > support_eps
-        other_low = other[0] + other[1] > support_eps
+        own_low = own[0] + own[1] > config.SUPPORT_EPS
+        other_low = other[0] + other[1] > config.SUPPORT_EPS
         if own_low and not other_low:
             return _PM
         return np.eye(4)

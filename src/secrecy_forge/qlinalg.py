@@ -60,17 +60,16 @@ class QState:
 
     rho: np.ndarray
     dims: tuple[int, ...]
-    tol: float = config.STATE_TOL
 
     def __post_init__(self) -> None:
         rho = _frozen(self.rho)
         if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
             raise InvalidState(f"density operator must be square, got {rho.shape}")
         dims = _check_dims(self.dims, rho.shape[0])
-        if np.abs(rho - rho.conj().T).max() > self.tol:
+        if np.abs(rho - rho.conj().T).max() > config.STATE_TOL:
             raise InvalidState("density operator is not Hermitian")
         tr = complex(np.trace(rho))
-        if abs(tr - 1.0) > self.tol:
+        if abs(tr - 1.0) > config.STATE_TOL:
             raise InvalidState(f"trace is {tr}, expected 1")
         w = np.linalg.eigvalsh(rho)
         if w.min() < EIG_NEGATIVE_ERROR:
@@ -89,13 +88,12 @@ class PureState:
 
     amp: np.ndarray
     dims: tuple[int, ...]
-    tol: float = config.STATE_TOL
 
     def __post_init__(self) -> None:
         amp = _frozen(self.amp).ravel()
         dims = _check_dims(self.dims, amp.size)
         nrm = float(np.linalg.norm(amp))
-        if abs(nrm - 1.0) > self.tol:
+        if abs(nrm - 1.0) > config.STATE_TOL:
             raise InvalidState(f"norm is {nrm}, expected 1")
         object.__setattr__(self, "amp", amp)
         object.__setattr__(self, "dims", dims)

@@ -1,17 +1,20 @@
 """Command-line surface: envelopes, exit codes, determinism."""
 
+import ast
 import dataclasses
 import importlib
 import json
 import math
 import pkgutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import secrecy_forge
-from secrecy_forge import cli, keyrates
+from secrecy_forge import cli, config, keyrates
 from secrecy_forge.dequantize import random_instrument_tree
+from secrecy_forge.distributions import Dist3
 from secrecy_forge.io import (
     dump_dist,
     dump_json,
@@ -221,6 +224,56 @@ class TestToleranceRouting:
         assert seen == [1e-10]
 
 
+# One command per --tol.<name>, with an override that must change what the
+# command computes: a verdict, a value or the exit code.
+ROUTING_CASES = {
+    # a correlated-Eve pmf that is not block independent at 1e-9 bits
+    "entropy": (["classify", "--dist", "not_bi"], "10"),
+    # the 1e-6 cross entry merges the two blocks unless it counts as zero
+    "support": (["commoninfo", "--dist", "faint_link"], "1e-5"),
+    "chain": (["reproduce", "thm7d"], "1e-30"),
+    "equality": (["dequantize-check", "--tree", "tree", "--dist", "small_dist"],
+                 "1e-30"),
+}
+
+
+def _without_tolerances(doc):
+    """The envelope minus every echoed ``tolerances`` object."""
+    if isinstance(doc, dict):
+        return {k: _without_tolerances(v) for k, v in doc.items()
+                if k != "tolerances"}
+    if isinstance(doc, list):
+        return [_without_tolerances(v) for v in doc]
+    return doc
+
+
+@pytest.mark.parametrize("name", sorted(ROUTING_CASES))
+def test_every_tolerance_override_changes_the_result(capsys, files, tmp_path,
+                                                     name):
+    assert set(ROUTING_CASES) == set(config.default_tolerances())
+    p = np.zeros((2, 2, 2))
+    p[0, 0, 0], p[1, 1, 0], p[0, 1, 1], p[1, 0, 1] = 0.4, 0.1, 0.3, 0.2
+    dump_json(dump_dist(Dist3(p)), tmp_path / "not_bi.json")
+    p = np.zeros((2, 2, 1))
+    p[0, 0, 0], p[1, 1, 0], p[0, 1, 0] = 0.5 - 1e-6, 0.5, 1e-6
+    dump_json(dump_dist(Dist3(p)), tmp_path / "faint_link.json")
+    paths = {**files, "not_bi": str(tmp_path / "not_bi.json"),
+             "faint_link": str(tmp_path / "faint_link.json")}
+    argv, value = ROUTING_CASES[name]
+    argv = [paths.get(a, a) for a in argv]
+    code, doc = run_json(capsys, argv)
+    code_tol, doc_tol = run_json(capsys, argv + [f"--tol.{name}", value])
+    assert doc_tol["tolerances"][name] == float(value)
+    assert (code, _without_tolerances(doc)) != (code_tol, _without_tolerances(doc_tol))
+
+
+def test_validation_tolerance_is_unknown(capsys, files):
+    # pmf validation is fixed; an override that nothing applies is refused
+    assert cli.run(["classify", "--dist", files["dist"],
+                    "--tol.validation", "1e-6"]) == 2
+    assert "unknown tolerance 'validation'" in capsys.readouterr().err
+
+
 class TestReproduce:
     def test_lemma(self, capsys, files):
         code, doc = run_json(capsys, ["reproduce", "lemma"])
@@ -334,3 +387,23 @@ def test_every_exported_name_resolves():
         missing = [name for name in getattr(mod, "__all__", ())
                    if not hasattr(mod, name)]
         assert not missing, (mod.__name__, missing)
+
+
+def test_every_import_is_read():
+    # names listed in __all__ count as read: they are re-exported
+    src = Path(secrecy_forge.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = set()
+        read = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported |= {a.asname or a.name.split(".")[0] for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported |= {a.asname or a.name for a in node.names}
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif (isinstance(node, ast.Assign)
+                  and any(getattr(t, "id", None) == "__all__" for t in node.targets)):
+                read |= set(ast.literal_eval(node.value))
+        assert not imported - read, (path.name, sorted(imported - read))

@@ -1,13 +1,17 @@
 """JSON round trips and input validation for every on-disk format."""
 
+import copy
 import hashlib
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from secrecy_forge.dequantize import random_instrument_tree, verify_equivalence
+from secrecy_forge.distributions import Dist3, validate_pmf
 from secrecy_forge.embeddings import PhaseAssignment
 from secrecy_forge.errors import UsageError
 from secrecy_forge.io import (
@@ -236,3 +240,67 @@ class TestSha256:
     def test_missing_file(self, tmp_path):
         with pytest.raises(UsageError):
             sha256_file(tmp_path / "absent.bin")
+
+
+@given(seed=st.integers(0, 2**32 - 1), offset=st.floats(-1e-12, 1e-12))
+def test_pmf_round_trip_is_bitwise(tmp_path_factory, seed, offset):
+    # a valid pmf whose sum sits anywhere in the validation band comes back
+    # bitwise: rounding the written entries could push the sum out of it
+    p = np.random.default_rng(seed).random((3, 3, 2))
+    p = p / p.sum() * (1.0 + offset)
+    assume(not validate_pmf(p))
+    d = Dist3(p)
+    path = tmp_path_factory.mktemp("pmf") / "d.json"
+    dump_json(dump_dist(d), path)
+    assert load_dist(path).p.tobytes() == d.p.tobytes()
+
+
+# One valid document per integer-carrying format, with the loader that reads
+# it; the rejection cases below each replace one integer by a non-integer.
+VALID_DOCS = {
+    "dist": (load_dist, {"dims": [1, 2, 2], "p": [[[0.25, 0.25], [0.25, 0.25]]]}),
+    "sparse": (load_dist, {"dims": [2, 2, 1], "entries": [
+        {"x": 0, "y": 0, "z": 0, "p": 0.5}, {"x": 1, "y": 1, "z": 0, "p": 0.5}]}),
+    "phases": (lambda path: load_phases(path, (2, 2, 1)),
+               {"entries": [{"x": 1, "y": 1, "z": 0, "phi": 1.0}]}),
+    "state": (load_state, {"dims": [1, 2], "re": [[0.5, 0.0], [0.0, 0.5]]}),
+    "tree": (load_tree, {"rounds": 0, "dim_a": 1, "dim_b": 1, "nodes": {},
+                         "leaf_a": {"": [{"re": [[1.0]]}]},
+                         "leaf_b": {"": [{"re": [[1.0]]}]}}),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(VALID_DOCS))
+def test_valid_integer_fields_load(tmp_path, kind):
+    loader, doc = VALID_DOCS[kind]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    loader(path)
+
+
+@pytest.mark.parametrize("kind, where, value", [
+    ("dist", ("dims", 0), True),
+    ("dist", ("dims", 0), 1.0),
+    ("sparse", ("entries", 1, "x"), 1.7),
+    ("sparse", ("entries", 1, "y"), "1"),
+    ("sparse", ("entries", 0, "z"), False),
+    ("phases", ("entries", 0, "x"), True),
+    ("phases", ("entries", 0, "y"), "1"),
+    ("phases", ("entries", 0, "z"), 0.0),
+    ("phases", ("entries", 0, "x"), -1),
+    ("state", ("dims", 0), True),
+    ("tree", ("rounds",), False),
+    ("tree", ("dim_a",), True),
+    ("tree", ("dim_b",), 1.0),
+])
+def test_integer_fields_reject_non_integers(tmp_path, kind, where, value):
+    loader, doc = VALID_DOCS[kind]
+    doc = copy.deepcopy(doc)
+    target = doc
+    for key in where[:-1]:
+        target = target[key]
+    target[where[-1]] = value
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(UsageError):
+        loader(path)
