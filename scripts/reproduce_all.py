@@ -1,10 +1,25 @@
-"""Regenerate every bundled example report into a directory of envelopes."""
+"""Regenerate every bundled example report into a directory of envelopes.
+
+Besides the six ``reproduce`` examples, the script runs the 16 commands of
+the benchmark's ``cli-session`` workload on its seeded input files (built
+by ``bench/workloads.py``) and writes their envelopes under
+``<out-dir>/cli-session``.  Input paths are written relative to the
+out-dir, so ``diff -r`` of two out-dirs compares envelope content alone:
+run the script on two checkouts at one seed to check that a change keeps
+every envelope byte-identical.
+"""
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from secrecy_forge.cli import EXAMPLE_IDS, run
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+from workloads import cli_session_commands, load_ref, write_cli_inputs
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -23,6 +38,23 @@ def main(argv: list[str] | None = None) -> int:
                     "--out", str(target)])
         print(f"{example:8s} exit {code}  {target}")
         worst = max(worst, code)
+
+    # the pool member the benchmark's cli-session picks at this seed; the
+    # session's exit codes are printed, not folded into the script's: its
+    # one-sided-coherence chain exits 1, as bench/refs/cli-session.json records
+    pool = load_ref("cli-session")["pool"]
+    pool_index = int(np.random.default_rng([args.seed, 4]).integers(len(pool)))
+    session = Path("cli-session")
+    home = Path.cwd()
+    os.chdir(out_dir)
+    try:
+        session.mkdir(exist_ok=True)
+        write_cli_inputs(session, pool_index, args.seed)
+        for label, argv in cli_session_commands(session):
+            code = run(argv)
+            print(f"{label:18s} exit {code}  {out_dir / argv[-1]}")
+    finally:
+        os.chdir(home)
     return worst
 
 

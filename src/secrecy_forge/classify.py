@@ -414,7 +414,11 @@ def is_ubi_pd_down(
 
 @dataclass(frozen=True)
 class ClassReport:
-    """Verdicts for every class plus certificates and numeric diagnostics."""
+    """Verdicts for every class plus certificates and numeric diagnostics.
+
+    ``ccf`` (d's conditional common function) and ``channel`` (the certified
+    UBI-PD-down channel or None) are what classify built; not serialized.
+    """
 
     bi: str
     ubi: str
@@ -425,6 +429,8 @@ class ClassReport:
     certificates: dict = field(repr=False)
     diagnostics: dict = field(repr=False)
     tolerances: dict = field(repr=False)
+    ccf: CondCommonFunction = field(repr=False)
+    channel: Channel | None = field(repr=False)
 
     def __post_init__(self) -> None:
         if self.ubi == YES and (
@@ -519,5 +525,7 @@ def classify(
             "n_block_labels": ccf.n_labels,
         },
         tolerances={"entropy": tol, "support": support_eps},
+        ccf=ccf,
+        channel=down.channel,
     )
     return report

@@ -433,19 +433,15 @@ def _lemma_result(tols: dict[str, float]) -> dict:
 
 
 def _thm7d_result(seed: int, tols: dict[str, float]) -> dict:
-    d = two_block_uniform_example()
-    report = classify(d, tol=tols["entropy"], support_eps=tols["support"])
     chain = verify_chain(
-        d,
+        two_block_uniform_example(),
         seed=seed,
-        report=report,
         tol=tols["entropy"],
         chain_tol=tols["chain"],
         support_eps=tols["support"],
     )
-    rate = kd_class(
-        d, report=report, tol=tols["entropy"], support_eps=tols["support"]
-    )
+    report = chain.classification
+    rate = chain.measures["K_D_class"]
     items = [
         _item("ubi", report.ubi, "yes", report.ubi == "yes"),
         _item(
@@ -479,8 +475,9 @@ def _table1_result(seed: int, tols: dict[str, float]) -> dict:
         2, 2, rounds=2, outcomes=2, kraus_each=1, rng=np.random.default_rng(seed)
     )
     deviation = verify_equivalence(tree, binary_eve_family(0.25), n=1)
-    adv_a = advantage_report(binary_eve_family(0.25), seed=seed)
-    adv_b = advantage_report(independent_eve_example(), seed=seed)
+    tol, eps = tols["entropy"], tols["support"]
+    adv_a = advantage_report(binary_eve_family(0.25), seed=seed, tol=tol, support_eps=eps)
+    adv_b = advantage_report(independent_eve_example(), seed=seed, tol=tol, support_eps=eps)
     rates = lemma_example_rates()
     items = [
         _item(

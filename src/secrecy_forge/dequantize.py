@@ -105,7 +105,7 @@ class InstrumentTree:
     outcome), each a tuple of Kraus operators.  ``leaf_a`` / ``leaf_b`` map
     every full transcript to the party's final trace-preserving channel.
     Output dimensions may differ from input dimensions but must agree
-    across leaves.
+    across leaves.  A node or leaf that no transcript reaches is an error.
     """
 
     rounds: int
@@ -122,16 +122,16 @@ class InstrumentTree:
             raise InvalidProtocol(f"rounds must be even and >= 0, got {self.rounds}")
         if self.dim_a < 1 or self.dim_b < 1:
             raise InvalidProtocol(f"bad local dims ({self.dim_a}, {self.dim_b})")
-        instruments = dict(self.instruments)
+        instruments: dict[History, tuple[tuple[np.ndarray, ...], ...]] = {}
 
         def expand(h: History, dims: tuple[int, int]) -> list[tuple[int, int]]:
-            if h not in instruments:
+            if h not in self.instruments:
                 raise InvalidProtocol(f"missing instrument for transcript {h}")
             alice = len(h) % 2 == 0
             din = dims[0] if alice else dims[1]
             node = tuple(
                 _as_kraus(cp, din, f"node{h}[{m}]")
-                for m, cp in enumerate(instruments[h])
+                for m, cp in enumerate(self.instruments[h])
             )
             if not node:
                 raise InvalidProtocol(f"node{h}: instrument with no outcomes")
@@ -148,18 +148,22 @@ class InstrumentTree:
 
         # Each full transcript carries the acting dims reached along its path.
         leaves = _walk(self.rounds, (self.dim_a, self.dim_b), expand)
+        if stray := self.instruments.keys() - instruments.keys():
+            raise InvalidProtocol(f"no transcript reaches node(s) {stray}")
         for reg, given, k in (("a", self.leaf_a, 0), ("b", self.leaf_b, 1)):
-            maps = dict(given)
+            maps = {}
             for h, dims in leaves:
-                if h not in maps:
+                if h not in given:
                     raise InvalidProtocol(f"missing leaf_{reg} for transcript {h}")
-                kraus = _as_kraus(maps[h], dims[k], f"leaf_{reg}{h}")
+                kraus = _as_kraus(given[h], dims[k], f"leaf_{reg}{h}")
                 defect = _completeness_defect((kraus,), dims[k])
                 if defect > NODE_TOL:
                     raise InvalidChannel(
                         f"leaf_{reg}{h} not trace preserving (defect {defect:.2e})"
                     )
                 maps[h] = kraus
+            if stray := given.keys() - maps.keys():
+                raise InvalidProtocol(f"no transcript reaches leaf_{reg} {stray}")
             out_dims = {maps[h][0].shape[0] for h, _ in leaves}
             if len(out_dims) != 1:
                 raise InvalidProtocol(

@@ -78,14 +78,16 @@ class PhaseAssignment:
         cls, dims: tuple[int, int, int], entries: list[dict]
     ) -> "PhaseAssignment":
         """Sparse form: [{"x":..,"y":..,"z":..,"phi":..}] with int indices
-        inside dims (bools rejected), absent entries zero."""
+        inside dims and number phi (bools, strings rejected); absent entries zero."""
         phi = np.zeros(dims)
         for e in entries:
             try:
                 key = (e["x"], e["y"], e["z"])
                 if not all(type(k) is int and 0 <= k < n for k, n in zip(key, dims)):
                     raise ValueError(f"x, y, z must be integers inside {dims}")
-                phi[key] = float(e["phi"])
+                if isinstance(e["phi"], bool) or not isinstance(e["phi"], (int, float)):
+                    raise ValueError("phi must be a number")
+                phi[key] = e["phi"]
             except (KeyError, TypeError, ValueError) as exc:
                 raise SecrecyForgeError(f"bad phase entry {e!r} ({exc})") from exc
         return cls(phi)

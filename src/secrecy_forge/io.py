@@ -1,11 +1,12 @@
 """JSON file formats for distributions, phases, states, and protocol trees.
 
 Every loader raises UsageError on malformed input so the CLI can map the
-whole family to exit code 2; integer fields take JSON integers only, not
-booleans.  ``json_text`` (the CLI's envelopes) rounds floats to 12
-significant digits, which keeps golden files stable across platforms
-without hiding real numeric drift.  ``dump_json`` writes input files and
-keeps every digit (Python's shortest repr), so a pmf reads back bitwise.
+whole family to exit code 2; integer fields take JSON integers only and
+number fields JSON numbers only, never booleans or strings.  ``json_text``
+(the CLI's envelopes) rounds floats to 12 significant digits, which keeps
+golden files stable across platforms without hiding real numeric drift.
+``dump_json`` writes input files and keeps every digit (Python's shortest
+repr), so a pmf reads back bitwise.
 """
 
 from __future__ import annotations
@@ -107,6 +108,13 @@ def _require(cond: bool, path: str | Path, msg: str) -> None:
         raise UsageError(f"{path}: {msg}")
 
 
+def _only_numbers(val: Any) -> bool:
+    """True for a JSON number, or nested lists of them; booleans are not numbers."""
+    if isinstance(val, list):
+        return all(_only_numbers(v) for v in val)
+    return type(val) in (int, float)
+
+
 def _int_list(doc: Any, path: str | Path, key: str, length: int | None = None) -> list[int]:
     """doc[key] as positive integers: exactly ``length`` of them, or at least one."""
     val = doc.get(key) if isinstance(doc, dict) else None
@@ -130,6 +138,7 @@ def load_dist(path: str | Path) -> Dist3:
     _require(isinstance(doc, dict), path, "top level must be an object")
     dims = _int_list(doc, path, "dims", 3)
     if "p" in doc:
+        _require(_only_numbers(doc["p"]), path, "'p' must hold JSON numbers only")
         try:
             p = np.asarray(doc["p"], dtype=float)
         except (TypeError, ValueError) as exc:
@@ -145,11 +154,12 @@ def load_dist(path: str | Path) -> Dist3:
         for e in entries:
             try:
                 key = (e["x"], e["y"], e["z"])
-                val = float(e["p"])
-            except (KeyError, TypeError, ValueError) as exc:
+                val = e["p"]
+            except (KeyError, TypeError) as exc:
                 raise UsageError(f"{path}: bad entry {e!r}") from exc
             ok = all(type(k) is int and 0 <= k < n for k, n in zip(key, dims))
             _require(ok, path, f"entry {e!r}: x, y, z must be integers inside {dims}")
+            _require(type(val) in (int, float), path, f"entry {e!r}: p must be a number")
             _require(key not in seen, path, f"duplicate entry at {key}")
             seen.add(key)
             p[key] = val
@@ -194,6 +204,7 @@ def dump_phases(phases: PhaseAssignment) -> dict:
 
 def _matrix(doc: Any, path: str | Path, where: str) -> np.ndarray:
     _require(isinstance(doc, dict) and "re" in doc, path, f"{where}: need 're'")
+    _require(_only_numbers([doc["re"], doc.get("im", [])]), path, f"{where}: numbers only")
     try:
         re = np.asarray(doc["re"], dtype=float)
         im = np.asarray(doc.get("im", np.zeros_like(re)), dtype=float)
@@ -235,12 +246,12 @@ def dump_state(state: QState) -> dict:
 
 
 def _parse_history(key: str, path: str | Path) -> History:
-    if key == "":
-        return ()
     try:
-        return tuple(int(part) for part in key.split(","))
-    except ValueError as exc:
-        raise UsageError(f"{path}: bad history key {key!r}") from exc
+        h = tuple(int(part) for part in key.split(",")) if key else ()
+    except ValueError:
+        h = None
+    _require(h is not None and _history_key(h) == key, path, f"bad history key {key!r}")
+    return h
 
 
 def _history_key(h: History) -> str:

@@ -156,13 +156,6 @@ def one_sided_coherence_example() -> tuple[Dist3, PhaseAssignment]:
 # class-conditional key rates
 
 
-def _certificate_channel(report: ClassReport) -> Channel | None:
-    cert = report.certificates.get("ubi_pd_down", {})
-    if cert.get("status") != YES or "channel" not in cert:
-        return None
-    return Channel.deterministic(cert["channel"], cert["out_dim"])
-
-
 def _coarse_graining_bound(d: Dist3) -> tuple[float, tuple[int, ...], int]:
     """min over the first ``CHANNEL_BUDGET`` deterministic channels on Z of
     I(X:Y|Zbar); sound upper bound on the key rate (the all-merge channel
@@ -195,39 +188,25 @@ def kd_class(
     kind is ``inconclusive``; ``value`` then carries the best cheap
     upper bound and ``diagnostics`` the certified interval.
 
-    Without a report only what the value needs is computed, along the
-    class chain: UBI, then the canonical protocol, and the channel search
-    only when neither certifies UBI-PD.  Wherever classify returns a
-    report, the result is the same as with
-    ``report=classify(d, tol, support_eps)``; both search at most
-    ``CHANNEL_BUDGET`` channels.
+    A report (classify's on d) supplies the verdict, conditional common
+    function, channel and support tolerance.  Without one only what the
+    value needs is computed, along the class chain: UBI, then the canonical
+    protocol, and the channel search only when neither certifies UBI-PD;
+    the result equals that with ``report=classify(d, tol, support_eps)``,
+    and both search at most ``CHANNEL_BUDGET`` channels.
     """
     if report is None:
         ccf = conditional_common_function(d, support_eps)
         pd = _ubi_pd_certified(d, ccf, tol, support_eps)
         ch = None if pd else is_ubi_pd_down(d, tol, support_eps).channel
     else:
+        ccf, ch = report.ccf, report.channel
         pd = report.ubi_pd == YES
-        ch = _certificate_channel(report)
-        ccf = conditional_common_function(d, support_eps) if pd else None
-    return _kd(d, pd, ccf, ch, support_eps)
-
-
-def _kd(
-    d: Dist3,
-    pd: bool,
-    ccf: CondCommonFunction | None,
-    ch: Channel | None,
-    support_eps: float,
-) -> MeasureResult:
-    """K_D of d from its class: ``pd`` says whether d is UBI-PD, ``ccf`` is
-    d's conditional common function (read only then), and ``ch`` is a
-    certificate channel for UBI-PD-down or None."""
+        support_eps = report.tolerances["support"]
     if pd:
-        value = ccf.block_entropy(d)
         return MeasureResult(
             name="K_D",
-            value=value,
+            value=ccf.block_entropy(d),
             kind="exact",
             method="common-block-entropy",
             diagnostics={"class": "ubi_pd"},
@@ -301,6 +280,13 @@ def _phases_block_compatible(
     return True
 
 
+def _pure_entropy(rho: QState, keep: int) -> float | None:
+    """S of subsystem ``keep`` when rho is pure (tr rho^2 >= 1 - EQ_TOL), else None."""
+    if float(np.real(np.trace(rho.rho @ rho.rho))) < 1.0 - EQ_TOL:
+        return None
+    return von_neumann_entropy(partial_trace(rho, (keep,)))
+
+
 @dataclass(frozen=True)
 class ChainCheck:
     """One verified ordering between two named quantities."""
@@ -366,7 +352,6 @@ def verify_chain(
     d: Dist3,
     phases: PhaseAssignment | None = None,
     seed: int = 0,
-    report: ClassReport | None = None,
     restarts: int = 32,
     er_restarts: int = 4,
     tol: float = config.ENTROPY_TOL,
@@ -380,14 +365,13 @@ def verify_chain(
     UBI-PD -> key rate at least the numeric formation bound (chain
     tolerance); additionally semi-unambiguous -> all quantities agree
     within the chain tolerance, or within ``tol`` for E_r when its
-    closed-form bracket makes it exact.
+    closed-form bracket makes it exact.  The key rate, H(J|Z) and the
+    extension channel come from one ``classify(d, tol, support_eps)``.
     """
-    if report is None:
-        report = classify(d, tol, support_eps)
-    ccf = conditional_common_function(d, support_eps)
-    kd = _kd(d, report.ubi_pd == YES, ccf, _certificate_channel(report), support_eps)
-    hjz = ccf.block_entropy(d)
-    compatible = _phases_block_compatible(d, phases, ccf)
+    report = classify(d, tol, support_eps)
+    kd = kd_class(d, report)
+    hjz = report.ccf.block_entropy(d)
+    compatible = _phases_block_compatible(d, phases, report.ccf)
 
     psi = embed_qqq(d, phases)
     rho_ab = partial_trace(psi.density(), (0, 1))
@@ -397,7 +381,7 @@ def verify_chain(
     measures["E_F_numeric"] = ef
     if rho_ab.dims == (2, 2):
         measures["E_F_2q"] = eof_2q(rho_ab)
-    ch = _certificate_channel(report) or Channel.identity(d.dims[2])
+    ch = report.channel or Channel.identity(d.dims[2])
     esq = esq_classical_extension_bound(extension_sigma(d, ch, phases, support_eps))
     measures["E_sq_bound"] = esq
     er = rel_ent_upper(rho_ab, restarts=er_restarts, seed=seed, tol=tol)
@@ -413,9 +397,9 @@ def verify_chain(
     }
     if "E_F_2q" in measures:
         values["E_F_2q"] = measures["E_F_2q"].value
-    purity = float(np.real(np.trace(rho_ab.rho @ rho_ab.rho)))
-    if purity >= 1.0 - EQ_TOL:
-        values["E_entropy"] = von_neumann_entropy(partial_trace(rho_ab, (1,)))
+    s_pure = _pure_entropy(rho_ab, 1)
+    if s_pure is not None:
+        values["E_entropy"] = s_pure
 
     checks: list[ChainCheck] = []
     if kd.kind == "exact":
@@ -498,7 +482,6 @@ def advantage_report(
     d: Dist3,
     phases: PhaseAssignment | None = None,
     seed: int = 0,
-    report: ClassReport | None = None,
     er_restarts: int = 4,
     tol: float = config.ENTROPY_TOL,
     support_eps: float = config.SUPPORT_EPS,
@@ -509,12 +492,11 @@ def advantage_report(
     pure (rate = reduced entropy) or when the class equalities apply
     (reversible + semi-unambiguous, block-compatible phases); otherwise
     it is bracketed by certified bounds and the label only fires when
-    the brackets separate strictly.
+    the brackets separate strictly.  The classical rate and the certificate
+    channel come from one ``classify(d, tol, support_eps)``.
     """
-    if report is None:
-        report = classify(d, tol, support_eps)
-    ccf = conditional_common_function(d, support_eps)
-    kd = _kd(d, report.ubi_pd == YES, ccf, _certificate_channel(report), support_eps)
+    report = classify(d, tol, support_eps)
+    kd = kd_class(d, report)
     if kd.kind != "exact" and mutual_information(d.p, (0, 1), (2,)) <= tol:
         kd = kd_independent_eve(d, tol)
     if kd.kind == "exact":
@@ -523,10 +505,9 @@ def advantage_report(
         c_lo = kd.diagnostics["lower_bound"]
         c_hi = kd.diagnostics["upper_bound"]
 
-    compatible = _phases_block_compatible(d, phases, ccf)
+    compatible = _phases_block_compatible(d, phases, report.ccf)
     psi = embed_qqq(d, phases)
     rho_ab = partial_trace(psi.density(), (0, 1))
-    purity = float(np.real(np.trace(rho_ab.rho @ rho_ab.rho)))
 
     measures: dict[str, MeasureResult] = {"K_D_classical": kd}
     uppers: list[float] = []
@@ -535,7 +516,7 @@ def advantage_report(
     )
     measures["E_sq_bound_identity"] = esq_id
     uppers.append(esq_id.value)
-    cert = _certificate_channel(report)
+    cert = report.channel
     if cert is not None and not np.array_equal(
         cert.k, Channel.identity(d.dims[2]).k
     ):
@@ -552,10 +533,8 @@ def advantage_report(
         measures["E_F_2q"] = ef
         uppers.append(ef.value)
 
-    q_value: float | None = None
-    if purity >= 1.0 - EQ_TOL:
-        q_value = von_neumann_entropy(partial_trace(rho_ab, (1,)))
-    elif (
+    q_value = _pure_entropy(rho_ab, 1)
+    if q_value is None and (
         compatible
         and kd.kind == "exact"
         and report.ubi_pd_down == YES
@@ -606,10 +585,8 @@ def _branch_key_value(sigma: QState) -> float:
     Only meaningful for branches that are pure or basis-diagonal on the
     dephased side, which is all this module ever feeds it.
     """
-    purity = float(np.real(np.trace(sigma.rho @ sigma.rho)))
-    if purity >= 1.0 - EQ_TOL:
-        return von_neumann_entropy(partial_trace(sigma, (0,)))
-    return cond_mutual_info_q(sigma, (0,), (1,))
+    s_pure = _pure_entropy(sigma, 0)
+    return s_pure if s_pure is not None else cond_mutual_info_q(sigma, (0,), (1,))
 
 
 _PM = np.array(

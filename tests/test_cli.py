@@ -212,16 +212,32 @@ class TestToleranceRouting:
 
     def test_support_tolerance_reaches_thm7d_key_rate(self, capsys,
                                                       monkeypatch):
+        # thm7d's K_D is kd_class on the chain's report, which then reads
+        # the report's support tolerance
         seen = []
-        real = cli.kd_class
+        real = keyrates.kd_class
 
-        def spy(*args, **kwargs):
-            seen.append(kwargs.get("support_eps"))
-            return real(*args, **kwargs)
+        def spy(d, report=None, *args, **kwargs):
+            seen.append(report.tolerances["support"])
+            return real(d, report, *args, **kwargs)
 
-        monkeypatch.setattr(cli, "kd_class", spy)
+        monkeypatch.setattr(keyrates, "kd_class", spy)
         assert cli.run(["reproduce", "thm7d", "--tol.support", "1e-10"]) == 0
         assert seen == [1e-10]
+
+    def test_tolerances_reach_table1_advantage_reports(self, capsys,
+                                                       monkeypatch):
+        seen = []
+        real = cli.advantage_report
+
+        def spy(*args, **kwargs):
+            seen.append((kwargs.get("tol"), kwargs.get("support_eps")))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "advantage_report", spy)
+        cli.run(["reproduce", "table1", "--tol.entropy", "1e-7",
+                 "--tol.support", "1e-7"])
+        assert seen == [(1e-7, 1e-7), (1e-7, 1e-7)]
 
 
 # One command per --tol.<name>, with an override that must change what the
@@ -387,6 +403,19 @@ def test_every_exported_name_resolves():
         missing = [name for name in getattr(mod, "__all__", ())
                    if not hasattr(mod, name)]
         assert not missing, (mod.__name__, missing)
+
+
+def test_only_classify_reads_certificates():
+    # the certificate format is classify's own: other modules take the
+    # objects a ClassReport carries (ccf, channel), not its JSON
+    src = Path(secrecy_forge.__file__).parent
+    readers = sorted(
+        path.name
+        for path in src.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr == "certificates"
+    )
+    assert set(readers) <= {"classify.py"}, readers
 
 
 def test_every_import_is_read():

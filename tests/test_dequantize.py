@@ -160,6 +160,22 @@ class TestValidation:
                            instruments={(): ((EYE,),), (0,): ((EYE,),)},
                            leaf_a={(0, 0): (EYE,)}, leaf_b={})
 
+    @pytest.mark.parametrize("extra", [
+        {"instruments": {(7, 7): ((EYE,),)}},
+        {"instruments": {(1,): ((EYE,),)}},
+        {"leaf_a": {(1, 0): (EYE,)}},
+        {"leaf_b": {(0,): (EYE,)}},
+    ])
+    def test_rejects_unreached_node_or_leaf(self, extra):
+        # node () has one outcome, so the only transcript is (0, 0)
+        parts = {"instruments": {(): ((EYE,),), (0,): ((EYE,),)},
+                 "leaf_a": {(0, 0): (EYE,)}, "leaf_b": {(0, 0): (EYE,)}}
+        InstrumentTree(rounds=2, dim_a=2, dim_b=2, **parts)
+        for name, more in extra.items():
+            parts[name] = {**parts[name], **more}
+        with pytest.raises(InvalidProtocol, match="no transcript reaches"):
+            InstrumentTree(rounds=2, dim_a=2, dim_b=2, **parts)
+
     def test_rejects_dims_mismatch(self, make_dist):
         with pytest.raises(InvalidProtocol):
             simulate_quantum(trivial_tree(3, 3), make_dist((2, 2, 2)))

@@ -270,6 +270,19 @@ VALID_DOCS = {
 }
 
 
+def _load_with(tmp_path, kind, where, value):
+    """Load VALID_DOCS[kind] with the field at path ``where`` set to value."""
+    loader, doc = VALID_DOCS[kind]
+    doc = copy.deepcopy(doc)
+    target = doc
+    for key in where[:-1]:
+        target = target[key]
+    target[where[-1]] = value
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    return loader(path)
+
+
 @pytest.mark.parametrize("kind", sorted(VALID_DOCS))
 def test_valid_integer_fields_load(tmp_path, kind):
     loader, doc = VALID_DOCS[kind]
@@ -294,13 +307,55 @@ def test_valid_integer_fields_load(tmp_path, kind):
     ("tree", ("dim_b",), 1.0),
 ])
 def test_integer_fields_reject_non_integers(tmp_path, kind, where, value):
-    loader, doc = VALID_DOCS[kind]
-    doc = copy.deepcopy(doc)
-    target = doc
-    for key in where[:-1]:
-        target = target[key]
-    target[where[-1]] = value
-    path = tmp_path / "doc.json"
-    path.write_text(json.dumps(doc))
     with pytest.raises(UsageError):
-        loader(path)
+        _load_with(tmp_path, kind, where, value)
+
+
+@pytest.mark.parametrize("kind, where, value", [
+    ("dist", ("p",), [[[True, 0], [0, 0]]]),
+    ("dist", ("p",), [[["1", 0], [0, 0]]]),
+    ("sparse", ("entries", 0, "p"), "0.5"),
+    ("sparse", ("entries",), [{"x": 0, "y": 0, "z": 0, "p": True}]),
+    ("phases", ("entries", 0, "phi"), "3.14"),
+    ("phases", ("entries", 0, "phi"), True),
+    ("state", ("re", 0, 0), "0.5"),
+    ("state", ("re", 0, 1), False),
+    ("state", ("im",), [[0, False], [False, 0]]),
+    ("tree", ("leaf_a", "", 0, "re", 0, 0), "1"),
+])
+def test_number_fields_reject_non_numbers(tmp_path, kind, where, value):
+    # float() would read each value as a valid number
+    with pytest.raises(UsageError):
+        _load_with(tmp_path, kind, where, value)
+
+
+def _two_round_tree(nodes: tuple[str, ...], leaf_a: str, leaf_b: str) -> dict:
+    """1x1 tree document with one-outcome nodes under the given keys."""
+    op = [{"re": [[1.0]]}]
+    return {"rounds": 2, "dim_a": 1, "dim_b": 1,
+            "nodes": {k: [op] for k in nodes},
+            "leaf_a": {leaf_a: op}, "leaf_b": {leaf_b: op}}
+
+
+@pytest.mark.parametrize("nodes, leaf_a, leaf_b", [
+    (("", " 0"), "0,0", "0,0"),
+    (("", "+0"), "0,0", "0,0"),
+    (("", "00"), "0,0", "0,0"),
+    (("", "0"), "+0,0", "0,0"),
+    (("", "0"), "0,0", "0, 0"),
+    (("", "0"), "0,0", "0,0 "),
+])
+def test_tree_keys_must_be_canonical(tmp_path, nodes, leaf_a, leaf_b):
+    path = tmp_path / "tree.json"
+    path.write_text(json.dumps(_two_round_tree(("", "0"), "0,0", "0,0")))
+    assert load_tree(path).histories() == ((0, 0),)
+    path.write_text(json.dumps(_two_round_tree(nodes, leaf_a, leaf_b)))
+    with pytest.raises(UsageError, match="bad history key"):
+        load_tree(path)
+
+
+def test_tree_rejects_unreached_key(tmp_path):
+    path = tmp_path / "tree.json"
+    path.write_text(json.dumps(_two_round_tree(("", "0", "7,7"), "0,0", "0,0")))
+    with pytest.raises(UsageError, match="no transcript reaches"):
+        load_tree(path)
