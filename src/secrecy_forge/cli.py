@@ -24,7 +24,7 @@ from .common_info import (
     conditional_common_function,
 )
 from .dequantize import random_instrument_tree, verify_equivalence
-from .distributions import binary_entropy, marginal
+from .distributions import Dist2, binary_entropy
 from .embeddings import embed_ccc, embed_ccq, embed_cqq, embed_qqq
 from .entanglement import (
     eof_2q,
@@ -101,8 +101,19 @@ def _extract_tol_flags(argv: list[str]) -> tuple[dict[str, float], list[str]]:
     return tols, rest
 
 
+def _seed(text: str) -> int:
+    """--seed: a non-negative integer, as numpy's generators require."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return seed
+
+
 def _add_common(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--seed", type=int, default=0, help="seed echoed into the report")
+    sp.add_argument("--seed", type=_seed, default=0, help="seed echoed into the report")
     sp.add_argument("--out", help="write the JSON envelope here instead of stdout")
 
 
@@ -229,7 +240,7 @@ def _cmd_commoninfo(args, tols) -> int:
         "cond_common_entropy": ccf.block_entropy(d),
         "conditional_common_function": ccf.to_json(),
         "xy_common_information": common_information(
-            marginal(d, "xy"), support_eps=tols["support"]
+            Dist2(d.p.sum(axis=2)), support_eps=tols["support"]
         ),
     }
     _emit(args, tols, {"dist": args.dist}, result)

@@ -168,18 +168,6 @@ class CondCommonFunction:
             total += pz * entropy_bits(part.probabilities(cond))
         return total
 
-    def label_of_xz(self, x: int, z: int) -> int | None:
-        part = self.per_z.get(z)
-        if part is None or x not in part.block_of_x:
-            return None
-        return self.global_labels[(z, part.block_of_x[x])]
-
-    def label_of_yz(self, y: int, z: int) -> int | None:
-        part = self.per_z.get(z)
-        if part is None or y not in part.block_of_y:
-            return None
-        return self.global_labels[(z, part.block_of_y[y])]
-
     def to_json(self) -> dict:
         return {
             "per_z": {str(z): part.to_json() for z, part in self.per_z.items()},

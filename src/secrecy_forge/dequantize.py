@@ -31,8 +31,6 @@ __all__ = [
     "dequantize",
     "simulate_classical",
     "verify_equivalence",
-    "trivial_tree",
-    "computational_announce_tree",
     "random_instrument_tree",
 ]
 
@@ -323,18 +321,15 @@ def _check_caps(
         )
 
 
-def simulate_quantum(
-    tree: InstrumentTree, d: Dist3, n: int = 1, caps: config.Caps | None = None
-) -> QState:
+def simulate_quantum(tree: InstrumentTree, d: Dist3, n: int = 1) -> QState:
     """Run the tree on the diagonal embedding of ``d**n``.
 
     Returns the joint output over subsystems (A', B', E, M) where E holds
     Eve's untouched symbol and M the broadcast transcript, indexed in
     ``tree.histories()`` order.
     """
-    if caps is None:
-        caps = config.load_caps()
-    pn = product_power(d, n, cap=caps.product_states)
+    caps = config.load_caps()
+    pn = product_power(d, n)
     if pn.dims[:2] != (tree.dim_a, tree.dim_b):
         raise InvalidProtocol(
             f"tree dims ({tree.dim_a}, {tree.dim_b}) do not match "
@@ -414,13 +409,10 @@ def dequantize(tree: InstrumentTree, d: Dist3) -> ClassicalProtocol:
     )
 
 
-def simulate_classical(
-    proto: ClassicalProtocol, d: Dist3, n: int = 1, caps: config.Caps | None = None
-) -> QState:
+def simulate_classical(proto: ClassicalProtocol, d: Dist3, n: int = 1) -> QState:
     """Forward-chain the protocol on ``d**n``; diagonal joint over (A',B',E,M)."""
-    if caps is None:
-        caps = config.load_caps()
-    pn = product_power(d, n, cap=caps.product_states)
+    caps = config.load_caps()
+    pn = product_power(d, n)
     if pn.dims[:2] != (proto.dim_a, proto.dim_b):
         raise InvalidProtocol(
             f"protocol dims ({proto.dim_a}, {proto.dim_b}) do not match "
@@ -446,58 +438,15 @@ def simulate_classical(
     return QState(np.diag(joint.ravel()), (proto.out_a, proto.out_b, dzn, len(hist)))
 
 
-def verify_equivalence(
-    tree: InstrumentTree, d: Dist3, n: int = 1, caps: config.Caps | None = None
-) -> float:
+def verify_equivalence(tree: InstrumentTree, d: Dist3, n: int = 1) -> float:
     """Trace distance between the dephased tree output and its classical twin."""
-    quantum = dephase_output(simulate_quantum(tree, d, n, caps=caps))
-    classical = simulate_classical(dequantize(tree, d), d, n, caps=caps)
+    quantum = dephase_output(simulate_quantum(tree, d, n))
+    classical = simulate_classical(dequantize(tree, d), d, n)
     return trace_distance(quantum, classical)
 
 
 # ---------------------------------------------------------------------------
 # tree constructors
-
-
-def _identity_kraus(dim: int) -> tuple[np.ndarray, ...]:
-    return (np.eye(dim, dtype=complex),)
-
-
-def trivial_tree(dim_a: int, dim_b: int) -> InstrumentTree:
-    """Zero rounds, identity leaves: the protocol that does nothing."""
-    return InstrumentTree(
-        rounds=0,
-        dim_a=dim_a,
-        dim_b=dim_b,
-        leaf_a={(): _identity_kraus(dim_a)},
-        leaf_b={(): _identity_kraus(dim_b)},
-    )
-
-
-def computational_announce_tree(dim_a: int, dim_b: int) -> InstrumentTree:
-    """Alice measures and broadcasts her symbol; Bob overwrites his with it.
-
-    Needs dim_b >= dim_a so Bob can store the announced value.  Round 2 is
-    a trivial single-outcome broadcast to keep the round count even.
-    """
-    if dim_b < dim_a:
-        raise InvalidProtocol(f"need dim_b >= dim_a, got ({dim_a}, {dim_b})")
-    eye_a = np.eye(dim_a, dtype=complex)
-    instruments: dict[History, tuple[tuple[np.ndarray, ...], ...]] = {
-        (): tuple((np.outer(eye_a[x], eye_a[x]),) for x in range(dim_a))
-    }
-    leaf_a: dict[History, tuple[np.ndarray, ...]] = {}
-    leaf_b: dict[History, tuple[np.ndarray, ...]] = {}
-    eye_b = np.eye(dim_b, dtype=complex)
-    for x in range(dim_a):
-        instruments[(x,)] = (_identity_kraus(dim_b),)
-        leaf_a[(x, 0)] = _identity_kraus(dim_a)
-        # Overwrite channel: every input goes to basis state x.
-        leaf_b[(x, 0)] = tuple(np.outer(eye_b[x], eye_b[j]) for j in range(dim_b))
-    return InstrumentTree(
-        rounds=2, dim_a=dim_a, dim_b=dim_b,
-        instruments=instruments, leaf_a=leaf_a, leaf_b=leaf_b,
-    )
 
 
 def _random_instrument(
@@ -532,17 +481,15 @@ def random_instrument_tree(
     if rounds < 0 or rounds % 2 != 0:
         raise InvalidProtocol(f"rounds must be even and >= 0, got {rounds}")
     instruments: dict[History, tuple[tuple[np.ndarray, ...], ...]] = {}
+
+    def expand(h: History, _) -> list[None]:
+        din = dim_a if len(h) % 2 == 0 else dim_b
+        instruments[h] = _random_instrument(rng, din, outcomes, kraus_each)
+        return [None] * outcomes
+
     leaf_a: dict[History, tuple[np.ndarray, ...]] = {}
     leaf_b: dict[History, tuple[np.ndarray, ...]] = {}
-    level: list[History] = [()]
-    for k in range(rounds):
-        nxt: list[History] = []
-        din = dim_a if k % 2 == 0 else dim_b
-        for h in level:
-            instruments[h] = _random_instrument(rng, din, outcomes, kraus_each)
-            nxt.extend(h + (m,) for m in range(outcomes))
-        level = nxt
-    for h in level:
+    for h, _ in _walk(rounds, None, expand):
         leaf_a[h] = _random_instrument(rng, dim_a, 1, kraus_each)[0]
         leaf_b[h] = _random_instrument(rng, dim_b, 1, kraus_each)[0]
     return InstrumentTree(

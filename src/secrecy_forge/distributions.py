@@ -21,7 +21,6 @@ from . import config
 from .errors import DimensionCapExceeded, InvalidChannel, InvalidDistribution
 
 __all__ = [
-    "Dist1",
     "Dist2",
     "Dist3",
     "Channel",
@@ -31,13 +30,9 @@ __all__ = [
     "joint_marginal",
     "mutual_information",
     "conditional_mutual_information",
-    "marginal",
-    "conditional_xy_given_z",
     "product_power",
     "apply_channel_z",
 ]
-
-_AXIS_NAMES = "xyz"
 
 
 def validate_pmf(p: np.ndarray, tol: float = config.VALIDATION_TOL) -> list[str]:
@@ -72,23 +67,6 @@ def _check(p: np.ndarray, ndim: int, tol: float) -> np.ndarray:
     if violations:
         raise InvalidDistribution("; ".join(violations))
     return _frozen(np.clip(arr, 0.0, None))
-
-
-@dataclass(frozen=True)
-class Dist1:
-    """Distribution of a single variable."""
-
-    p: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "p", _check(self.p, 1, config.VALIDATION_TOL))
-
-    @property
-    def dim(self) -> int:
-        return self.p.shape[0]
-
-    def entropy(self) -> float:
-        return entropy_bits(self.p)
 
 
 @dataclass(frozen=True)
@@ -246,34 +224,7 @@ def conditional_mutual_information(
 # structural operations
 
 
-def marginal(d: Dist3, keep: str) -> Dist1 | Dist2 | Dist3:
-    """Marginal onto a subset of {x, y, z}, e.g. keep="xy" or keep="z"."""
-    keep = keep.lower()
-    if not keep or any(c not in _AXIS_NAMES for c in keep) or len(set(keep)) != len(keep):
-        raise InvalidDistribution(f"bad marginal axes {keep!r}")
-    axes = tuple(_AXIS_NAMES.index(c) for c in sorted(keep, key=_AXIS_NAMES.index))
-    arr = joint_marginal(d.p, axes)
-    if arr.ndim == 1:
-        return Dist1(arr)
-    if arr.ndim == 2:
-        return Dist2(arr)
-    return Dist3(arr)
-
-
-def conditional_xy_given_z(
-    d: Dist3, z: int, support_eps: float = config.SUPPORT_EPS
-) -> Dist2:
-    """p(x, y | z) as a Dist2; requires p_Z(z) > support_eps."""
-    if not 0 <= z < d.dims[2]:
-        raise InvalidDistribution(f"z={z} outside alphabet of size {d.dims[2]}")
-    slice_ = d.p[:, :, z]
-    mass = float(slice_.sum())
-    if mass <= support_eps:
-        raise InvalidDistribution(f"conditioning on z={z} with p_Z(z)={mass!r}")
-    return Dist2(slice_ / mass)
-
-
-def product_power(d: Dist3, n: int, cap: int | None = None) -> Dist3:
+def product_power(d: Dist3, n: int) -> Dist3:
     """i.i.d. power p^(x^n, y^n, z^n); joint alphabet capped for safety.
 
     Composite symbols are mixed-radix encoded most-significant copy first,
@@ -281,8 +232,7 @@ def product_power(d: Dist3, n: int, cap: int | None = None) -> Dist3:
     """
     if n < 1:
         raise InvalidDistribution("power must be >= 1")
-    if cap is None:
-        cap = config.load_caps().product_states
+    cap = config.load_caps().product_states
     dx, dy, dz = d.dims
     total = (dx * dy * dz) ** n
     if total > cap:

@@ -14,22 +14,19 @@ the previous one; tests assert this chain elementwise.  Subsystem order
 is always (A, B, E), x major and z minor in flattened indices.
 
 Also here: the Eve-side classical extension sigma_{ABZbar} obtained by
-pushing Eve's symbol through a channel and dephasing, and the per-symbol
-block measurement that collapses A and B to their common block label.
+pushing Eve's symbol through a channel and dephasing.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
 from . import config
-from .common_info import maximal_common_partition
-from .distributions import Channel, Dist2, Dist3, conditional_xy_given_z
-from .errors import InvalidDistribution, SecrecyForgeError
+from .distributions import Channel, Dist3
+from .errors import SecrecyForgeError
 from .qlinalg import PureState, QState
 
 __all__ = [
@@ -39,8 +36,6 @@ __all__ = [
     "embed_ccq",
     "embed_ccc",
     "extension_sigma",
-    "BlockMeasurement",
-    "omega_measurement",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -88,7 +83,7 @@ class PhaseAssignment:
                 if isinstance(e["phi"], bool) or not isinstance(e["phi"], (int, float)):
                     raise ValueError("phi must be a number")
                 phi[key] = e["phi"]
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise SecrecyForgeError(f"bad phase entry {e!r} ({exc})") from exc
         return cls(phi)
 
@@ -183,69 +178,3 @@ def extension_sigma(
         sel = range(zbar, n * dzbar, dzbar)
         rho[np.ix_(sel, sel)] = block
     return QState(rho, (dx, dy, dzbar))
-
-
-@dataclass(frozen=True)
-class BlockMeasurement:
-    """Local block-label measurements for one degraded Eve symbol.
-
-    Alice maps x to the block label of the conditional p_{XY|Zbar=zbar};
-    Bob maps y likewise.  Applying both to the corresponding sigma block
-    (after dephasing) yields a diagonal state with entries p(j|zbar).
-    """
-
-    zbar: int
-    x_to_block: Mapping[int, int]
-    y_to_block: Mapping[int, int]
-    n_blocks: int
-
-    def apply(self, sigma_block: QState) -> QState:
-        """Omega_A (x) Omega_B on a bipartite state over (A, B)."""
-        if len(sigma_block.dims) != 2:
-            raise SecrecyForgeError("block measurement expects a bipartite state")
-        dx, dy = sigma_block.dims
-        diag = np.real(np.diag(sigma_block.rho)).reshape(dx, dy)
-        out = np.zeros((self.n_blocks, self.n_blocks))
-        for x in range(dx):
-            j = self.x_to_block.get(x)
-            if j is None:
-                continue
-            for y in range(dy):
-                k = self.y_to_block.get(y)
-                if k is not None:
-                    out[j, k] += diag[x, y]
-        total = out.sum()
-        if abs(total - 1.0) > 1e-9:
-            raise InvalidDistribution(
-                f"state mass {total} escaped the block support; wrong zbar?"
-            )
-        rho = np.diag(out.ravel() / total).astype(complex)
-        return QState(rho, (self.n_blocks, self.n_blocks))
-
-    def to_json(self) -> dict:
-        return {
-            "zbar": self.zbar,
-            "x_to_block": {str(k): v for k, v in sorted(self.x_to_block.items())},
-            "y_to_block": {str(k): v for k, v in sorted(self.y_to_block.items())},
-            "n_blocks": self.n_blocks,
-        }
-
-
-def omega_measurement(
-    d: Dist3,
-    ch: Channel,
-    zbar: int,
-    support_eps: float = config.SUPPORT_EPS,
-) -> BlockMeasurement:
-    """Block-projection maps for p_{XY|Zbar=zbar} after the channel."""
-    from .distributions import apply_channel_z
-
-    dbar = apply_channel_z(d, ch)
-    cond = conditional_xy_given_z(dbar, zbar, support_eps)
-    part = maximal_common_partition(Dist2(cond.p), support_eps)
-    return BlockMeasurement(
-        zbar=zbar,
-        x_to_block=part.block_of_x,
-        y_to_block=part.block_of_y,
-        n_blocks=len(part),
-    )

@@ -2,9 +2,10 @@
 
 Every loader raises UsageError on malformed input so the CLI can map the
 whole family to exit code 2; integer fields take JSON integers only and
-number fields JSON numbers only, never booleans or strings.  ``json_text``
-(the CLI's envelopes) rounds floats to 12 significant digits, which keeps
-golden files stable across platforms without hiding real numeric drift.
+number fields JSON numbers that convert to finite floats only, never
+booleans or strings.  ``json_text`` (the CLI's envelopes) rounds floats to
+12 significant digits, which keeps golden files stable across platforms
+without hiding real numeric drift.
 ``dump_json`` writes input files and keeps every digit (Python's shortest
 repr), so a pmf reads back bitwise.
 """
@@ -108,11 +109,19 @@ def _require(cond: bool, path: str | Path, msg: str) -> None:
         raise UsageError(f"{path}: {msg}")
 
 
+def _number(val: Any) -> bool:
+    """True for a JSON number that converts to a finite float; booleans are not numbers."""
+    try:
+        return type(val) in (int, float) and math.isfinite(val)
+    except OverflowError:  # an integer too large for a float
+        return False
+
+
 def _only_numbers(val: Any) -> bool:
-    """True for a JSON number, or nested lists of them; booleans are not numbers."""
+    """True for a ``_number`` or nested lists of them."""
     if isinstance(val, list):
         return all(_only_numbers(v) for v in val)
-    return type(val) in (int, float)
+    return _number(val)
 
 
 def _int_list(doc: Any, path: str | Path, key: str, length: int | None = None) -> list[int]:
@@ -138,7 +147,7 @@ def load_dist(path: str | Path) -> Dist3:
     _require(isinstance(doc, dict), path, "top level must be an object")
     dims = _int_list(doc, path, "dims", 3)
     if "p" in doc:
-        _require(_only_numbers(doc["p"]), path, "'p' must hold JSON numbers only")
+        _require(_only_numbers(doc["p"]), path, "'p' must hold finite numbers only")
         try:
             p = np.asarray(doc["p"], dtype=float)
         except (TypeError, ValueError) as exc:
@@ -159,7 +168,7 @@ def load_dist(path: str | Path) -> Dist3:
                 raise UsageError(f"{path}: bad entry {e!r}") from exc
             ok = all(type(k) is int and 0 <= k < n for k, n in zip(key, dims))
             _require(ok, path, f"entry {e!r}: x, y, z must be integers inside {dims}")
-            _require(type(val) in (int, float), path, f"entry {e!r}: p must be a number")
+            _require(_number(val), path, f"entry {e!r}: p must be a finite number")
             _require(key not in seen, path, f"duplicate entry at {key}")
             seen.add(key)
             p[key] = val

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 from typing import Sequence
 
 import numpy as np
@@ -22,7 +21,6 @@ from .errors import DimensionCapExceeded, InvalidState, SecrecyForgeError
 __all__ = [
     "QState",
     "PureState",
-    "tensor",
     "partial_trace",
     "dephase",
     "von_neumann_entropy",
@@ -100,15 +98,6 @@ class PureState:
 
     def density(self) -> QState:
         return QState(np.outer(self.amp, self.amp.conj()), self.dims)
-
-
-def tensor(*states: QState) -> QState:
-    """Tensor product in the order given."""
-    if not states:
-        raise SecrecyForgeError("tensor() needs at least one state")
-    rho = reduce(np.kron, (s.rho for s in states))
-    dims = tuple(d for s in states for d in s.dims)
-    return QState(rho, dims)
 
 
 def _subsystem_letters(n: int) -> tuple[list[str], list[str]]:

@@ -393,13 +393,38 @@ class TestExitCodes:
             cli.run(["frobnicate"])
         assert info.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["classify", "--dist", "dist"],
+        ["commoninfo", "--dist", "dist"],
+        ["keyrate", "--dist", "dist"],
+        ["embed", "--dist", "lemma_dist", "--kind", "qqq"],
+        ["measures", "--state", "state", "--which", "neg"],
+        ["chain", "--dist", "dist"],
+        ["dequantize-check", "--tree", "tree", "--dist", "small_dist"],
+        ["reproduce", "thm6a"],
+        ["reproduce", "thm7d"],
+        ["reproduce", "table1"],
+        ["reproduce", "table2"],
+    ], ids=lambda argv: "-".join(a for a in argv[:2] if not a.startswith("-")))
+    def test_negative_seed_is_usage(self, capsys, files, argv):
+        # numpy's generators refuse negative seeds; the parser refuses
+        # them for every command, not only those that draw numbers
+        argv = [files.get(a, a) for a in argv]
+        with pytest.raises(SystemExit) as info:
+            cli.run(argv + ["--seed", "-1"])
+        assert info.value.code == 2
+        assert "--seed" in capsys.readouterr().err
 
-def test_every_exported_name_resolves():
-    modules = [secrecy_forge] + [
+
+def _package_modules() -> list:
+    return [secrecy_forge] + [
         importlib.import_module(f"secrecy_forge.{info.name}")
         for info in pkgutil.iter_modules(secrecy_forge.__path__)
     ]
-    for mod in modules:
+
+
+def test_every_exported_name_resolves():
+    for mod in _package_modules():
         missing = [name for name in getattr(mod, "__all__", ())
                    if not hasattr(mod, name)]
         assert not missing, (mod.__name__, missing)
@@ -436,3 +461,35 @@ def test_every_import_is_read():
                   and any(getattr(t, "id", None) == "__all__" for t in node.targets)):
                 read |= set(ast.literal_eval(node.value))
         assert not imported - read, (path.name, sorted(imported - read))
+
+
+def test_every_exported_name_has_a_caller():
+    # a name in __all__ must be read by the package, the benchmark or the
+    # scripts; reads inside the name's own definition and reads by tests
+    # do not count
+    read: set[str] = set()
+
+    def visit(node: ast.AST, enclosing: frozenset[str]) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            enclosing = enclosing | {node.name}
+        name = None
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        if name is not None and name not in enclosing:
+            read.add(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, enclosing)
+
+    root = Path(secrecy_forge.__file__).parents[2]
+    for folder in ("src", "bench", "scripts"):
+        for path in sorted((root / folder).rglob("*.py")):
+            visit(ast.parse(path.read_text(encoding="utf-8")), frozenset())
+    unread = [
+        f"{mod.__name__}.{name}"
+        for mod in _package_modules()
+        for name in getattr(mod, "__all__", ())
+        if name not in read
+    ]
+    assert not unread, unread

@@ -148,11 +148,12 @@ def test_shared_blocks_reuse_labels():
 def test_label_lookups_agree_between_sides(make_dist):
     d = make_dist((3, 3, 2), sparsity=0.4)
     ccf = conditional_common_function(d)
-    for z in ccf.per_z:
+    for z, part in ccf.per_z.items():
         for x in range(3):
             for y in range(3):
                 if d.p[x, y, z] > 1e-12:
-                    assert ccf.label_of_xz(x, z) == ccf.label_of_yz(y, z)
+                    assert (ccf.global_labels[(z, part.block_of_x[x])]
+                            == ccf.global_labels[(z, part.block_of_y[y])])
 
 
 def test_null_flags_are_skipped():

@@ -5,16 +5,13 @@ import hashlib
 import numpy as np
 import pytest
 
-from secrecy_forge.config import Caps
 from secrecy_forge.dequantize import (
     InstrumentTree,
-    computational_announce_tree,
     dephase_output,
     dequantize,
     random_instrument_tree,
     simulate_classical,
     simulate_quantum,
-    trivial_tree,
     verify_equivalence,
 )
 from secrecy_forge.distributions import Dist3
@@ -36,6 +33,44 @@ def projective_announce_tree() -> InstrumentTree:
         instruments={(): proj, (0,): ((EYE,),), (1,): ((EYE,),)},
         leaf_a={(0, 0): (EYE,), (1, 0): (EYE,)},
         leaf_b={(0, 0): (EYE,), (1, 0): (EYE,)},
+    )
+
+
+def _identity_kraus(dim: int) -> tuple[np.ndarray, ...]:
+    return (np.eye(dim, dtype=complex),)
+
+
+def trivial_tree(dim_a: int, dim_b: int) -> InstrumentTree:
+    """Zero rounds, identity leaves: the protocol that does nothing."""
+    return InstrumentTree(
+        rounds=0,
+        dim_a=dim_a,
+        dim_b=dim_b,
+        leaf_a={(): _identity_kraus(dim_a)},
+        leaf_b={(): _identity_kraus(dim_b)},
+    )
+
+
+def computational_announce_tree(dim_a: int, dim_b: int) -> InstrumentTree:
+    """Alice measures and broadcasts her symbol; Bob overwrites his with it.
+
+    Needs dim_b >= dim_a so Bob can store the announced value.  Round 2 is
+    a trivial single-outcome broadcast to keep the round count even.
+    """
+    if dim_b < dim_a:
+        raise InvalidProtocol(f"need dim_b >= dim_a, got ({dim_a}, {dim_b})")
+    eye_a = np.eye(dim_a, dtype=complex)
+    instruments = {(): tuple((np.outer(eye_a[x], eye_a[x]),) for x in range(dim_a))}
+    leaf_a, leaf_b = {}, {}
+    eye_b = np.eye(dim_b, dtype=complex)
+    for x in range(dim_a):
+        instruments[(x,)] = (_identity_kraus(dim_b),)
+        leaf_a[(x, 0)] = _identity_kraus(dim_a)
+        # Overwrite channel: every input goes to basis state x.
+        leaf_b[(x, 0)] = tuple(np.outer(eye_b[x], eye_b[j]) for j in range(dim_b))
+    return InstrumentTree(
+        rounds=2, dim_a=dim_a, dim_b=dim_b,
+        instruments=instruments, leaf_a=leaf_a, leaf_b=leaf_b,
     )
 
 
@@ -180,11 +215,11 @@ class TestValidation:
         with pytest.raises(InvalidProtocol):
             simulate_quantum(trivial_tree(3, 3), make_dist((2, 2, 2)))
 
-    def test_caps_bound_the_output_block(self, rng, make_dist):
+    def test_caps_bound_the_output_block(self, rng, make_dist, monkeypatch):
         tree = random_instrument_tree(2, 2, rounds=2, outcomes=2, rng=rng)
-        tight = Caps(product_states=4096, rho_dim=4, branch_terms=10**6)
+        monkeypatch.setenv("SECRECY_FORGE_CAPS", '{"rho_dim": 4}')
         with pytest.raises(DimensionCapExceeded):
-            simulate_quantum(tree, make_dist((2, 2, 2)), caps=tight)
+            simulate_quantum(tree, make_dist((2, 2, 2)))
 
 
 def _digest(*arrays: np.ndarray) -> str:

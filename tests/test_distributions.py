@@ -11,15 +11,12 @@ from hypothesis import strategies as st
 
 from secrecy_forge.distributions import (
     Channel,
-    Dist2,
     Dist3,
     apply_channel_z,
     binary_entropy,
     conditional_mutual_information,
-    conditional_xy_given_z,
     entropy_bits,
     joint_marginal,
-    marginal,
     mutual_information,
     product_power,
 )
@@ -156,35 +153,12 @@ def test_entropy_bounds(p):
 
 
 # ---------------------------------------------------------------------------
-# marginals and conditionals
-
-
-def test_marginal_axes(make_dist):
-    d = make_dist((3, 2, 4), sparsity=0.2)
-    np.testing.assert_allclose(marginal(d, "x").p, d.p.sum(axis=(1, 2)), atol=1e-15)
-    np.testing.assert_allclose(marginal(d, "xy").p, d.p.sum(axis=2), atol=1e-15)
-    np.testing.assert_allclose(marginal(d, "yz").p, d.p.sum(axis=0), atol=1e-15)
+# marginals
 
 
 def test_joint_marginal_groups(make_dist):
     d = make_dist((2, 3, 2))
     np.testing.assert_allclose(joint_marginal(d.p, (0, 2)), d.p.sum(axis=1))
-
-
-def test_conditional_given_z(make_dist):
-    d = make_dist((3, 3, 2))
-    c = conditional_xy_given_z(d, 1)
-    assert isinstance(c, Dist2)
-    pz = d.p.sum(axis=(0, 1))[1]
-    np.testing.assert_allclose(c.p, d.p[:, :, 1] / pz, atol=1e-14)
-
-
-def test_conditional_on_null_flag_raises():
-    p = np.zeros((2, 2, 2))
-    p[:, :, 0] = 0.25
-    d = Dist3(p)
-    with pytest.raises(InvalidDistribution):
-        conditional_xy_given_z(d, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -212,10 +186,11 @@ def test_product_power_identity():
     np.testing.assert_allclose(product_power(d, 1).p, d.p)
 
 
-def test_product_power_cap():
+def test_product_power_cap(monkeypatch):
+    monkeypatch.setenv("SECRECY_FORGE_CAPS", '{"product_states": 1000}')
     d = Dist3(np.full((2, 2, 2), 0.125))
     with pytest.raises(DimensionCapExceeded):
-        product_power(d, 5, cap=1000)
+        product_power(d, 5)
 
 
 def test_apply_channel_z_oracle(make_dist):

@@ -1,4 +1,4 @@
-"""Embeddings: amplitudes, the dephasing chain, extensions, block measurements."""
+"""Embeddings: amplitudes, the dephasing chain, extensions."""
 
 from __future__ import annotations
 
@@ -15,11 +15,9 @@ from secrecy_forge.embeddings import (
     embed_cqq,
     embed_qqq,
     extension_sigma,
-    omega_measurement,
 )
 from secrecy_forge.errors import SecrecyForgeError
-from secrecy_forge.keyrates import two_block_uniform_example
-from secrecy_forge.qlinalg import QState, dephase, partial_trace, trace_distance
+from secrecy_forge.qlinalg import dephase, partial_trace, trace_distance
 
 
 def random_phases(rng, dims) -> PhaseAssignment:
@@ -144,36 +142,3 @@ def test_extension_channel_dim_mismatch(make_dist):
     d = make_dist((2, 2, 3))
     with pytest.raises(SecrecyForgeError):
         extension_sigma(d, Channel.identity(2))
-
-
-# ---------------------------------------------------------------------------
-# block measurements
-
-
-def test_omega_measurement_on_two_block_instance():
-    d = two_block_uniform_example()
-    meas = omega_measurement(d, Channel.identity(2), zbar=0)
-    assert meas.n_blocks == 2
-    assert meas.x_to_block == {0: 0, 1: 1}
-    assert meas.y_to_block == {0: 0, 1: 1}
-
-    sigma = extension_sigma(d, Channel.identity(2))
-    r = sigma.rho.reshape(4, 4, 2, 4, 4, 2)
-    block = r[:, :, 0, :, :, 0].reshape(16, 16)
-    pz = float(np.real(np.trace(block)))
-    branch = QState(block / pz, (4, 4))
-    out = meas.apply(dephase(dephase(branch, 0), 1))
-    np.testing.assert_allclose(
-        np.real(np.diag(out.rho)), [0.5, 0.0, 0.0, 0.5], atol=1e-12
-    )
-
-
-def test_omega_measurement_rejects_foreign_mass():
-    d = two_block_uniform_example()
-    meas = omega_measurement(d, Channel.identity(2), zbar=0)
-    sigma = extension_sigma(d, Channel.identity(2))
-    r = sigma.rho.reshape(4, 4, 2, 4, 4, 2)
-    wrong = r[:, :, 1, :, :, 1].reshape(16, 16)
-    pz = float(np.real(np.trace(wrong)))
-    with pytest.raises(SecrecyForgeError):
-        meas.apply(QState(wrong / pz, (4, 4)))

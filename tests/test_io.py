@@ -322,9 +322,20 @@ def test_integer_fields_reject_non_integers(tmp_path, kind, where, value):
     ("state", ("re", 0, 1), False),
     ("state", ("im",), [[0, False], [False, 0]]),
     ("tree", ("leaf_a", "", 0, "re", 0, 0), "1"),
-])
+    ("dist", ("p", 0, 0, 0), 10**400),
+    ("dist", ("p", 0, 0, 0), math.nan),
+    ("sparse", ("entries", 0, "p"), 10**400),
+    ("sparse", ("entries", 0, "p"), math.inf),
+    ("phases", ("entries", 0, "phi"), 10**400),
+    ("phases", ("entries", 0, "phi"), -math.inf),
+    ("state", ("re", 0, 0), 10**400),
+    ("state", ("im",), [[0, 10**400], [-(10**400), 0]]),
+    ("tree", ("leaf_a", "", 0, "re", 0, 0), 10**400),
+    ("tree", ("leaf_a", "", 0, "re", 0, 0), math.nan),
+], ids=lambda v: "huge" if type(v) is int and v > 2**1024 else None)
 def test_number_fields_reject_non_numbers(tmp_path, kind, where, value):
-    # float() would read each value as a valid number
+    # float() would read the strings and booleans as valid numbers; the
+    # rest do not convert to a finite float (json writes NaN and Infinity)
     with pytest.raises(UsageError):
         _load_with(tmp_path, kind, where, value)
 

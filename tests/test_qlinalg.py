@@ -14,7 +14,6 @@ from secrecy_forge.qlinalg import (
     cond_mutual_info_q,
     dephase,
     partial_trace,
-    tensor,
     trace_distance,
     von_neumann_entropy,
 )
@@ -80,21 +79,13 @@ def test_state_matrix_frozen():
 
 
 # ---------------------------------------------------------------------------
-# tensor and partial trace
-
-
-def test_tensor_orders_dims(make_density):
-    a = make_density((2,))
-    b = make_density((3,))
-    t = tensor(a, b)
-    assert t.dims == (2, 3)
-    np.testing.assert_allclose(t.rho, np.kron(a.rho, b.rho), atol=1e-14)
+# partial trace
 
 
 def test_partial_trace_recovers_factors(make_density):
     a = make_density((2,))
     b = make_density((3,))
-    t = tensor(a, b)
+    t = QState(np.kron(a.rho, b.rho), (2, 3))
     np.testing.assert_allclose(partial_trace(t, (0,)).rho, a.rho, atol=1e-12)
     np.testing.assert_allclose(partial_trace(t, (1,)).rho, b.rho, atol=1e-12)
 
@@ -102,7 +93,7 @@ def test_partial_trace_recovers_factors(make_density):
 def test_partial_trace_reorders_as_listed(make_density):
     a = make_density((2,))
     b = make_density((3,))
-    t = tensor(a, b)
+    t = QState(np.kron(a.rho, b.rho), (2, 3))
     swapped = partial_trace(t, (1, 0))
     assert swapped.dims == (3, 2)
     np.testing.assert_allclose(swapped.rho, np.kron(b.rho, a.rho), atol=1e-12)
