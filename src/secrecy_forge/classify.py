@@ -62,7 +62,7 @@ YES = "yes"
 NO = "no"
 INCONCLUSIVE = "inconclusive"
 
-# Channels tried by the UBI-PD-down search and the coarse-graining bound:
+# Channels tried by the UBI-PD-down search and the coarse-graining ceiling:
 # Bell(5) = 52 fits, so Eve alphabets of up to five symbols are searched in full.
 CHANNEL_BUDGET = 64
 
@@ -259,6 +259,12 @@ def set_partitions(n: int) -> Iterator[tuple[int, ...]]:
     yield from extend([0], 0)
 
 
+def _degrade(d: Dist3, rgs: tuple[int, ...]) -> np.ndarray:
+    """d's pmf after the channel z -> rgs[z], bitwise ``apply_channel_z``'s
+    with ``Channel.deterministic(rgs)``, whose matrix this is."""
+    return np.einsum("xyz,zw->xyw", d.p, np.eye(max(rgs) + 1)[list(rgs)])
+
+
 @dataclass(frozen=True)
 class PDDownResult:
     """Outcome of the deterministic-channel search."""
@@ -269,6 +275,7 @@ class PDDownResult:
     reason: str
     certificate: PDCertificate | None = None
     extra_cmi: float | None = None
+    degraded_rate: float | None = None  # H(J|Zbar) of a found channel; not serialized
 
     def to_json(self) -> dict:
         out: dict = {"status": self.status, "tested": self.tested, "reason": self.reason}
@@ -339,14 +346,11 @@ def _block_gaps(
     dx, dy, dz = d.dims
     q = np.zeros((dx, dy, len(channels), dz))
     support = np.zeros(q.shape, dtype=bool)
-    eye = np.eye(dz)
     for i, rgs in enumerate(channels):
-        k = max(rgs) + 1
-        # the same matrix as Channel.deterministic(rgs).k
-        qi = np.einsum("xyz,zw->xyw", d.p, eye[:k, :k][list(rgs)])
+        qi = _degrade(d, rgs)
         zbar_probs = qi.sum(axis=(0, 1))
         zs = np.flatnonzero(zbar_probs > support_eps)
-        q[:, :, i, :k] = qi
+        q[:, :, i, : qi.shape[2]] = qi
         support[:, :, i, zs] = qi[:, :, zs] / zbar_probs[zs] > support_eps
     row_roots, col_roots = _component_roots(support)
     in_block = row_roots[:, None] == col_roots[None]
@@ -403,9 +407,23 @@ def is_ubi_pd_down(
             continue
         status, cert = _pd_canonical(dbar, tol, support_eps, ccf, maps)
         if status == YES:
-            return PDDownResult(YES, ch, tested, "channel found", cert, extra)
+            rate = ccf.block_entropy(dbar)
+            return PDDownResult(YES, ch, tested, "channel found", cert, extra, rate)
     reason = "budget exhausted" if cut else "search space exhausted"
     return PDDownResult(INCONCLUSIVE, None, len(channels), reason)
+
+
+def _coarse_graining_ceiling(d: Dist3) -> tuple[float, tuple[int, ...], int]:
+    """min over the search's channels of I(X:Y|Zbar), the first channel that
+    attains it, and the channel count.  A sound upper bound on the key rate
+    (the all-merge channel gives plain I(X:Y)), clamped at 0, where rounding
+    can leave a vanishing I(X:Y|Zbar) just below the interval's lower bound.
+    """
+    channels = list(itertools.islice(set_partitions(d.dims[2]), CHANNEL_BUDGET))
+    cmi = [conditional_mutual_information(_degrade(d, c), (0,), (1,), (2,))
+           for c in channels]
+    best = min(range(len(channels)), key=cmi.__getitem__)  # the first minimum
+    return max(cmi[best], 0.0), channels[best], len(channels)
 
 
 # ---------------------------------------------------------------------------
@@ -416,8 +434,9 @@ def is_ubi_pd_down(
 class ClassReport:
     """Verdicts for every class plus certificates and numeric diagnostics.
 
-    ``ccf`` (d's conditional common function) and ``channel`` (the certified
-    UBI-PD-down channel or None) are what classify built; not serialized.
+    ``ccf`` (d's conditional common function) and ``down`` (the UBI-PD-down
+    search result, with its channel and degraded rate) are what classify
+    built; not serialized.
     """
 
     bi: str
@@ -430,7 +449,7 @@ class ClassReport:
     diagnostics: dict = field(repr=False)
     tolerances: dict = field(repr=False)
     ccf: CondCommonFunction = field(repr=False)
-    channel: Channel | None = field(repr=False)
+    down: PDDownResult = field(repr=False)
 
     def __post_init__(self) -> None:
         if self.ubi == YES and (
@@ -526,6 +545,6 @@ def classify(
         },
         tolerances={"entropy": tol, "support": support_eps},
         ccf=ccf,
-        channel=down.channel,
+        down=down,
     )
     return report

@@ -29,7 +29,6 @@ __all__ = [
     "maximal_common_partition",
     "common_information",
     "conditional_common_function",
-    "cond_common_entropy",
 ]
 
 
@@ -212,9 +211,3 @@ def conditional_common_function(
     )
     return CondCommonFunction(per_z, labels, injective, z_probs, support)
 
-
-def cond_common_entropy(
-    d: Dist3, support_eps: float = config.SUPPORT_EPS
-) -> float:
-    """H of the per-z block label given Z: sum_z p(z) H(blocks of p(.,.|z))."""
-    return conditional_common_function(d, support_eps).block_entropy(d)

@@ -359,19 +359,6 @@ def dephase_output(state: QState) -> QState:
     return dephase(dephase(state, 0), 1)
 
 
-def _infer_copies(tree: InstrumentTree, d: Dist3) -> int:
-    dx, dy = d.dims[0], d.dims[1]
-    for n in range(1, 64):
-        if dx**n == tree.dim_a and dy**n == tree.dim_b:
-            return n
-        if dx**n > tree.dim_a and dy**n > tree.dim_b:
-            break
-    raise InvalidProtocol(
-        f"tree dims ({tree.dim_a}, {tree.dim_b}) are no i.i.d. power of "
-        f"distribution dims {d.dims[:2]}"
-    )
-
-
 def _ratio_rows(table: np.ndarray) -> np.ndarray:
     """Normalize rows to probabilities; zero-mass rows become uniform."""
     table = np.clip(table, 0.0, None)
@@ -381,15 +368,14 @@ def _ratio_rows(table: np.ndarray) -> np.ndarray:
     return out
 
 
-def dequantize(tree: InstrumentTree, d: Dist3) -> ClassicalProtocol:
-    """Extract the classical protocol with the same output law on ``d``.
+def dequantize(tree: InstrumentTree) -> ClassicalProtocol:
+    """Extract the classical protocol with the same output law on every incoherent input.
 
     Broadcast kernels are the trace ratios of the acting party's
     accumulated CP map on basis inputs; final channels are the normalized
     diagonals of the leaf states.  Rows conditioned on unreachable
     transcripts are set uniform; they never influence the output law.
     """
-    _infer_copies(tree, d)
     traces, fin_a, fin_b = _path_maps(tree)
     hist = tree.histories()
     kernels = {h: _ratio_rows(t) for h, t in traces.items()}
@@ -441,7 +427,7 @@ def simulate_classical(proto: ClassicalProtocol, d: Dist3, n: int = 1) -> QState
 def verify_equivalence(tree: InstrumentTree, d: Dist3, n: int = 1) -> float:
     """Trace distance between the dephased tree output and its classical twin."""
     quantum = dephase_output(simulate_quantum(tree, d, n))
-    classical = simulate_classical(dequantize(tree, d), d, n)
+    classical = simulate_classical(dequantize(tree), d, n)
     return trace_distance(quantum, classical)
 
 

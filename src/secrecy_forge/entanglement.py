@@ -29,11 +29,7 @@ from scipy.optimize import minimize
 from . import config
 from .distributions import binary_entropy
 from .errors import InvalidState, SecrecyForgeError
-from .qlinalg import (
-    QState,
-    partial_trace,
-    von_neumann_entropy,
-)
+from .qlinalg import QState, _spectrum_entropy, partial_trace, von_neumann_entropy
 
 __all__ = [
     "MeasureResult",
@@ -83,15 +79,9 @@ def _require_bipartite(dims: tuple[int, ...], what: str) -> tuple[int, int]:
     return dims[0], dims[1]
 
 
-def _entropy(w: np.ndarray) -> float:
-    """Entropy in bits of a spectrum; entries below 1e-12 count as zero."""
-    w = w[w > 1e-12]
-    return float(-(w * np.log2(w)).sum())
-
-
 def _schmidt_entropy(amp: np.ndarray, da: int, db: int) -> float:
     s = np.linalg.svd(amp.reshape(da, db), compute_uv=False)
-    return _entropy(s * s)
+    return _spectrum_entropy(s * s)
 
 
 _PAULI_YY = np.array(
@@ -471,10 +461,12 @@ def _rel_ent_bracket(
     t = r.reshape(da, db, da, db)
     ea, ua = np.linalg.eigh(np.einsum("ijkj->ik", t))
     eb, ub = np.linalg.eigh(np.einsum("ijil->jl", t))
-    floor = max(_entropy(ea), _entropy(eb)) - s_ab
+    floor = max(_spectrum_entropy(ea), _spectrum_entropy(eb)) - s_ab
     local = np.kron(ua, ub)
     local_diag = np.einsum("ki,kl,li->i", local.conj(), r, local).real
-    ceiling = min(_entropy(np.diag(r).real), _entropy(local_diag)) - s_ab
+    ceiling = (
+        min(_spectrum_entropy(np.diag(r).real), _spectrum_entropy(local_diag)) - s_ab
+    )
     return max(0.0, floor), max(0.0, ceiling)
 
 
@@ -507,7 +499,7 @@ def rel_ent_upper(
         raise SecrecyForgeError(f"dimension {d} exceeds optimizer cap {OPT_DIM_CAP}")
     k = 2 * d
     ew = np.linalg.eigvalsh(rho.rho)
-    s_ab = _entropy(ew)
+    s_ab = _spectrum_entropy(ew)
     if int((ew > 1e-12).sum()) == 1:
         ev, vec = np.linalg.eigh(rho.rho)
         floor = ceiling = _schmidt_entropy(vec[:, -1] * math.sqrt(ev[-1]), da, db)

@@ -20,6 +20,7 @@ from typing import Any, Callable
 
 import numpy as np
 
+from . import config
 from .dequantize import History, InstrumentTree
 from .distributions import Dist3
 from .embeddings import PhaseAssignment
@@ -109,6 +110,12 @@ def _require(cond: bool, path: str | Path, msg: str) -> None:
         raise UsageError(f"{path}: {msg}")
 
 
+def _cap_states(states: int, path: str | Path, what: str) -> None:
+    """Refuse declared dims that alone would drive an allocation past the cap."""
+    cap = config.load_caps().product_states
+    _require(states <= cap, path, f"{what} give {states} joint states, cap is {cap}")
+
+
 def _number(val: Any) -> bool:
     """True for a JSON number that converts to a finite float; booleans are not numbers."""
     try:
@@ -158,6 +165,7 @@ def load_dist(path: str | Path) -> Dist3:
     elif "entries" in doc:
         entries = doc["entries"]
         _require(isinstance(entries, list), path, "'entries' must be a list")
+        _cap_states(math.prod(dims), path, f"dims {dims}")
         p = np.zeros(dims)
         seen: set[tuple[int, int, int]] = set()
         for e in entries:
@@ -278,6 +286,7 @@ def load_tree(path: str | Path) -> InstrumentTree:
     _require(isinstance(doc, dict), path, "top level must be an object")
     for key in ("rounds", "dim_a", "dim_b"):
         _require(type(doc.get(key)) is int, path, f"'{key}' must be an integer")
+    _cap_states(doc["dim_a"] * doc["dim_b"], path, "dim_a * dim_b")
     for key in ("nodes", "leaf_a", "leaf_b"):
         _require(isinstance(doc.get(key), dict), path, f"'{key}' must be an object")
     instruments: dict[History, tuple[tuple[np.ndarray, ...], ...]] = {}

@@ -16,7 +16,6 @@ pinning logic checks block compatibility before applying them.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -24,26 +23,15 @@ import numpy as np
 
 from . import config
 from .classify import (
-    CHANNEL_BUDGET,
     YES,
     ClassReport,
     classify,
+    _coarse_graining_ceiling,
     _ubi_pd_certified,
     is_ubi_pd_down,
-    set_partitions,
 )
-from .common_info import (
-    CondCommonFunction,
-    cond_common_entropy,
-    conditional_common_function,
-)
-from .distributions import (
-    Channel,
-    Dist3,
-    apply_channel_z,
-    conditional_mutual_information,
-    mutual_information,
-)
+from .common_info import CondCommonFunction, conditional_common_function
+from .distributions import Channel, Dist3, mutual_information
 from .embeddings import (
     PhaseAssignment,
     embed_ccq,
@@ -156,25 +144,6 @@ def one_sided_coherence_example() -> tuple[Dist3, PhaseAssignment]:
 # class-conditional key rates
 
 
-def _coarse_graining_bound(d: Dist3) -> tuple[float, tuple[int, ...], int]:
-    """min over the first ``CHANNEL_BUDGET`` deterministic channels on Z of
-    I(X:Y|Zbar); sound upper bound on the key rate (the all-merge channel
-    gives plain I(X:Y)).
-
-    The bound is clamped at 0, where rounding can leave a vanishing
-    I(X:Y|Zbar) just below the interval's lower bound."""
-    best = math.inf
-    best_rgs: tuple[int, ...] = ()
-    channels = list(itertools.islice(set_partitions(d.dims[2]), CHANNEL_BUDGET))
-    for rgs in channels:
-        dbar = apply_channel_z(d, Channel.deterministic(rgs))
-        val = conditional_mutual_information(dbar.p, (0,), (1,), (2,))
-        if val < best:
-            best = val
-            best_rgs = rgs
-    return max(best, 0.0), best_rgs, len(channels)
-
-
 def kd_class(
     d: Dist3,
     report: ClassReport | None = None,
@@ -189,20 +158,20 @@ def kd_class(
     upper bound and ``diagnostics`` the certified interval.
 
     A report (classify's on d) supplies the verdict, conditional common
-    function, channel and support tolerance.  Without one only what the
-    value needs is computed, along the class chain: UBI, then the canonical
+    function and channel search result.  Without one only what the value
+    needs is computed, along the class chain: UBI, then the canonical
     protocol, and the channel search only when neither certifies UBI-PD;
-    the result equals that with ``report=classify(d, tol, support_eps)``,
-    and both search at most ``CHANNEL_BUDGET`` channels.
+    the result equals that with ``report=classify(d, tol, support_eps)``.
+    The search supplies the degraded rate, and the upper bound is taken
+    over the channels it searches.
     """
     if report is None:
         ccf = conditional_common_function(d, support_eps)
         pd = _ubi_pd_certified(d, ccf, tol, support_eps)
-        ch = None if pd else is_ubi_pd_down(d, tol, support_eps).channel
+        down = None if pd else is_ubi_pd_down(d, tol, support_eps)
     else:
-        ccf, ch = report.ccf, report.channel
+        ccf, down = report.ccf, report.down
         pd = report.ubi_pd == YES
-        support_eps = report.tolerances["support"]
     if pd:
         return MeasureResult(
             name="K_D",
@@ -211,17 +180,15 @@ def kd_class(
             method="common-block-entropy",
             diagnostics={"class": "ubi_pd"},
         )
-    if ch is not None:
-        dbar = apply_channel_z(d, ch)
-        value = cond_common_entropy(dbar, support_eps)
+    if down.channel is not None:
         return MeasureResult(
             name="K_D",
-            value=value,
+            value=down.degraded_rate,
             kind="exact",
             method="common-block-entropy-degraded",
-            diagnostics={"class": "ubi_pd_down", "channel": ch.assignment()},
+            diagnostics={"class": "ubi_pd_down", "channel": down.channel.assignment()},
         )
-    upper, rgs, tested = _coarse_graining_bound(d)
+    upper, rgs, tested = _coarse_graining_ceiling(d)
     return MeasureResult(
         name="K_D",
         value=upper,
@@ -381,7 +348,7 @@ def verify_chain(
     measures["E_F_numeric"] = ef
     if rho_ab.dims == (2, 2):
         measures["E_F_2q"] = eof_2q(rho_ab)
-    ch = report.channel or Channel.identity(d.dims[2])
+    ch = report.down.channel or Channel.identity(d.dims[2])
     esq = esq_classical_extension_bound(extension_sigma(d, ch, phases, support_eps))
     measures["E_sq_bound"] = esq
     er = rel_ent_upper(rho_ab, restarts=er_restarts, seed=seed, tol=tol)
@@ -516,7 +483,7 @@ def advantage_report(
     )
     measures["E_sq_bound_identity"] = esq_id
     uppers.append(esq_id.value)
-    cert = report.channel
+    cert = report.down.channel
     if cert is not None and not np.array_equal(
         cert.k, Channel.identity(d.dims[2]).k
     ):

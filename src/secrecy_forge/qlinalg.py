@@ -139,13 +139,18 @@ def dephase(state: QState, subsystem: int) -> QState:
     return QState(r.reshape(state.dim, state.dim), state.dims)
 
 
+def _spectrum_entropy(w: np.ndarray) -> float:
+    """Entropy in bits of a spectrum; entries below 1e-12 count as zero."""
+    w = w[w > EIG_CLIP]
+    return float(-(w * np.log2(w)).sum())
+
+
 def von_neumann_entropy(state: QState) -> float:
     """S(rho) in bits; eigenvalues below 1e-12 count as zero."""
     w = np.linalg.eigvalsh(state.rho)
     if w.min() < EIG_NEGATIVE_ERROR:
         raise InvalidState(f"negative eigenvalue {w.min():.3e}")
-    w = w[w > EIG_CLIP]
-    return float(-(w * np.log2(w)).sum())
+    return _spectrum_entropy(w)
 
 
 def trace_distance(a: QState, b: QState) -> float:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,14 +12,21 @@ from hypothesis import strategies as st
 
 from secrecy_forge import config
 from secrecy_forge.classify import (
+    CHANNEL_BUDGET,
     PREFILTER_MARGIN,
     _block_gaps,
+    _coarse_graining_ceiling,
     classify,
     cmi_xy_given_blocks,
     set_partitions,
 )
 from secrecy_forge.common_info import conditional_common_function
-from secrecy_forge.distributions import Channel, Dist3, apply_channel_z
+from secrecy_forge.distributions import (
+    Channel,
+    Dist3,
+    apply_channel_z,
+    conditional_mutual_information,
+)
 from secrecy_forge.keyrates import (
     binary_eve_family,
     independent_eve_example,
@@ -258,9 +268,10 @@ def test_classification_is_deterministic(make_dist):
 
 
 @st.composite
-def small_dist3(draw):
+def small_dist3(draw, max_z=4):
     """Sparse integer weights: every class of the chain turns up often."""
-    dims = (draw(st.integers(2, 3)), draw(st.integers(2, 3)), draw(st.integers(1, 4)))
+    dims = (draw(st.integers(2, 3)), draw(st.integers(2, 3)),
+            draw(st.integers(1, max_z)))
     n = int(np.prod(dims))
     weight = st.sampled_from((0, 0, 0, 1, 2))
     w = np.array(draw(st.lists(weight, min_size=n, max_size=n)), float)
@@ -286,3 +297,23 @@ def test_prefilter_rejects_only_channels_the_exact_test_rejects(d):
         assert abs(gap - exact) <= 1e-12
         if gap > tol + PREFILTER_MARGIN:
             assert exact > tol
+
+
+def _channel_loop_ceiling(d):
+    """I(X:Y|Zbar) through each budgeted channel via apply_channel_z; the
+    first minimum, clamped at 0, its channel and the channel count."""
+    best, best_rgs = math.inf, ()
+    channels = list(itertools.islice(set_partitions(d.dims[2]), CHANNEL_BUDGET))
+    for rgs in channels:
+        dbar = apply_channel_z(d, Channel.deterministic(rgs))
+        val = conditional_mutual_information(dbar.p, (0,), (1,), (2,))
+        if val < best:
+            best, best_rgs = val, rgs
+    return max(best, 0.0), best_rgs, len(channels)
+
+
+@settings(max_examples=80)
+@given(small_dist3(max_z=6))
+def test_coarse_graining_ceiling_equals_the_channel_loop(d):
+    # |Z| = 6 has 203 partitions, so the budget cuts the enumeration
+    assert _coarse_graining_ceiling(d) == _channel_loop_ceiling(d)

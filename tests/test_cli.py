@@ -388,6 +388,25 @@ class TestExitCodes:
         capsys.readouterr()
         assert cli.run(["reproduce", "thm7d", "--tol.chain", "1e-30"]) == 1
 
+    def test_sparse_dims_past_the_cap_are_usage(self, capsys, tmp_path):
+        # the declared dims alone would ask numpy for 7 PiB
+        path = tmp_path / "huge.json"
+        dump_json({"dims": [100000] * 3, "entries": []}, path)
+        assert cli.run(["classify", "--dist", str(path)]) == 2
+        assert "cap is 4096" in capsys.readouterr().err
+
+    def test_tree_dims_past_the_cap_are_usage(self, capsys, files, tmp_path,
+                                              monkeypatch):
+        # a valid 17x1 tree, refused before its Kraus operators are read
+        monkeypatch.setenv("SECRECY_FORGE_CAPS", '{"product_states": 16}')
+        path = tmp_path / "wide.json"
+        dump_json({"rounds": 0, "dim_a": 17, "dim_b": 1, "nodes": {},
+                   "leaf_a": {"": [{"re": np.eye(17)}]},
+                   "leaf_b": {"": [{"re": [[1.0]]}]}}, path)
+        assert cli.run(["dequantize-check", "--tree", str(path),
+                        "--dist", files["small_dist"]]) == 2
+        assert "cap is 16" in capsys.readouterr().err
+
     def test_unknown_command_exits_two(self, capsys):
         with pytest.raises(SystemExit) as info:
             cli.run(["frobnicate"])
@@ -432,13 +451,29 @@ def test_every_exported_name_resolves():
 
 def test_only_classify_reads_certificates():
     # the certificate format is classify's own: other modules take the
-    # objects a ClassReport carries (ccf, channel), not its JSON
+    # objects a ClassReport carries (ccf, down), not its JSON
     src = Path(secrecy_forge.__file__).parent
     readers = sorted(
         path.name
         for path in src.glob("*.py")
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if isinstance(node, ast.Attribute) and node.attr == "certificates"
+    )
+    assert set(readers) <= {"classify.py"}, readers
+
+
+def test_only_classify_reads_the_channel_set():
+    # the channels Eve's symbol is degraded through are enumerated in one
+    # place, which both the UBI-PD-down search and the key-rate ceiling use
+    names = {"set_partitions", "CHANNEL_BUDGET"}
+    src = Path(secrecy_forge.__file__).parent
+    readers = sorted(
+        path.name
+        for path in src.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if (isinstance(node, ast.Name) and node.id in names)
+        or (isinstance(node, ast.Attribute) and node.attr in names)
+        or (isinstance(node, ast.alias) and node.name in names)
     )
     assert set(readers) <= {"classify.py"}, readers
 

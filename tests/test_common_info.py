@@ -8,7 +8,6 @@ import numpy as np
 
 from secrecy_forge.common_info import (
     common_information,
-    cond_common_entropy,
     conditional_common_function,
     maximal_common_partition,
 )
@@ -120,7 +119,7 @@ def test_two_block_instance_labels():
     assert all(len(part) == 2 for part in ccf.per_z.values())
     assert ccf.per_z_injective
     assert ccf.n_labels == 4
-    assert abs(cond_common_entropy(d) - 1.0) < 1e-12
+    assert abs(ccf.block_entropy(d) - 1.0) < 1e-12
 
 
 def test_one_sided_example_blocks_entangle_labels():
@@ -132,7 +131,7 @@ def test_one_sided_example_blocks_entangle_labels():
     # the z=1 block shares symbols with both z=0 blocks, so everything merges
     assert ccf.n_labels == 1
     assert not ccf.per_z_injective
-    assert abs(cond_common_entropy(d) - 1.0 / 3.0) < 1e-12
+    assert abs(ccf.block_entropy(d) - 1.0 / 3.0) < 1e-12
 
 
 def test_shared_blocks_reuse_labels():

@@ -104,17 +104,17 @@ class TestCannedTrees:
 
 
 class TestDequantize:
-    def test_kernels_and_finals_are_stochastic(self, rng, make_dist):
+    def test_kernels_and_finals_are_stochastic(self, rng):
         tree = random_instrument_tree(2, 2, rounds=2, outcomes=2,
                                       kraus_each=2, rng=rng)
-        proto = dequantize(tree, make_dist((2, 2, 2)))
+        proto = dequantize(tree)
         for table in (*proto.kernels.values(), *proto.final_a.values(),
                       *proto.final_b.values()):
             assert table.min() >= 0.0
             np.testing.assert_allclose(table.sum(axis=1), 1.0, atol=1e-12)
 
-    def test_unreachable_rows_become_uniform(self, make_dist):
-        proto = dequantize(projective_announce_tree(), make_dist((2, 2, 2)))
+    def test_unreachable_rows_become_uniform(self):
+        proto = dequantize(projective_announce_tree())
         np.testing.assert_allclose(proto.kernels[()], np.eye(2), atol=1e-15)
         # after Alice projects onto m, the opposite input row carries no mass
         np.testing.assert_allclose(
@@ -153,7 +153,7 @@ class TestEquivalence:
         tree = random_instrument_tree(2, 2, rounds=2, outcomes=2,
                                       kraus_each=2, rng=rng)
         quantum = dephase_output(simulate_quantum(tree, d))
-        classical = simulate_classical(dequantize(tree, d), d)
+        classical = simulate_classical(dequantize(tree), d)
         for keep in ((3,), (2,)):
             qm = partial_trace(quantum, keep=keep)
             cm = partial_trace(classical, keep=keep)
@@ -326,7 +326,7 @@ def test_dequantization_is_bitwise_pinned(case):
     tree, d, n = PIN_CASES[case]()
     hist = tree.histories()
     assert list(hist) == sorted(hist)
-    proto = dequantize(tree, d)
+    proto = dequantize(tree)
     assert proto.histories() == hist
     tables = [proto.kernels[h] for h in sorted(proto.kernels)]
     tables += [proto.final_a[h] for h in hist] + [proto.final_b[h] for h in hist]

@@ -37,6 +37,14 @@ def h2(x: float) -> float:
     return -x * math.log2(x) - (1 - x) * math.log2(1 - x)
 
 
+def crossed_pairs() -> Dist3:
+    """Eve's symbol picks the pairing of Alice's and Bob's bits."""
+    p = np.zeros((2, 2, 2))
+    p[0, 0, 0] = p[1, 1, 0] = 0.25
+    p[0, 1, 1] = p[1, 0, 1] = 0.25
+    return Dist3(p)
+
+
 class TestBinaryEveFamily:
     @pytest.mark.parametrize("lam", [0.0, 0.1, 0.25, 0.4, 0.5])
     def test_rate_is_half_one_plus_entropy(self, lam):
@@ -78,10 +86,7 @@ class TestKdClass:
     def test_degradable_crossed_pairs(self):
         # merging both symbols removes the z-dependent pairing, so the rate
         # is pinned by the degraded distribution
-        p = np.zeros((2, 2, 2))
-        p[0, 0, 0] = p[1, 1, 0] = 0.25
-        p[0, 1, 1] = p[1, 0, 1] = 0.25
-        res = kd_class(Dist3(p))
+        res = kd_class(crossed_pairs())
         assert res.kind == "exact"
         assert res.diagnostics["class"] == "ubi_pd_down"
         assert res.diagnostics["channel"] == [0, 0]
@@ -282,7 +287,8 @@ class TestAdvantageReport:
 
 
 class TestConditionalCommonFunctionBuilds:
-    """One call builds d's conditional common function once."""
+    """One call builds d's conditional common function once, and the
+    degraded distribution's at most once."""
 
     @pytest.fixture
     def builds(self, monkeypatch):
@@ -301,6 +307,22 @@ class TestConditionalCommonFunctionBuilds:
     @pytest.fixture(scope="class")
     def example(self):
         return one_sided_coherence_example()
+
+    def test_kd_class_with_report_builds_nothing(self, builds):
+        d = crossed_pairs()
+        report = classify(d)
+        builds.clear()
+        assert kd_class(d, report).diagnostics["class"] == "ubi_pd_down"
+        assert builds == []
+
+    def test_kd_class_builds_the_degraded_partition_once(self, builds):
+        # the search builds it for the channel it certifies and the rate
+        # reads it; the other build is the canonical protocol's message
+        # extension, which with a single message is the same pmf
+        d = crossed_pairs()
+        assert kd_class(d).diagnostics["channel"] == [0, 0]
+        merged = d.p.sum(axis=2, keepdims=True)
+        assert sum(np.array_equal(b.p, merged) for b in builds) == 2
 
     def test_verify_chain(self, builds, example):
         d, phases = example
