@@ -21,6 +21,15 @@ The UBI-PD check runs one fixed, canonical protocol (each party announces
 the common part it shares with Eve), so a failure is reported as
 ``inconclusive`` rather than ``no``: the definition quantifies over all
 protocols.  The same caveat applies to the channel search.
+
+On the conditional support the announced pair is a function of z, so it
+tells Eve nothing about the block label that z does not, and no leak test
+is needed.  The same fact makes the message-extended distribution d with
+each symbol tagged by the message: it keeps d's per-z blocks, and with them
+d's block-independence gap, and merges blocks across only the z that share
+a message.  A BI distribution passes the protocol exactly when that
+restricted merge puts no two blocks of one z together.  It is finer than
+d's own cross-z merge, so UBI implies UBI-PD.
 """
 
 from __future__ import annotations
@@ -35,6 +44,7 @@ from . import config
 from .common_info import (
     CondCommonFunction,
     _component_roots,
+    _cross_z_merge,
     _partitions,
     conditional_common_function,
 )
@@ -51,7 +61,6 @@ __all__ = [
     "ClassReport",
     "PDCertificate",
     "PDDownResult",
-    "is_ubi",
     "is_semi_unambiguous",
     "is_ubi_pd_down",
     "classify",
@@ -106,22 +115,6 @@ def h_xy_given_blocks(d: Dist3, ccf: CondCommonFunction) -> float:
 # elementary class checks
 
 
-def is_ubi(
-    d: Dist3,
-    tol: float = config.ENTROPY_TOL,
-    support_eps: float = config.SUPPORT_EPS,
-) -> bool:
-    """BI plus a per-z-injective cross-z merge labelling.
-
-    The merge labelling is a function of x alone and of y alone by
-    construction, so injectivity per z is the only extra obstruction.
-    """
-    ccf = conditional_common_function(d, support_eps)
-    if cmi_xy_given_blocks(d, ccf) > tol:
-        return False
-    return ccf.per_z_injective
-
-
 def is_semi_unambiguous(
     d: Dist3, support_eps: float = config.SUPPORT_EPS
 ) -> bool:
@@ -155,7 +148,6 @@ class PDCertificate:
     message_of_x: Mapping[int, int]
     message_of_y: Mapping[int, int]
     n_messages: int
-    cmi_message_blocks_given_z: float
     extension_ubi: bool
 
     def to_json(self) -> dict:
@@ -163,66 +155,34 @@ class PDCertificate:
             "message_of_x": {str(k): v for k, v in sorted(self.message_of_x.items())},
             "message_of_y": {str(k): v for k, v in sorted(self.message_of_y.items())},
             "n_messages": self.n_messages,
-            "cmi_message_blocks_given_z": self.cmi_message_blocks_given_z,
             "extension_ubi": self.extension_ubi,
         }
 
 
-def _pd_canonical(
-    d: Dist3,
-    tol: float,
-    support_eps: float,
-    ccf: CondCommonFunction,
-    maps: tuple[dict[int, int], dict[int, int]],
-) -> tuple[str, PDCertificate]:
-    """Run the canonical protocol; returns (yes|inconclusive, certificate).
+def _pd_canonical(ccf: CondCommonFunction) -> tuple[str, PDCertificate]:
+    """Run the canonical protocol on a BI distribution with conditional
+    common function ``ccf``; returns (yes|inconclusive, certificate).
 
-    ``ccf`` and ``maps`` are d's conditional common function and common
-    part maps, built once by the caller.
+    x and y share their common-part blocks with z, so on ccf's support the
+    message (ma[x], mb[y]) is a function of z and leaks nothing about the
+    block label beyond z.  The message-extended distribution is then d
+    relabelled, with d's blocks and block-independence gap, which the
+    caller has checked.  It is UBI exactly when the cross-z merge of d's
+    blocks, restricted to the z that share a message, puts no two blocks
+    of one z together.
     """
-    ma, mb = maps
-    dx, dy, dz = d.dims
-
-    # the entries the conditional common function sees, so every entry has a block
-    entries = [
-        (x, y, z, float(d.p[x, y, z])) for x, y, z in zip(*np.nonzero(ccf.support))
-    ]
-    # x and y share their common-part blocks with z, so on the support the
-    # message (ma[x], mb[y]) is a function of z
-    message_of_z = {z: (ma[x], mb[y]) for x, y, z, _ in entries}
-    pairs = sorted(set(message_of_z.values()))
-    m_index = {pair: i for i, pair in enumerate(pairs)}
-    nm = len(pairs)
-
-    # extended distribution over ((M, X), (M, Y), (Z, M)); it keeps all of
-    # d's mass on the z that carry a message, also below support_eps, so
-    # that it is d relabelled and its block statistics are d's
-    zs = np.array(sorted(message_of_z), dtype=int)
-    m_of_z = np.array([m_index[message_of_z[z]] for z in zs.tolist()], dtype=int)
-    xi, yi, k = np.nonzero(d.p[:, :, zs])
-    m = m_of_z[k]
-    q = np.zeros((nm * dx, nm * dy, dz * nm))
-    q[m * dx + xi, m * dy + yi, zs[k] * nm + m] = d.p[xi, yi, zs[k]]
-    q /= q.sum()
-    ext = Dist3(q)
-    ext_ubi = is_ubi(ext, tol, support_eps)
-
-    # does the announced message leak anything about the block label?
-    max_blocks = max((len(p) for p in ccf.per_z.values()), default=1)
-    joint = np.zeros((dz, nm, max_blocks))
-    for x, y, z, w in entries:
-        b = ccf.per_z[z].block_of_x[x]
-        joint[z, m_index[message_of_z[z]], b] += w
-    leak = conditional_mutual_information(joint, (1,), (2,), (0,))
-
-    cert = PDCertificate(ma, mb, nm, leak, ext_ubi)
-    status = YES if (ext_ubi and leak <= tol) else INCONCLUSIVE
-    return status, cert
+    ma, mb = _common_part_maps(ccf)
+    xs, ys, zs = (a.tolist() for a in np.nonzero(ccf.support))
+    message_of_z = {z: (ma[x], mb[y]) for x, y, z in zip(xs, ys, zs)}
+    m_index = {pair: i for i, pair in enumerate(sorted(set(message_of_z.values())))}
+    group_of_z = {z: m_index[m] for z, m in message_of_z.items()}
+    dx, dy, _ = ccf.support.shape
+    _, ext_ubi = _cross_z_merge(ccf.per_z, group_of_z, dx, dy)
+    cert = PDCertificate(ma, mb, len(m_index), ext_ubi)
+    return (YES if ext_ubi else INCONCLUSIVE), cert
 
 
-def _ubi_pd_certified(
-    d: Dist3, ccf: CondCommonFunction, tol: float, support_eps: float
-) -> bool:
+def _ubi_pd_certified(d: Dist3, ccf: CondCommonFunction, tol: float) -> bool:
     """Whether classify would report d as UBI-PD, computing only what that needs.
 
     UBI implies UBI-PD (the nesting ClassReport enforces), so the
@@ -230,10 +190,7 @@ def _ubi_pd_certified(
     """
     if cmi_xy_given_blocks(d, ccf) > tol:
         return False
-    if ccf.per_z_injective:
-        return True
-    maps = _common_part_maps(ccf)
-    return _pd_canonical(d, tol, support_eps, ccf, maps)[0] == YES
+    return ccf.per_z_injective or _pd_canonical(ccf)[0] == YES
 
 
 # ---------------------------------------------------------------------------
@@ -290,32 +247,23 @@ class PDDownResult:
 
 
 def _pd_down_extra_cmi(
-    d: Dist3,
-    ch: Channel,
-    ccf_bar: CondCommonFunction,
-    maps_bar: tuple[dict[int, int], dict[int, int]],
-    support_eps: float,
+    d: Dist3, ch: Channel, ccf_bar: CondCommonFunction, support_eps: float
 ) -> float:
-    """I(Z : block label of the degraded distribution | message, Zbar).
+    """I(Z : block label of the degraded distribution | Zbar).
 
-    ``ccf_bar`` and ``maps_bar`` belong to the degraded distribution.
+    ``ccf_bar`` belongs to the degraded distribution.  On its support the
+    canonical message is a function of Zbar, so conditioning on it as well
+    changes nothing.
     """
     assignment = ch.assignment()
-    ma, mb = maps_bar
-    dz = d.dims[2]
-    dzbar = ch.out_dim
     max_blocks = max((len(p) for p in ccf_bar.per_z.values()), default=1)
-    pairs = sorted({(a, b) for a in set(ma.values()) for b in set(mb.values())})
-    m_index = {pair: i for i, pair in enumerate(pairs)}
-    joint = np.zeros((dz, dzbar, len(pairs), max_blocks))
+    joint = np.zeros((d.dims[2], ch.out_dim, max_blocks))
     # p(x, y, z) > support_eps puts (x, y, zbar) in ccf_bar's support, as
-    # p(x, y | zbar) >= p(x, y, z), so every entry here has a block and a message
+    # p(x, y | zbar) >= p(x, y, z), so every entry here has a block
     for x, y, z in zip(*np.nonzero(d.p > support_eps)):
         zbar = assignment[z]
-        b = ccf_bar.per_z[zbar].block_of_x[x]
-        m = m_index[(ma[x], mb[y])]
-        joint[z, zbar, m, b] += d.p[x, y, z]
-    return conditional_mutual_information(joint, (0,), (3,), (1, 2))
+        joint[z, zbar, ccf_bar.per_z[zbar].block_of_x[x]] += d.p[x, y, z]
+    return conditional_mutual_information(joint, (0,), (2,), (1,))
 
 
 # The prefilter below rejects a channel when its block-independence gap
@@ -381,8 +329,7 @@ def is_ubi_pd_down(
     growth order, at most ``CHANNEL_BUDGET`` of them, and the first passing
     channel is returned.  A passing channel must make the degraded
     distribution UBI-PD under the canonical protocol and leave the original
-    symbol independent of the new block label given the message and the
-    degraded symbol.
+    symbol independent of the new block label given the degraded symbol.
 
     A vectorized prefilter sets aside the channels whose degraded
     distribution is not block independent by a clear margin; the exact
@@ -400,12 +347,11 @@ def is_ubi_pd_down(
         ccf = conditional_common_function(dbar, support_eps)
         if cmi_xy_given_blocks(dbar, ccf) > tol:
             continue
-        maps = _common_part_maps(ccf)
-        # both tests must pass; the leak test is cheaper and fails more often
-        extra = _pd_down_extra_cmi(d, ch, ccf, maps, support_eps)
+        # both tests must pass; the leak test fails more often
+        extra = _pd_down_extra_cmi(d, ch, ccf, support_eps)
         if extra > tol:
             continue
-        status, cert = _pd_canonical(dbar, tol, support_eps, ccf, maps)
+        status, cert = _pd_canonical(ccf)
         if status == YES:
             rate = ccf.block_entropy(dbar)
             return PDDownResult(YES, ch, tested, "channel found", cert, extra, rate)
@@ -513,8 +459,7 @@ def classify(
         pd_status: str = NO
         pd_cert = None
     else:
-        maps = _common_part_maps(ccf)
-        pd_status, pd_cert = _pd_canonical(d, tol, support_eps, ccf, maps)
+        pd_status, pd_cert = _pd_canonical(ccf)
     if pd_cert is not None:
         certificates["ubi_pd"] = pd_cert.to_json()
 

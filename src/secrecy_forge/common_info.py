@@ -187,15 +187,33 @@ def conditional_common_function(
     support = np.zeros(d.p.shape, dtype=bool)
     support[:, :, zs] = d.p[:, :, zs] / z_probs[zs] > support_eps
     per_z = dict(zip(zs.tolist(), _partitions(support[:, :, zs])))
+    labels, injective = _cross_z_merge(per_z, dict.fromkeys(per_z, 0), dx, dy)
+    return CondCommonFunction(per_z, labels, injective, z_probs, support)
 
-    # merge block instances across z that share an x or a y symbol: the
-    # components of the graph joining each (z, block) to its symbols
+
+def _cross_z_merge(
+    per_z: Mapping[int, CommonPartition],
+    group_of_z: Mapping[int, int],
+    dx: int,
+    dy: int,
+) -> tuple[dict[tuple[int, int], int], bool]:
+    """Merge block instances across the z of one group that share an x or a y.
+
+    Returns the canonical merge labels of the (z, block) nodes and whether
+    no two blocks of one z share a label.  Every z in one group gives the
+    cross-z merge of ``conditional_common_function``; groups only split it.
+    """
+    # the components of the graph joining each (z, block) to its symbols,
+    # each symbol taken once per group
+    width = dx + dy
     nodes = [(z, b) for z, part in per_z.items() for b in range(len(part))]
-    incidence = np.zeros((len(nodes), dx + dy), dtype=bool)
+    n_groups = 1 + max(group_of_z.values(), default=0)
+    incidence = np.zeros((len(nodes), n_groups * width), dtype=bool)
     for i, (z, b) in enumerate(nodes):
         bxs, bys = per_z[z].blocks[b]
-        incidence[i, list(bxs)] = True
-        incidence[i, [dx + y for y in bys]] = True
+        offset = group_of_z[z] * width
+        incidence[i, [offset + x for x in bxs]] = True
+        incidence[i, [offset + dx + y for y in bys]] = True
     node_roots, _ = _component_roots(incidence)
     # nodes are sorted by (z, block), so numbering the components by their
     # smallest node makes the labels canonical
@@ -204,10 +222,9 @@ def conditional_common_function(
         node: number.setdefault(root, len(number))
         for node, root in zip(nodes, node_roots.tolist())
     }
-
     injective = all(
         len({labels[(z, b)] for b in range(len(part))}) == len(part)
         for z, part in per_z.items()
     )
-    return CondCommonFunction(per_z, labels, injective, z_probs, support)
+    return labels, injective
 

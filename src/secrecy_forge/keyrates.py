@@ -167,7 +167,7 @@ def kd_class(
     """
     if report is None:
         ccf = conditional_common_function(d, support_eps)
-        pd = _ubi_pd_certified(d, ccf, tol, support_eps)
+        pd = _ubi_pd_certified(d, ccf, tol)
         down = None if pd else is_ubi_pd_down(d, tol, support_eps)
     else:
         ccf, down = report.ccf, report.down

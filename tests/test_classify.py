@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from secrecy_forge import config
@@ -16,6 +16,7 @@ from secrecy_forge.classify import (
     PREFILTER_MARGIN,
     _block_gaps,
     _coarse_graining_ceiling,
+    _common_part_maps,
     classify,
     cmi_xy_given_blocks,
     set_partitions,
@@ -87,7 +88,6 @@ def test_two_block_instance_statuses_and_certificate():
     }
     cert = r.to_json()["certificates"]["ubi_pd"]
     assert cert["extension_ubi"] is True
-    assert cert["cmi_message_blocks_given_z"] <= 1e-9
     # canonical message: common part of X with Z, here the block group
     assert cert["message_of_x"] == {"0": 0, "1": 0, "2": 1, "3": 1}
     assert cert["n_messages"] == 2
@@ -238,18 +238,34 @@ def _near_independent_block_pmf():
     return p / p.sum()
 
 
+def _light_eve_symbol_pmf():
+    # z = 1 has mass below support_eps = 1e-2.  Given z = 0 the one block
+    # has a gap of 1.005e-3, weighted by p(z = 0) = 0.991 to just below
+    # tol = 1e-3, so d is BI and UBI.  An extension that dropped z = 1 and
+    # renormalized had the unweighted gap, failed UBI, and classify raised
+    # "class nesting violated".
+    c = 0.0373216062
+    p = np.zeros((2, 2, 2))
+    p[:, :, 0] = 0.991 * (1 - c) / 4
+    p[0, 0, 0] = p[1, 1, 0] = 0.991 * (1 + c) / 4
+    p[0, 0, 1] = 0.009
+    return p
+
+
 @pytest.mark.parametrize(
     "p, support_eps",
     [
         (_light_x1_pmf(0.009), 1e-2),
         (_light_x1_pmf(5e-13), 1e-12),
         (_near_independent_block_pmf(), 1e-2),
+        (_light_eve_symbol_pmf(), 1e-2),
     ],
-    ids=["light-x-eps-1e-2", "light-x-eps-default", "near-independent-block"],
+    ids=["light-x-eps-1e-2", "light-x-eps-default", "near-independent-block",
+         "light-eve-symbol"],
 )
 def test_canonical_protocol_on_mass_below_support_eps(p, support_eps):
     # The common-part maps give every supported x and y a message, and the
-    # extension keeps all of d's mass, so a UBI distribution stays UBI-PD.
+    # extension is d relabelled, so a UBI distribution stays UBI-PD.
     report = classify(Dist3(p), tol=1e-3, support_eps=support_eps)
     s = statuses(report)
     assert_no_nesting_violation(s)
@@ -278,6 +294,75 @@ def small_dist3(draw, max_z=4):
     if w.sum() == 0.0:
         w[0] = 1.0
     return Dist3(w.reshape(dims) / w.sum())
+
+
+@st.composite
+def light_dist3(draw):
+    """2-3 symbols per party; entries zero, light (1e-14 to 1e-11), near
+    support_eps = 1e-2 in conditional mass, or heavy."""
+    dims = tuple(draw(st.integers(2, 3)) for _ in range(3))
+    entry = st.one_of(st.just(0.0), st.floats(1e-14, 1e-11),
+                      st.floats(1e-3, 3e-2), st.floats(0.05, 1.0))
+    w = np.array(draw(st.lists(entry, min_size=math.prod(dims),
+                               max_size=math.prod(dims))))
+    if w.max() < 0.05:
+        w[0] = 1.0
+    return Dist3(w.reshape(dims) / w.sum())
+
+
+def _built_extension(d, support_eps):
+    """The message-extended pmf built as a Dist3 of its own.
+
+    On the z that carry a message, Eve's symbol z becomes (z, m(z)) and
+    Alice's and Bob's symbols carry m(z); the z without one are dropped and
+    the rest renormalized.  Returns the extension's block-independence gap,
+    whether its own cross-z merge is injective per z, and the mass kept.
+    """
+    ccf = conditional_common_function(d, support_eps)
+    ma, mb = _common_part_maps(ccf)
+    dx, dy, dz = d.dims
+    message_of_z = {z: (ma[x], mb[y]) for x, y, z in zip(*np.nonzero(ccf.support))}
+    pairs = sorted(set(message_of_z.values()))
+    nm = len(pairs)
+    q = np.zeros((nm * dx, nm * dy, dz * nm))
+    for z, pair in message_of_z.items():
+        m = pairs.index(pair)
+        q[m * dx:(m + 1) * dx, m * dy:(m + 1) * dy, z * nm + m] = d.p[:, :, z]
+    kept = q.sum()
+    ext = Dist3(q / kept)
+    ext_ccf = conditional_common_function(ext, support_eps)
+    return cmi_xy_given_blocks(ext, ext_ccf), ext_ccf.per_z_injective, kept
+
+
+TOLERANCE_PAIRS = (
+    {"tol": config.ENTROPY_TOL, "support_eps": config.SUPPORT_EPS},
+    {"tol": 1e-3, "support_eps": 1e-2},
+)
+
+
+# random draws seldom give a BI pmf that the protocol certifies without it
+# being UBI, so the one-sided-coherence pmf is always tried, as is the pmf
+# the built extension got wrong
+@settings(max_examples=200)
+@given(st.one_of(small_dist3(), light_dist3()), st.sampled_from(TOLERANCE_PAIRS))
+@example(one_sided_coherence_example()[0], TOLERANCE_PAIRS[0])
+@example(Dist3(_light_eve_symbol_pmf()), TOLERANCE_PAIRS[1])
+def test_canonical_protocol_matches_the_built_extension(d, tols):
+    report = classify(d, **tols)
+    if report.bi != "yes":
+        assert report.ubi_pd == "no"
+        return
+    ext_gap, ext_injective, kept = _built_extension(d, tols["support_eps"])
+    cert = report.certificates["ubi_pd"]
+    assert cert["extension_ubi"] == ext_injective
+    assert (report.ubi_pd == "yes") == ext_injective
+    # The built extension renormalizes, so its gap is d's divided by the
+    # mass it kept.  Where that alone pushes the gap past tol, it failed a
+    # BI pmf (the light-eve-symbol case); elsewhere the verdicts agree.
+    gap = report.diagnostics["cmi_xy_given_blocks"]
+    if not tols["tol"] * kept < gap <= tols["tol"]:
+        built_ubi = ext_gap <= tols["tol"] and ext_injective
+        assert (report.ubi_pd == "yes") == built_ubi
 
 
 @settings(max_examples=150)

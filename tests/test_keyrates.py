@@ -316,13 +316,35 @@ class TestConditionalCommonFunctionBuilds:
         assert builds == []
 
     def test_kd_class_builds_the_degraded_partition_once(self, builds):
-        # the search builds it for the channel it certifies and the rate
-        # reads it; the other build is the canonical protocol's message
-        # extension, which with a single message is the same pmf
+        # the search builds it for the channel it certifies, and the
+        # canonical protocol and the rate read it
         d = crossed_pairs()
         assert kd_class(d).diagnostics["channel"] == [0, 0]
         merged = d.p.sum(axis=2, keepdims=True)
-        assert sum(np.array_equal(b.p, merged) for b in builds) == 2
+        assert sum(np.array_equal(b.p, merged) for b in builds) == 1
+
+    @pytest.mark.parametrize(
+        "make, status",
+        [(crossed_pairs, "inconclusive"),
+         (lambda: one_sided_coherence_example()[0], "yes")],
+        ids=["crossed-pairs", "one-sided-coherence"],
+    )
+    def test_canonical_protocol_builds_nothing(self, builds, monkeypatch, make, status):
+        # the protocol reads its verdict off the caller's partition: no
+        # second partition and no message-extended pmf
+        ccf = common_info.conditional_common_function(make())
+        made = []
+        post_init = Dist3.__post_init__
+
+        def counted(dist):
+            made.append(dist)
+            post_init(dist)
+
+        monkeypatch.setattr(Dist3, "__post_init__", counted)
+        builds.clear()
+        assert classify_module._pd_canonical(ccf)[0] == status
+        assert builds == []
+        assert made == []
 
     def test_verify_chain(self, builds, example):
         d, phases = example
