@@ -1,12 +1,17 @@
 """Entanglement measures against closed-form oracles."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from secrecy_forge import entanglement
 from secrecy_forge.entanglement import (
     concurrence_2q,
     eof_2q,
@@ -287,19 +292,26 @@ class TestRelativeEntropyUpper:
         assert diag["lower_bound"] == pytest.approx(hashing_floor(rho), abs=1e-12)
         assert computational_ceiling(rho) == pytest.approx(5 / 3, abs=1e-12)
         assert res.value == diag["upper_bound"] == diag["optimizer_value"]
-        # the optimizer's trajectory is the one it ran before the bracket
-        assert res.value == 1.0000892571906426
-        assert diag["iterations"] == 119
+        # rho mixes three maximally correlated two-qubit blocks equally, so
+        # the dephasing in the product basis that applies a Hadamard to
+        # levels 2 and 3 of each side gives log2 6 - log2 3 = 1 >= E_r;
+        # no separable sigma goes below the hashing floor
+        assert 1 / 3 <= diag["optimizer_value"] <= 1 + 1e-5
 
     @pytest.mark.parametrize("dims, rank, seed", [((2, 2), 4, 0), ((2, 3), 2, 2)])
-    def test_ceiling_caps_a_stuck_optimizer(self, dims, rank, seed):
-        # one restart stops above the local-eigenbasis dephasing ceiling
+    def test_ceiling_caps_a_stuck_optimizer(self, dims, rank, seed, monkeypatch):
+        # an optimizer that stops half a bit above the dephasing ceiling
         rho = random_density(dims, rank, seed)
-        res = rel_ent_upper(rho, restarts=1)
         ceiling = min(computational_ceiling(rho), local_eigenbasis_ceiling(rho))
+        monkeypatch.setattr(
+            entanglement,
+            "_lbfgs",
+            lambda x, args: (np.full(len(x), ceiling + 0.5), np.ones(len(x), dtype=int)),
+        )
+        res = rel_ent_upper(rho, restarts=1)
         assert res.kind == "upper_bound"
         assert res.value == pytest.approx(ceiling, abs=1e-12)
-        assert res.diagnostics["optimizer_value"] > ceiling + 0.05
+        assert res.diagnostics["optimizer_value"] == ceiling + 0.5
 
     def test_closed_bracket_honours_tol(self):
         rho = random_density((2, 2), 2, 0)
@@ -315,7 +327,7 @@ class TestRelativeEntropyUpper:
     rank=st.integers(1, 6),
     seed=st.integers(0, 2**32 - 1),
 )
-@example(dims=(2, 3), rank=2, seed=2)  # the optimizer stops above the ceiling
+@example(dims=(2, 3), rank=2, seed=2)  # an open bracket: the optimizer runs
 def test_rel_ent_value_lies_in_its_bracket(dims, rank, seed):
     rho = random_density(dims, min(rank, dims[0] * dims[1]), seed)
     res = rel_ent_upper(rho, restarts=1)
@@ -329,6 +341,63 @@ def test_rel_ent_value_lies_in_its_bracket(dims, rank, seed):
         assert hi - lo <= 1e-9
     else:
         assert res.value == min(res.diagnostics["optimizer_value"], hi)
+
+
+def _objective_fd_errors(rho: QState, seed: int) -> list[float]:
+    """Relative error of the E_r objective's gradient against central
+    differences, per parameter block (theta, Re a, Im a, Re b, Im b)."""
+    da, db = rho.dims
+    k = 2 * da * db
+    na, nb = k * da, k * db
+    size = k + 2 * na + 2 * nb
+    x = np.random.default_rng(seed).normal(size=(1, size))
+    args = (rho.rho, -spectrum_entropy(rho.rho), k, da, db)
+    _, grad = entanglement._rel_ent_objective(x, *args)
+    h = 1e-6
+    up, _ = entanglement._rel_ent_objective(x + h * np.eye(size), *args)
+    down, _ = entanglement._rel_ent_objective(x - h * np.eye(size), *args)
+    fd = (up - down) / (2 * h)
+    cuts = np.cumsum([0, k, na, na, nb, nb])
+    return [
+        float(np.linalg.norm(grad[0, lo:hi] - fd[lo:hi]) / np.linalg.norm(fd[lo:hi]))
+        for lo, hi in zip(cuts[:-1], cuts[1:])
+    ]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: _pair_state(*one_sided_coherence_example()),
+        lambda: _pair_state(binary_eve_family(0.25)),
+        lambda: random_density((2, 3), 2, 0),
+        lambda: random_density((2, 3), 6, 1),
+    ],
+    ids=["one-sided-coherence", "lambda-quarter", "random-2x3-rank2", "random-2x3-rank6"],
+)
+@pytest.mark.parametrize("seed", [0, 1])
+def test_rel_ent_gradient_matches_finite_differences(make, seed):
+    errors = _objective_fd_errors(make(), seed)
+    assert max(errors) <= 1e-5, errors
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4])
+def test_rel_ent_at_most_formation_on_two_qubits(rank):
+    # E_r <= E_F for every state (Vedral & Plenio, PRA 57, 1619 (1998)),
+    # and E_F of two qubits is exact from the concurrence
+    for seed in range(15):
+        rho = random_density((2, 2), rank, seed)
+        assert rel_ent_upper(rho).value <= eof_2q(rho).value + 1e-5, seed
+
+
+def test_import_loads_no_scipy():
+    # a fresh interpreter, with the package found where this one found it
+    root = str(Path(entanglement.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([root, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, secrecy_forge; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
 class TestSquashedBound:
