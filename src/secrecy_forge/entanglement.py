@@ -3,8 +3,8 @@
 Closed forms where they exist (pure-state entropy, two-qubit concurrence
 and formation), numerical upper bounds elsewhere:
 
-* entanglement of formation via gradient descent over pure-state
-  ensembles in the purification-isometry parametrization;
+* entanglement of formation via Riemannian conjugate gradient over
+  pure-state ensembles in the purification-isometry parametrization;
 * relative entropy of entanglement bracketed in closed form first: the
   hashing floor max(S(A), S(B)) - S(AB) below and the product-basis
   dephasing ceiling S(Delta rho) - S(rho) above.  Where the two meet
@@ -170,6 +170,11 @@ def _stiefel_project(u: np.ndarray, g: np.ndarray) -> np.ndarray:
     return g - u @ ((s + s.conj().transpose(0, 2, 1)) / 2.0)
 
 
+def _re_inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Re <a_i, b_i> for each pair of matrices of two stacks."""
+    return np.einsum("nij,nij->n", a.conj(), b).real
+
+
 def _qr_retract(u: np.ndarray) -> np.ndarray:
     q, r = np.linalg.qr(u)
     ph = np.diagonal(r, axis1=1, axis2=2).copy()
@@ -184,17 +189,25 @@ CONVERGED, STALLED, AT_MAX_ITER = range(3)
 def _descend(
     u: np.ndarray, w: np.ndarray, da: int, db: int, max_iter: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Projected steepest descent on a stack of isometries, one restart each.
+    """Riemannian conjugate gradient on a stack of isometries, one restart
+    each (Abrudan, Eriksson & Koivunen, Signal Processing 89, 1704 (2009)).
 
-    Each restart keeps its own Armijo step size and leaves the stack when
-    it stops: CONVERGED when the tangent gradient vanishes or a step gains
-    less than ``EOF_CONV_TOL``, STALLED when 30 step halvings find no
-    sufficient decrease, AT_MAX_ITER after ``max_iter`` steps.  Only the
-    restarts still backtracking are evaluated again.  Returns the final
-    values, the iteration counts and the stop reasons, all of shape (n,).
+    The direction is eta = -grad + beta T(eta_prev), with grad the tangent
+    gradient, beta the Polak-Ribiere+ coefficient and T the projection onto
+    the new tangent space; where eta does not descend, it is -grad.  Each
+    restart keeps its own Armijo step size, which doubles after each
+    accepted step, and leaves the stack when it stops: CONVERGED when the
+    tangent gradient vanishes or a step gains less than ``EOF_CONV_TOL``,
+    STALLED when 30 step halvings find no sufficient decrease, AT_MAX_ITER
+    after ``max_iter`` steps.  Only the restarts still backtracking are
+    evaluated again.  Returns the final values, the iteration counts and
+    the stop reasons, all of shape (n,).
     """
     n = u.shape[0]
     val, grad = _ensemble_energy_grad(u, w, da, db)
+    tang = _stiefel_project(u, grad)
+    sq = _re_inner(tang, tang)
+    eta = -tang
     step = np.ones(n)
     iters = np.zeros(n, dtype=int)
     stop = np.full(n, AT_MAX_ITER)
@@ -203,33 +216,39 @@ def _descend(
         if not live.size:
             break
         iters[live] += 1
-        tang = _stiefel_project(u[live], grad[live])
-        sq = np.array([np.vdot(t, t).real for t in tang])
-        flat = sq < 1e-18
+        flat = sq[live] < 1e-18
         stop[live[flat]] = CONVERGED
-        live, tang, sq = live[~flat], tang[~flat], sq[~flat]
+        live = live[~flat]
+        slope = _re_inner(tang[live], eta[live])
+        up = slope >= 0.0
+        eta[live[up]] = -tang[live[up]]
+        slope[up] = -sq[live[up]]
         # Armijo backtracking on the retracted step
-        cand = np.empty_like(tang)
-        cgrad = np.empty_like(tang)
+        cand = np.empty_like(eta[live])
+        cgrad = np.empty_like(cand)
         cval = np.empty(live.size)
         pend = np.arange(live.size)
         for _ in range(30):
             if not pend.size:
                 break
             idx = live[pend]
-            c = _qr_retract(u[idx] - step[idx, None, None] * tang[pend])
+            c = _qr_retract(u[idx] + step[idx, None, None] * eta[idx])
             v, g = _ensemble_energy_grad(c, w, da, db)
-            ok = v <= val[idx] - 0.1 * step[idx] * sq[pend]
+            ok = v <= val[idx] + 0.1 * step[idx] * slope[pend]
             cand[pend[ok]], cval[pend[ok]], cgrad[pend[ok]] = c[ok], v[ok], g[ok]
             step[idx[~ok]] *= 0.5
             pend = pend[~ok]
         stop[live[pend]] = STALLED
         acc = np.ones(live.size, dtype=bool)
         acc[pend] = False
-        live = live[acc]
+        live, cand = live[acc], cand[acc]
         moved = val[live] - cval[acc]
-        u[live], val[live], grad[live] = cand[acc], cval[acc], cgrad[acc]
-        step[live] = np.minimum(step[live] * 2.0, 1.0)
+        new = _stiefel_project(cand, cgrad[acc])
+        # T is self-adjoint, so <new, T(tang)> = <new, tang>
+        beta = np.maximum(_re_inner(new, new - tang[live]) / sq[live], 0.0)
+        eta[live] = beta[:, None, None] * _stiefel_project(cand, eta[live]) - new
+        u[live], val[live], tang[live], sq[live] = cand, cval[acc], new, _re_inner(new, new)
+        step[live] *= 2.0
         small = moved < EOF_CONV_TOL
         stop[live[small]] = CONVERGED
         live = live[~small]
@@ -241,20 +260,18 @@ def eof_numeric(
     restarts: int = 32,
     max_iter: int = 400,
     seed: int = 0,
-    ensemble_size: int | None = None,
 ) -> MeasureResult:
     """Entanglement of formation by ensemble optimization (upper bound).
 
     Decompositions of rho are parametrized as isometries applied to the
-    eigen-ensemble; each restart runs projected gradient descent on the
-    isometry manifold with Armijo backtracking and QR retraction.  Unless
-    ``ensemble_size`` is given, restarts alternate between rank-sized and
-    rank-squared ensembles: the small manifold converges tightly when few
-    decomposition members suffice, the large one keeps the general
-    attainability guarantee.  All restarts of one ensemble size descend
-    together as one stack.  Restart 0 starts at the identity isometry, the
-    others at random ones drawn in restart order, so the result is
-    deterministic for a fixed seed.
+    eigen-ensemble; each restart runs Riemannian conjugate gradient on the
+    isometry manifold with Armijo backtracking and QR retraction.  Restarts
+    alternate between rank-sized and rank-squared ensembles: the small
+    manifold converges tightly when few decomposition members suffice, the
+    large one keeps the general attainability guarantee.  All restarts of
+    one ensemble size descend together as one stack.  Restart 0 starts at
+    the identity isometry, the others at random ones drawn in restart
+    order, so the result is deterministic for a fixed seed.
 
     The diagnostics count how each restart stopped: ``restarts_converged``
     (the tangent gradient vanished or a step gained less than
@@ -276,10 +293,7 @@ def eof_numeric(
             method="pure-state",
             diagnostics={"rank": 1},
         )
-    m = ensemble_size or r * r
-    if m < r:
-        raise SecrecyForgeError(f"ensemble size {m} below rank {r}")
-    sizes = (m,) if (ensemble_size or m == r) else (r, m)
+    sizes = (r, r * r)
     rng = np.random.default_rng(seed)
     starts = []
     for restart in range(restarts):
@@ -312,7 +326,7 @@ def eof_numeric(
         diagnostics={
             "restarts": restarts,
             "seed": seed,
-            "ensemble_size": m,
+            "ensemble_size": r * r,
             "rank": r,
             "best_restart": best_restart,
             "iterations": int(iters.sum()),

@@ -71,21 +71,19 @@ PIN_STATES = {
     "full-rank-202": lambda: _full_rank_2q(202),
 }
 
-# (state, seed, ensemble_size, value, best_restart, iterations) of
-# eof_numeric, recorded from the one-restart-at-a-time optimizer that the
-# stacked descent replaced; the stacked form must reproduce them exactly.
+# (state, seed) of eof_numeric, each checked against a closed form
 EOF_PINS = [
-    ("lambda-quarter", 0, None, 0.904467099210105, 0, 12074),
-    ("lambda-quarter", 3, None, 0.9044665788005122, 10, 11469),
-    ("two-block", 0, None, 1.0, 0, 359),
-    ("two-block", 3, None, 1.0, 0, 336),
-    ("one-sided", 0, None, 1.0000000000000004, 0, 1654),
-    ("one-sided", 3, None, 1.0000000000000004, 0, 1251),
-    ("one-sided", 3, 6, 1.0, 0, 1814),
-    ("full-rank-101", 0, None, 0.20162605797969313, 28, 3998),
-    ("full-rank-101", 3, None, 0.20162606274087613, 0, 4108),
-    ("full-rank-202", 0, None, 0.2251605449157379, 0, 2325),
-    ("full-rank-202", 3, None, 0.22516050192920778, 18, 2080),
+    ("lambda-quarter", 0),
+    ("lambda-quarter", 3),
+    ("two-block", 0),
+    ("two-block", 3),
+    ("one-sided", 0),
+    ("one-sided", 3),
+    ("one-sided", 6),
+    ("full-rank-101", 0),
+    ("full-rank-101", 3),
+    ("full-rank-202", 0),
+    ("full-rank-202", 3),
 ]
 
 
@@ -139,23 +137,39 @@ class TestNumericFormation:
         rho = make_density((2, 2))
         assert eof_numeric(rho, seed=1).value >= eof_2q(rho).value - 1e-7
 
-    @pytest.mark.parametrize(
-        "state, seed, ensemble_size, value, best_restart, iterations", EOF_PINS
-    )
-    def test_stacked_descent_reproduces_sequential_restarts(
-        self, state, seed, ensemble_size, value, best_restart, iterations
-    ):
-        res = eof_numeric(PIN_STATES[state](), seed=seed, ensemble_size=ensemble_size)
+    @pytest.mark.parametrize("state, seed", EOF_PINS)
+    def test_formation_meets_closed_forms(self, state, seed):
+        rho = PIN_STATES[state]()
+        res = eof_numeric(rho, seed=seed)
         diag = res.diagnostics
-        assert res.value == value
-        assert diag["best_restart"] == best_restart
-        assert diag["iterations"] == iterations
+        assert res.kind == "upper_bound"
+        if rho.dims == (2, 2):
+            exact = eof_2q(rho).value
+            assert abs(res.value - exact) <= 1e-6
+            assert res.value >= exact - 1e-9
+        elif state == "two-block":
+            # the paper's equality band for semi-unambiguous UBI-PD states:
+            # E_F = K_D = H(J|Z) = 1
+            assert res.value == pytest.approx(1.0, abs=1e-9)
+        else:
+            ceiling = eve_measurement_ceiling(*one_sided_coherence_example())
+            assert ceiling == pytest.approx(1.0, abs=1e-12)
+            assert hashing_floor(rho) <= res.value <= ceiling + 1e-9
         stops = (
             diag["restarts_converged"]
             + diag["restarts_stalled"]
             + diag["restarts_at_max_iter"]
         )
         assert stops == diag["restarts"] == 32
+
+    def test_two_copies_stay_below_twice_one_copy(self):
+        # E_F is subadditive, so E_F(rho (x) rho) <= 2 E_F(rho); A = A1 A2
+        # and B = B1 B2
+        rho = PIN_STATES["lambda-quarter"]()
+        two = np.kron(rho.rho, rho.rho).reshape([2] * 8).transpose(0, 2, 1, 3, 4, 6, 5, 7)
+        res = eof_numeric(QState(two.reshape(16, 16), (4, 4)), seed=0)
+        assert res.kind == "upper_bound"
+        assert res.value <= 2 * eof_2q(rho).value + 1e-6
 
     def test_restarts_cut_by_max_iter_are_counted(self, make_density):
         res = eof_numeric(make_density((2, 2)), restarts=5, max_iter=3)
@@ -224,6 +238,23 @@ def local_eigenbasis_ceiling(rho: QState) -> float:
     u = np.kron(np.linalg.eigh(np.trace(t, axis1=1, axis2=3))[1],
                 np.linalg.eigh(np.trace(t, axis1=0, axis2=2))[1])
     return entropy(np.diag(u.conj().T @ rho.rho @ u).real) - spectrum_entropy(rho.rho)
+
+
+def _entanglement_entropy(amp: np.ndarray, da: int, db: int) -> float:
+    s = np.linalg.svd(amp.reshape(da, db), compute_uv=False)
+    return entropy(s * s / (s * s).sum())
+
+
+def eve_measurement_ceiling(d, phases=None) -> float:
+    """sum_z p(z) S(tr_B psi_z) of the pure ensemble that Eve leaves when she
+    measures z on the coherent embedding: an upper bound on E_F (Hughston,
+    Jozsa & Wootters, PLA 183, 14 (1993))."""
+    dx, dy, dz = d.dims
+    cols = embed_qqq(d, phases).amp.reshape(dx * dy, dz)
+    weights = (np.abs(cols) ** 2).sum(axis=0)
+    return sum(
+        p * _entanglement_entropy(cols[:, z], dx, dy) for z, p in enumerate(weights) if p > 0
+    )
 
 
 def random_density(dims: tuple[int, int], rank: int, seed: int) -> QState:
@@ -378,6 +409,34 @@ def _objective_fd_errors(rho: QState, seed: int) -> list[float]:
 def test_rel_ent_gradient_matches_finite_differences(make, seed):
     errors = _objective_fd_errors(make(), seed)
     assert max(errors) <= 1e-5, errors
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: _pair_state(*one_sided_coherence_example()),
+        lambda: _pair_state(binary_eve_family(0.25)),
+    ],
+    ids=["one-sided-coherence", "lambda-quarter"],
+)
+@pytest.mark.parametrize("squared", [False, True], ids=["size-r", "size-r2"])
+def test_formation_gradient_matches_finite_differences(make, squared):
+    # G = dE/d conj(U), so E(U + h dU) - E(U - h dU) = 4 h Re<G, dU> + O(h^3)
+    rho = make()
+    ev, vec = np.linalg.eigh(rho.rho)
+    keep = ev > 1e-12
+    w = vec[:, keep] * np.sqrt(ev[keep])
+    r = w.shape[1]
+    m = r * r if squared else r
+    g = np.random.default_rng(m).standard_normal((4, m, r, 2)) @ [1, 1j]
+    u, du = np.linalg.qr(g[:1])[0], g[1:]
+    _, grad = entanglement._ensemble_energy_grad(u, w, *rho.dims)
+    h = 1e-6
+    up, _ = entanglement._ensemble_energy_grad(u + h * du, w, *rho.dims)
+    down, _ = entanglement._ensemble_energy_grad(u - h * du, w, *rho.dims)
+    fd = (up - down) / (2 * h)
+    exact = 2 * np.einsum("ij,nij->n", grad[0].conj(), du).real
+    assert np.all(np.abs(fd - exact) <= 1e-6 * np.abs(exact)), (fd, exact)
 
 
 @pytest.mark.parametrize("rank", [2, 3, 4])
