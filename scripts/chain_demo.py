@@ -3,6 +3,7 @@
 import argparse
 import sys
 
+from secrecy_forge.cli import _seed
 from secrecy_forge.keyrates import (
     advantage_report,
     binary_eve_family,
@@ -15,12 +16,10 @@ from secrecy_forge.keyrates import (
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--restarts", type=int, default=32)
+    parser.add_argument("--seed", type=_seed, default=0)
     args = parser.parse_args(argv)
 
-    report = verify_chain(two_block_uniform_example(), seed=args.seed,
-                          restarts=args.restarts)
+    report = verify_chain(two_block_uniform_example(), seed=args.seed)
     print("two-block example chain:")
     for check in report.checks:
         mark = "ok" if check.passed else "VIOLATED"

@@ -16,9 +16,20 @@ from secrecy_forge.keyrates import binary_eve_family, kd_class
 from secrecy_forge.qlinalg import partial_trace
 
 
+def _points(text: str) -> int:
+    """--points: a positive integer."""
+    try:
+        points = int(text)
+    except ValueError:
+        points = 0
+    if points < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return points
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--points", type=int, default=11,
+    parser.add_argument("--points", type=_points, default=11,
                         help="grid points on [0, 1/2]")
     parser.add_argument("--out", help="also write the rows as JSON")
     args = parser.parse_args(argv)

@@ -16,9 +16,10 @@ from pathlib import Path
 
 import numpy as np
 
-from secrecy_forge.cli import EXAMPLE_IDS, run
-
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+# this checkout's package and benchmark helpers, ahead of any installed copy
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+from secrecy_forge.cli import EXAMPLE_IDS, _seed, run
 from workloads import cli_session_commands, load_ref, write_cli_inputs
 
 
@@ -26,7 +27,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out-dir", default="reports",
                         help="directory for the JSON envelopes")
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=_seed, default=0)
     args = parser.parse_args(argv)
 
     out_dir = Path(args.out_dir)

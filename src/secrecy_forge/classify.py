@@ -425,13 +425,11 @@ def classify(
     d: Dist3,
     tol: float = config.ENTROPY_TOL,
     support_eps: float = config.SUPPORT_EPS,
-    channel_search: bool = True,
 ) -> ClassReport:
     """Run every class check and assemble a consistent report.
 
-    The UBI-PD-down search tries at most ``CHANNEL_BUDGET`` channels;
-    ``channel_search=False`` skips it (useful on large Eve alphabets), and
-    the verdict is then inconclusive unless implied by a finer class.
+    The UBI-PD-down search tries at most ``CHANNEL_BUDGET`` channels, and
+    its certificate's ``reason`` says whether that budget cut it short.
     """
     ccf = conditional_common_function(d, support_eps)
     cmi = cmi_xy_given_blocks(d, ccf)
@@ -463,10 +461,7 @@ def classify(
     if pd_cert is not None:
         certificates["ubi_pd"] = pd_cert.to_json()
 
-    if channel_search:
-        down = is_ubi_pd_down(d, tol, support_eps)
-    else:
-        down = PDDownResult(INCONCLUSIVE, None, 0, "search skipped")
+    down = is_ubi_pd_down(d, tol, support_eps)
     if down.status != YES and pd_status == YES:
         # the identity channel always certifies a UBI-PD distribution, even
         # when the search stopped short of it

@@ -40,6 +40,7 @@ from .errors import (
     UsageError,
 )
 from .keyrates import (
+    ChainReport,
     advantage_report,
     binary_eve_family,
     independent_eve_example,
@@ -443,7 +444,8 @@ def _lemma_result(tols: dict[str, float]) -> dict:
     return {"rates": rates, "items": items, "notes": []}
 
 
-def _thm7d_result(seed: int, tols: dict[str, float]) -> dict:
+def _two_block_chain(seed: int, tols: dict[str, float]) -> tuple[ChainReport, list[dict]]:
+    """The two-block example's chain report and one item per chain check."""
     chain = verify_chain(
         two_block_uniform_example(),
         seed=seed,
@@ -451,6 +453,15 @@ def _thm7d_result(seed: int, tols: dict[str, float]) -> dict:
         chain_tol=tols["chain"],
         support_eps=tols["support"],
     )
+    items = [
+        _item(f"chain_{c.name}", c.slack, ">= 0 within band", c.passed)
+        for c in chain.checks
+    ]
+    return chain, items
+
+
+def _thm7d_result(seed: int, tols: dict[str, float]) -> dict:
+    chain, chain_items = _two_block_chain(seed, tols)
     report = chain.classification
     rate = chain.measures["K_D_class"]
     items = [
@@ -468,11 +479,7 @@ def _thm7d_result(seed: int, tols: dict[str, float]) -> dict:
             rate.kind == "exact" and abs(rate.value - 1.0) <= tols["equality"],
             tols["equality"],
         ),
-    ]
-    items += [
-        _item(f"chain_{c.name}", c.slack, ">= 0 within band", c.passed)
-        for c in chain.checks
-    ]
+    ] + chain_items
     return {
         "classification": report.to_json(),
         "chain": chain.to_json(),
@@ -521,17 +528,7 @@ def _table1_result(seed: int, tols: dict[str, float]) -> dict:
 
 
 def _table2_result(seed: int, tols: dict[str, float]) -> dict:
-    chain = verify_chain(
-        two_block_uniform_example(),
-        seed=seed,
-        tol=tols["entropy"],
-        chain_tol=tols["chain"],
-        support_eps=tols["support"],
-    )
-    items = [
-        _item(f"chain_{c.name}", c.slack, ">= 0 within band", c.passed)
-        for c in chain.checks
-    ]
+    chain, items = _two_block_chain(seed, tols)
     rows = []
     for lam in (0.0, 0.1, 0.25, 0.4, 0.5):
         sub = _thm6a_result(lam, seed, tols)

@@ -136,14 +136,12 @@ class Channel:
         return cls(np.eye(n))
 
     @classmethod
-    def deterministic(cls, assignment: Sequence[int], out_dim: int | None = None) -> "Channel":
-        """Channel z -> assignment[z]."""
+    def deterministic(cls, assignment: Sequence[int]) -> "Channel":
+        """Channel z -> assignment[z], onto the symbols 0..max(assignment)."""
         assignment = list(assignment)
-        if out_dim is None:
-            out_dim = max(assignment) + 1
-        k = np.zeros((len(assignment), out_dim))
+        k = np.zeros((len(assignment), max(assignment) + 1))
         for z, zbar in enumerate(assignment):
-            if not 0 <= zbar < out_dim:
+            if zbar < 0:
                 raise InvalidChannel(f"output symbol {zbar} outside alphabet")
             k[z, zbar] = 1.0
         return cls(k)

@@ -44,7 +44,10 @@ __all__ = [
 LN2 = math.log(2.0)
 EIG_FLOOR = 1e-30
 OPT_DIM_CAP = 16
+EOF_RESTARTS = 32  # formation restarts, alternating the two ensemble sizes
+EOF_MAX_ITER = 400  # step cap of each formation restart
 EOF_CONV_TOL = 1e-8  # a formation restart converges once a step gains less
+REL_ENT_RESTARTS = 4  # E_r restarts, run where the closed-form bracket stays open
 REL_ENT_MIX = 1e-6  # weight of I/d in each E_r candidate: S(rho || sigma) < inf
 REL_ENT_MEMORY = 10  # curvature pairs each E_r restart keeps
 # Step cap of each E_r restart.  No restart converges in the ftol sense: on
@@ -187,7 +190,7 @@ CONVERGED, STALLED, AT_MAX_ITER = range(3)
 
 
 def _descend(
-    u: np.ndarray, w: np.ndarray, da: int, db: int, max_iter: int
+    u: np.ndarray, w: np.ndarray, da: int, db: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Riemannian conjugate gradient on a stack of isometries, one restart
     each (Abrudan, Eriksson & Koivunen, Signal Processing 89, 1704 (2009)).
@@ -199,7 +202,7 @@ def _descend(
     accepted step, and leaves the stack when it stops: CONVERGED when the
     tangent gradient vanishes or a step gains less than ``EOF_CONV_TOL``,
     STALLED when 30 step halvings find no sufficient decrease, AT_MAX_ITER
-    after ``max_iter`` steps.  Only the restarts still backtracking are
+    after ``EOF_MAX_ITER`` steps.  Only the restarts still backtracking are
     evaluated again.  Returns the final values, the iteration counts and
     the stop reasons, all of shape (n,).
     """
@@ -212,7 +215,7 @@ def _descend(
     iters = np.zeros(n, dtype=int)
     stop = np.full(n, AT_MAX_ITER)
     live = np.arange(n)
-    for _ in range(max_iter):
+    for _ in range(EOF_MAX_ITER):
         if not live.size:
             break
         iters[live] += 1
@@ -255,23 +258,19 @@ def _descend(
     return val, iters, stop
 
 
-def eof_numeric(
-    rho: QState,
-    restarts: int = 32,
-    max_iter: int = 400,
-    seed: int = 0,
-) -> MeasureResult:
+def eof_numeric(rho: QState, seed: int = 0) -> MeasureResult:
     """Entanglement of formation by ensemble optimization (upper bound).
 
     Decompositions of rho are parametrized as isometries applied to the
-    eigen-ensemble; each restart runs Riemannian conjugate gradient on the
-    isometry manifold with Armijo backtracking and QR retraction.  Restarts
-    alternate between rank-sized and rank-squared ensembles: the small
-    manifold converges tightly when few decomposition members suffice, the
-    large one keeps the general attainability guarantee.  All restarts of
-    one ensemble size descend together as one stack.  Restart 0 starts at
-    the identity isometry, the others at random ones drawn in restart
-    order, so the result is deterministic for a fixed seed.
+    eigen-ensemble; each of ``EOF_RESTARTS`` restarts runs Riemannian
+    conjugate gradient on the isometry manifold with Armijo backtracking
+    and QR retraction.  Restarts alternate between rank-sized and
+    rank-squared ensembles: the small manifold converges tightly when few
+    decomposition members suffice, the large one keeps the general
+    attainability guarantee.  All restarts of one ensemble size descend
+    together as one stack.  Restart 0 starts at the identity isometry, the
+    others at random ones drawn in restart order, so the result is
+    deterministic for a fixed seed.
 
     The diagnostics count how each restart stopped: ``restarts_converged``
     (the tangent gradient vanished or a step gained less than
@@ -296,7 +295,7 @@ def eof_numeric(
     sizes = (r, r * r)
     rng = np.random.default_rng(seed)
     starts = []
-    for restart in range(restarts):
+    for restart in range(EOF_RESTARTS):
         mr = sizes[restart % len(sizes)]
         if restart == 0:
             starts.append(np.eye(mr, r, dtype=complex))
@@ -311,7 +310,7 @@ def eof_numeric(
         if not ids.size:
             continue
         u = np.stack([starts[i] for i in ids])
-        values[ids], iters[ids], stops[ids] = _descend(u, w, da, db, max_iter)
+        values[ids], iters[ids], stops[ids] = _descend(u, w, da, db)
     best = math.inf
     best_restart = -1
     for restart, val in enumerate(values):
@@ -324,7 +323,7 @@ def eof_numeric(
         kind="upper_bound",
         method="isometry-ensemble-descent",
         diagnostics={
-            "restarts": restarts,
+            "restarts": EOF_RESTARTS,
             "seed": seed,
             "ensemble_size": r * r,
             "rank": r,
@@ -571,7 +570,6 @@ def _rel_ent_bracket(
 
 def rel_ent_upper(
     rho: QState,
-    restarts: int = 4,
     seed: int = 0,
     tol: float = config.ENTROPY_TOL,
 ) -> MeasureResult:
@@ -586,14 +584,14 @@ def rel_ent_upper(
     product vectors (softmax weights, analytic gradients), with sigma
     blended with the maximally mixed state at weight ``REL_ENT_MIX`` so the
     relative entropy stays finite; the blend is itself separable, so every
-    optimizer value is a valid upper bound.  Restart 0 starts at the
-    computational-basis dephasing, the others at random points drawn in
-    restart order; all restarts descend together as one stack (``_lbfgs``,
-    at most ``REL_ENT_MAX_ITER`` steps each).  The smaller of the best
-    value and the ceiling is reported.  Deterministic for a fixed seed.
-    The diagnostics carry the bracket as ``lower_bound`` and
-    ``upper_bound`` and the optimizer's ``iterations``, the steps summed
-    over restarts (0 when it did not run).
+    optimizer value is a valid upper bound.  Of ``REL_ENT_RESTARTS``
+    restarts, restart 0 starts at the computational-basis dephasing, the
+    others at random points drawn in restart order; all descend together as
+    one stack (``_lbfgs``, at most ``REL_ENT_MAX_ITER`` steps each).  The
+    smaller of the best value and the ceiling is reported.  Deterministic
+    for a fixed seed.  The diagnostics carry the bracket as ``lower_bound``
+    and ``upper_bound`` and the optimizer's ``iterations``, the steps
+    summed over restarts (0 when it did not run).
     """
     da, db = _require_bipartite(rho.dims, "rel_ent_upper")
     d = da * db
@@ -648,7 +646,7 @@ def rel_ent_upper(
             [theta, a.real.ravel(), a.imag.ravel(), b.real.ravel(), b.imag.ravel()]
         )
 
-    x0 = np.stack([basis_start() if r == 0 else random_start() for r in range(restarts)])
+    x0 = np.stack([basis_start()] + [random_start() for _ in range(REL_ENT_RESTARTS - 1)])
     values, iters = _lbfgs(x0, (rho.rho, -s_ab, k, da, db))
     best_restart = int(np.argmin(values))
     best = float(values[best_restart])
@@ -660,7 +658,7 @@ def rel_ent_upper(
         method="product-mixture-lbfgs",
         diagnostics={
             "k_terms": k,
-            "restarts": restarts,
+            "restarts": REL_ENT_RESTARTS,
             "seed": seed,
             "mixing": REL_ENT_MIX,
             "best_restart": best_restart,

@@ -315,12 +315,34 @@ class ChainReport:
         }
 
 
+def _quantum_side(
+    d: Dist3, phases: PhaseAssignment | None, seed: int, tol: float, support_eps: float
+) -> tuple[ClassReport, MeasureResult, bool, QState, dict[str, MeasureResult]]:
+    """What both reports build: ``classify(d, tol, support_eps)``, the class
+    key rate, whether the phases are block compatible, rho_AB = tr_E of the
+    coherent embedding, and its ``E_r_bound`` and, for two qubits, ``E_F_2q``.
+    """
+    report = classify(d, tol, support_eps)
+    compatible = _phases_block_compatible(d, phases, report.ccf)
+    rho_ab = partial_trace(embed_qqq(d, phases).density(), (0, 1))
+    measures = {"E_r_bound": rel_ent_upper(rho_ab, seed=seed, tol=tol)}
+    if rho_ab.dims == (2, 2):
+        measures["E_F_2q"] = eof_2q(rho_ab)
+    return report, kd_class(d, report), compatible, rho_ab, measures
+
+
+def _esq(
+    d: Dist3, channel: Channel | None, phases: PhaseAssignment | None, support_eps: float
+) -> MeasureResult:
+    """Classical-extension E_sq bound through ``channel`` (None: identity) on Z."""
+    ch = channel or Channel.identity(d.dims[2])
+    return esq_classical_extension_bound(extension_sigma(d, ch, phases, support_eps))
+
+
 def verify_chain(
     d: Dist3,
     phases: PhaseAssignment | None = None,
     seed: int = 0,
-    restarts: int = 32,
-    er_restarts: int = 4,
     tol: float = config.ENTROPY_TOL,
     chain_tol: float = config.CHAIN_TOL,
     support_eps: float = config.SUPPORT_EPS,
@@ -335,29 +357,18 @@ def verify_chain(
     closed-form bracket makes it exact.  The key rate, H(J|Z) and the
     extension channel come from one ``classify(d, tol, support_eps)``.
     """
-    report = classify(d, tol, support_eps)
-    kd = kd_class(d, report)
-    hjz = report.ccf.block_entropy(d)
-    compatible = _phases_block_compatible(d, phases, report.ccf)
-
-    psi = embed_qqq(d, phases)
-    rho_ab = partial_trace(psi.density(), (0, 1))
-
-    measures: dict[str, MeasureResult] = {"K_D_class": kd}
-    ef = eof_numeric(rho_ab, restarts=restarts, seed=seed)
-    measures["E_F_numeric"] = ef
-    if rho_ab.dims == (2, 2):
-        measures["E_F_2q"] = eof_2q(rho_ab)
-    ch = report.down.channel or Channel.identity(d.dims[2])
-    esq = esq_classical_extension_bound(extension_sigma(d, ch, phases, support_eps))
-    measures["E_sq_bound"] = esq
-    er = rel_ent_upper(rho_ab, restarts=er_restarts, seed=seed, tol=tol)
-    measures["E_r_bound"] = er
+    report, kd, compatible, rho_ab, measures = _quantum_side(
+        d, phases, seed, tol, support_eps
+    )
+    ef = eof_numeric(rho_ab, seed=seed)
+    esq = _esq(d, report.down.channel, phases, support_eps)
+    er = measures["E_r_bound"]
+    measures.update(K_D_class=kd, E_F_numeric=ef, E_sq_bound=esq)
 
     values: dict[str, float] = {
         "K_D_class_formula": kd.value,
         "K_D_kind": kd.kind,
-        "H_J_given_Z": hjz,
+        "H_J_given_Z": report.ccf.block_entropy(d),
         "E_F_numeric": ef.value,
         "E_sq_bound": esq.value,
         "E_r_bound": er.value,
@@ -449,7 +460,6 @@ def advantage_report(
     d: Dist3,
     phases: PhaseAssignment | None = None,
     seed: int = 0,
-    er_restarts: int = 4,
     tol: float = config.ENTROPY_TOL,
     support_eps: float = config.SUPPORT_EPS,
 ) -> AdvantageReport:
@@ -462,8 +472,9 @@ def advantage_report(
     the brackets separate strictly.  The classical rate and the certificate
     channel come from one ``classify(d, tol, support_eps)``.
     """
-    report = classify(d, tol, support_eps)
-    kd = kd_class(d, report)
+    report, kd, compatible, rho_ab, measures = _quantum_side(
+        d, phases, seed, tol, support_eps
+    )
     if kd.kind != "exact" and mutual_information(d.p, (0, 1), (2,)) <= tol:
         kd = kd_independent_eve(d, tol)
     if kd.kind == "exact":
@@ -472,33 +483,14 @@ def advantage_report(
         c_lo = kd.diagnostics["lower_bound"]
         c_hi = kd.diagnostics["upper_bound"]
 
-    compatible = _phases_block_compatible(d, phases, report.ccf)
-    psi = embed_qqq(d, phases)
-    rho_ab = partial_trace(psi.density(), (0, 1))
-
-    measures: dict[str, MeasureResult] = {"K_D_classical": kd}
-    uppers: list[float] = []
-    esq_id = esq_classical_extension_bound(
-        extension_sigma(d, Channel.identity(d.dims[2]), phases, support_eps)
-    )
-    measures["E_sq_bound_identity"] = esq_id
-    uppers.append(esq_id.value)
+    measures["K_D_classical"] = kd
+    measures["E_sq_bound_identity"] = _esq(d, None, phases, support_eps)
     cert = report.down.channel
-    if cert is not None and not np.array_equal(
-        cert.k, Channel.identity(d.dims[2]).k
-    ):
-        esq_cert = esq_classical_extension_bound(
-            extension_sigma(d, cert, phases, support_eps)
-        )
-        measures["E_sq_bound_certificate"] = esq_cert
-        uppers.append(esq_cert.value)
-    er = rel_ent_upper(rho_ab, restarts=er_restarts, seed=seed, tol=tol)
-    measures["E_r_bound"] = er
-    uppers.append(er.value)
-    if rho_ab.dims == (2, 2):
-        ef = eof_2q(rho_ab)
-        measures["E_F_2q"] = ef
-        uppers.append(ef.value)
+    if cert is not None and cert.assignment() != list(range(d.dims[2])):
+        measures["E_sq_bound_certificate"] = _esq(d, cert, phases, support_eps)
+    er = measures["E_r_bound"]
+    # every measure but the classical rate caps the quantum side's key rate
+    uppers = [m.value for name, m in measures.items() if name != "K_D_classical"]
 
     q_value = _pure_entropy(rho_ab, 1)
     if q_value is None and (

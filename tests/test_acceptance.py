@@ -119,7 +119,7 @@ def test_criterion_3_extension_bound_ladder():
 
 def test_criterion_4_two_block_chain():
     start = time.time()
-    report = verify_chain(two_block_uniform_example(), seed=0, restarts=32)
+    report = verify_chain(two_block_uniform_example(), seed=0)
     cls = report.classification.to_json()
     ok = cls["ubi"] == "yes" and cls["semi_unambiguous"] == "yes"
     ok &= report.values["H_J_given_Z"] == 1.0

@@ -84,6 +84,12 @@ def test_deterministic_channel_assignment_round_trip():
     ch = Channel.deterministic([1, 0, 1])
     assert ch.is_deterministic()
     assert ch.assignment() == [1, 0, 1]
+    assert ch.out_dim == 2
+
+
+def test_deterministic_channel_rejects_negative_symbol():
+    with pytest.raises(InvalidChannel):
+        Channel.deterministic([0, -1])
 
 
 # ---------------------------------------------------------------------------

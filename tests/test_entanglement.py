@@ -171,8 +171,10 @@ class TestNumericFormation:
         assert res.kind == "upper_bound"
         assert res.value <= 2 * eof_2q(rho).value + 1e-6
 
-    def test_restarts_cut_by_max_iter_are_counted(self, make_density):
-        res = eof_numeric(make_density((2, 2)), restarts=5, max_iter=3)
+    def test_restarts_cut_by_max_iter_are_counted(self, make_density, monkeypatch):
+        monkeypatch.setattr(entanglement, "EOF_RESTARTS", 5)
+        monkeypatch.setattr(entanglement, "EOF_MAX_ITER", 3)
+        res = eof_numeric(make_density((2, 2)))
         diag = res.diagnostics
         assert diag["restarts_at_max_iter"] == 5
         assert diag["restarts_converged"] == diag["restarts_stalled"] == 0
@@ -339,14 +341,14 @@ class TestRelativeEntropyUpper:
             "_lbfgs",
             lambda x, args: (np.full(len(x), ceiling + 0.5), np.ones(len(x), dtype=int)),
         )
-        res = rel_ent_upper(rho, restarts=1)
+        res = rel_ent_upper(rho)
         assert res.kind == "upper_bound"
         assert res.value == pytest.approx(ceiling, abs=1e-12)
         assert res.diagnostics["optimizer_value"] == ceiling + 0.5
 
     def test_closed_bracket_honours_tol(self):
         rho = random_density((2, 2), 2, 0)
-        res = rel_ent_upper(rho, restarts=1, tol=1.0)
+        res = rel_ent_upper(rho, tol=1.0)
         assert res.kind == "exact"
         assert res.diagnostics["iterations"] == 0
         assert res.value == res.diagnostics["upper_bound"]
@@ -361,7 +363,7 @@ class TestRelativeEntropyUpper:
 @example(dims=(2, 3), rank=2, seed=2)  # an open bracket: the optimizer runs
 def test_rel_ent_value_lies_in_its_bracket(dims, rank, seed):
     rho = random_density(dims, min(rank, dims[0] * dims[1]), seed)
-    res = rel_ent_upper(rho, restarts=1)
+    res = rel_ent_upper(rho)
     lo, hi = res.diagnostics["lower_bound"], res.diagnostics["upper_bound"]
     assert lo <= res.value + 1e-12
     assert res.value <= hi + 1e-12

@@ -1,0 +1,77 @@
+"""The experiment scripts under scripts/: their output and their parsers."""
+
+import importlib.util
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+LABELS = {"eve_advantage", "ab_advantage", "balanced", "indeterminate"}
+
+
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _run_reproduce_all(args: list[str], cwd: Path) -> subprocess.CompletedProcess:
+    """reproduce_all.py in a fresh interpreter with no PYTHONPATH."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    return subprocess.run(
+        [sys.executable, str(SCRIPTS / "reproduce_all.py"), *args],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
+def test_chain_demo_passes_and_labels_every_case(capsys):
+    assert _load("chain_demo").main([]) == 0
+    out = capsys.readouterr().out
+    chain, labels = out.split("advantage labels:")
+    checks = [line for line in chain.splitlines() if "slack" in line]
+    assert checks and all(line.endswith(" ok") for line in checks)
+    rows = [line.split() for line in labels.strip().splitlines()]
+    assert len(rows) == 5
+    assert all(LABELS & set(row) for row in rows)
+
+
+def test_gap_scan_puts_the_key_rate_on_top(tmp_path, capsys):
+    out = tmp_path / "rows.json"
+    assert _load("gap_scan").main(["--points", "3", "--out", str(out)]) == 0
+    rows = json.loads(out.read_text())["rows"]
+    assert [r["lambda"] for r in rows] == [0.0, 0.25, 0.5]
+    assert all(r["kd"] >= r["ef"] - 1e-9 for r in rows)
+    assert abs(rows[-1]["gap"]) <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("chain_demo", ["--seed", "-1"]),
+        ("gap_scan", ["--points", "-1"]),
+        ("gap_scan", ["--points", "0"]),
+    ],
+)
+def test_bad_numbers_exit_at_the_parser(name, argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        _load(name).main(argv)
+    assert exc.value.code == 2
+    assert "error: argument" in capsys.readouterr().err
+
+
+def test_reproduce_all_rejects_a_negative_seed_before_writing(tmp_path):
+    res = _run_reproduce_all(["--seed", "-1", "--out-dir", "out"], tmp_path)
+    assert res.returncode == 2
+    assert "reproduce_all.py: error: argument --seed" in res.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_reproduce_all_imports_its_own_checkout(tmp_path):
+    res = _run_reproduce_all(["--help"], tmp_path)
+    assert res.returncode == 0, res.stderr
+    assert "--out-dir" in res.stdout
