@@ -353,9 +353,9 @@ def verify_chain(
     classical-extension squashed-entanglement bound (tight tolerance);
     UBI-PD -> key rate at least the numeric formation bound (chain
     tolerance); additionally semi-unambiguous -> all quantities agree
-    within the chain tolerance, or within ``tol`` for E_r when its
-    closed-form bracket makes it exact.  The key rate, H(J|Z) and the
-    extension channel come from one ``classify(d, tol, support_eps)``.
+    within the chain tolerance, or within ``tol`` for each measure tagged
+    exact.  The key rate, H(J|Z) and the extension channel come from one
+    ``classify(d, tol, support_eps)``.
     """
     report, kd, compatible, rho_ab, measures = _quantum_side(
         d, phases, seed, tol, support_eps
@@ -401,7 +401,7 @@ def verify_chain(
             )
         if report.ubi_pd == YES and report.semi_unambiguous == YES:
             for name in ("E_F_numeric", "E_sq_bound", "E_r_bound", "H_J_given_Z"):
-                exact = name == "E_r_bound" and er.kind == "exact"
+                exact = name in measures and measures[name].kind == "exact"
                 checks.append(
                     _check_close(
                         f"equality_band_{name}",

@@ -15,6 +15,8 @@ import secrecy_forge
 from secrecy_forge import cli, config, keyrates
 from secrecy_forge.dequantize import random_instrument_tree
 from secrecy_forge.distributions import Dist3
+from secrecy_forge.embeddings import embed_qqq
+from secrecy_forge.entanglement import rel_ent_upper
 from secrecy_forge.io import (
     dump_dist,
     dump_json,
@@ -27,7 +29,7 @@ from secrecy_forge.keyrates import (
     one_sided_coherence_example,
     two_block_uniform_example,
 )
-from secrecy_forge.qlinalg import PureState
+from secrecy_forge.qlinalg import PureState, partial_trace
 
 
 @pytest.fixture(scope="module")
@@ -133,6 +135,24 @@ class TestCommands:
         assert ef["name"] == "E_F"
         assert ef["value"] == pytest.approx(1.0, abs=1e-9)
         assert neg["value"] == pytest.approx(1.0, abs=1e-9)
+
+    def test_split_pair_state_gets_one_relative_entropy(self, capsys, files,
+                                                         tmp_path):
+        # the one-sided pair state is three equal-weight ebits on local
+        # blocks, so E_r = 1 exactly, whether the state is held in memory,
+        # read from a file, or built by `chain` from the pmf and phases files
+        d, phases = one_sided_coherence_example()
+        pair = partial_trace(embed_qqq(d, phases).density(), (0, 1))
+        path = tmp_path / "pair.json"
+        dump_json(dump_state(pair), path)
+        _, doc = run_json(capsys, ["measures", "--state", str(path),
+                                   "--which", "er"])
+        _, chain = run_json(capsys, ["chain", "--dist", files["lemma_dist"],
+                                     "--phases", files["phases"]])
+        results = [rel_ent_upper(pair).to_json(), doc["result"][0],
+                   chain["result"]["measures"]["E_r_bound"]]
+        assert [r["kind"] for r in results] == ["exact"] * 3
+        assert [r["value"] for r in results] == pytest.approx([1.0] * 3, abs=1e-12)
 
     def test_chain(self, capsys, files):
         code, doc = run_json(capsys, ["chain", "--dist", files["dist"]])

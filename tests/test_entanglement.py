@@ -142,19 +142,19 @@ class TestNumericFormation:
         rho = PIN_STATES[state]()
         res = eof_numeric(rho, seed=seed)
         diag = res.diagnostics
-        assert res.kind == "upper_bound"
-        if rho.dims == (2, 2):
-            exact = eof_2q(rho).value
-            assert abs(res.value - exact) <= 1e-6
-            assert res.value >= exact - 1e-9
-        elif state == "two-block":
-            # the paper's equality band for semi-unambiguous UBI-PD states:
-            # E_F = K_D = H(J|Z) = 1
+        if rho.dims != (2, 2):
+            # both pair states are block diagonal under local splits into
+            # ebits of equal weight (two for two-block, three for
+            # one-sided), so E_F = 1 with no optimizer step; for two-block
+            # this is the paper's equality band E_F = K_D = H(J|Z) = 1
+            assert res.kind == "exact"
             assert res.value == pytest.approx(1.0, abs=1e-9)
-        else:
-            ceiling = eve_measurement_ceiling(*one_sided_coherence_example())
-            assert ceiling == pytest.approx(1.0, abs=1e-12)
-            assert hashing_floor(rho) <= res.value <= ceiling + 1e-9
+            assert diag["iterations"] == 0
+            return
+        assert res.kind == "upper_bound"
+        exact = eof_2q(rho).value
+        assert abs(res.value - exact) <= 1e-6
+        assert res.value >= exact - 1e-9
         stops = (
             diag["restarts_converged"]
             + diag["restarts_stalled"]
@@ -242,23 +242,6 @@ def local_eigenbasis_ceiling(rho: QState) -> float:
     return entropy(np.diag(u.conj().T @ rho.rho @ u).real) - spectrum_entropy(rho.rho)
 
 
-def _entanglement_entropy(amp: np.ndarray, da: int, db: int) -> float:
-    s = np.linalg.svd(amp.reshape(da, db), compute_uv=False)
-    return entropy(s * s / (s * s).sum())
-
-
-def eve_measurement_ceiling(d, phases=None) -> float:
-    """sum_z p(z) S(tr_B psi_z) of the pure ensemble that Eve leaves when she
-    measures z on the coherent embedding: an upper bound on E_F (Hughston,
-    Jozsa & Wootters, PLA 183, 14 (1993))."""
-    dx, dy, dz = d.dims
-    cols = embed_qqq(d, phases).amp.reshape(dx * dy, dz)
-    weights = (np.abs(cols) ** 2).sum(axis=0)
-    return sum(
-        p * _entanglement_entropy(cols[:, z], dx, dy) for z, p in enumerate(weights) if p > 0
-    )
-
-
 def random_density(dims: tuple[int, int], rank: int, seed: int) -> QState:
     d = dims[0] * dims[1]
     g = np.random.default_rng(seed).standard_normal((d, rank, 2)) @ [1, 1j]
@@ -316,18 +299,25 @@ class TestRelativeEntropyUpper:
         assert expected == pytest.approx(decimal, abs=1e-9)
 
     def test_open_bracket_runs_the_optimizer(self):
-        rho = _pair_state(*one_sided_coherence_example())
+        # the one-sided pair (three equal-weight ebits on local blocks, so
+        # E_r = 1) under a real rotation of levels 1 and 2 on each side:
+        # the blocks no longer sit on computational levels, so the state
+        # does not split, while E_r and the hashing floor S(A) - S(AB) =
+        # H(1/3, 1/3, 1/6, 1/6) - log2 3 = 1/3 are local-unitary invariants
+        rot = np.eye(4)
+        c, s = math.cos(0.3), math.sin(0.3)
+        rot[1:3, 1:3] = [[c, -s], [s, c]]
+        u = np.kron(rot, rot)
+        pair = _pair_state(*one_sided_coherence_example())
+        rho = QState(u @ pair.rho @ u.T, (4, 4))
+        assert entanglement._local_blocks(rho) is None
         res = rel_ent_upper(rho, seed=0)
         diag = res.diagnostics
         assert res.kind == "upper_bound"
         assert diag["iterations"] > 0
         assert diag["lower_bound"] == pytest.approx(1 / 3, abs=1e-12)
         assert diag["lower_bound"] == pytest.approx(hashing_floor(rho), abs=1e-12)
-        assert computational_ceiling(rho) == pytest.approx(5 / 3, abs=1e-12)
         assert res.value == diag["upper_bound"] == diag["optimizer_value"]
-        # rho mixes three maximally correlated two-qubit blocks equally, so
-        # the dephasing in the product basis that applies a Hadamard to
-        # levels 2 and 3 of each side gives log2 6 - log2 3 = 1 >= E_r;
         # no separable sigma goes below the hashing floor
         assert 1 / 3 <= diag["optimizer_value"] <= 1 + 1e-5
 
@@ -374,6 +364,85 @@ def test_rel_ent_value_lies_in_its_bracket(dims, rank, seed):
         assert hi - lo <= 1e-9
     else:
         assert res.value == min(res.diagnostics["optimizer_value"], hi)
+
+
+# block dims per configuration; each keeps dim(rho) <= OPT_DIM_CAP = 16
+SPLIT_SHAPES = [
+    ((2, 2), (2, 2)),
+    ((2, 2), (1, 2)),
+    ((2, 3), (2, 1)),
+    ((2, 2), (1, 1), (1, 1)),
+    ((1, 2), (2, 1), (1, 1)),
+]
+
+
+@st.composite
+def local_block_states(draw):
+    """2-3 random blocks on disjoint level sets of A and of B, with random
+    weights, the levels of each side permuted at random.
+
+    Returns the state and, per block, its weight, its A and B levels and
+    its density matrix in the order of those levels.
+    """
+    shapes = draw(st.sampled_from(SPLIT_SHAPES))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    weights = rng.uniform(0.2, 1.0, len(shapes))
+    weights /= weights.sum()
+    da, db = (sum(s[i] for s in shapes) for i in (0, 1))
+    perm_a, perm_b = rng.permutation(da), rng.permutation(db)
+    rho = np.zeros((da, db, da, db), dtype=complex)
+    blocks, off_a, off_b = [], 0, 0
+    for p, (a, b) in zip(weights, shapes):
+        rank = int(rng.integers(1, min(a * b, 2) + 1))
+        blk = random_density((a, b), rank, int(rng.integers(2**32))).rho
+        lev_a, lev_b = perm_a[off_a : off_a + a], perm_b[off_b : off_b + b]
+        rho[np.ix_(lev_a, lev_b, lev_a, lev_b)] = p * blk.reshape(a, b, a, b)
+        # the same block with its levels in ascending order
+        oa, ob = np.argsort(lev_a), np.argsort(lev_b)
+        blk = blk.reshape(a, b, a, b)[np.ix_(oa, ob, oa, ob)].reshape(a * b, a * b)
+        blocks.append((p, np.sort(lev_a), np.sort(lev_b), blk))
+        off_a, off_b = off_a + a, off_b + b
+    return QState(rho.reshape(da * db, da * db), (da, db)), blocks
+
+
+@settings(max_examples=12)
+@given(local_block_states())
+def test_split_state_is_measured_block_by_block(case):
+    rho, blocks = case
+    cells = entanglement._local_blocks(rho)
+    key = lambda c: (c[1].tolist(), c[2].tolist())
+    assert len(cells) == len(blocks)
+    for (p, a, b, block), (q, qa, qb, blk) in zip(sorted(cells, key=key), sorted(blocks, key=key)):
+        assert (a.tolist(), b.tolist()) == (qa.tolist(), qb.tolist())
+        assert p == pytest.approx(q, abs=1e-12)
+        assert np.abs(block.rho - blk).max() <= 1e-12
+    # E(rho) = sum_ij p_ij E(rho_ij); a block with a side of dimension 1 is 0
+    er, ef = rel_ent_upper(rho), eof_numeric(rho)
+    for res, measure, keys in (
+        (er, rel_ent_upper, ("lower_bound", "upper_bound")),
+        (ef, eof_numeric, ()),
+    ):
+        parts = [(p, measure(block)) for p, _, _, block in cells if min(block.dims) > 1]
+        assert res.value == pytest.approx(sum(p * m.value for p, m in parts), abs=1e-12)
+        for key in keys:
+            assert res.diagnostics[key] == pytest.approx(
+                sum(p * m.diagnostics[key] for p, m in parts), abs=1e-12
+            )
+        assert res.kind == (
+            "exact" if all(m.kind == "exact" for _, m in parts) else "upper_bound"
+        )
+        assert [b["weight"] for b in res.diagnostics["blocks"]] == [c[0] for c in cells]
+    assert er.diagnostics["lower_bound"] >= hashing_floor(rho) - 1e-9
+    assert er.diagnostics["lower_bound"] <= er.value <= er.diagnostics["upper_bound"] + 1e-12
+    assert er.value <= computational_ceiling(rho) + 1e-9
+    assert er.value <= local_eigenbasis_ceiling(rho) + 1e-9
+    # a coherence of 1e-6 between every two cells joins them all
+    da, db = rho.dims
+    psi = np.zeros(da * db)
+    psi[[a[0] * db + b[0] for _, a, b, _ in cells]] = 1.0
+    eps = 1e-6 * len(cells)
+    mixed = (1 - eps) * rho.rho + eps * np.outer(psi, psi) / len(cells)
+    assert entanglement._local_blocks(QState(mixed, rho.dims)) is None
 
 
 def _objective_fd_errors(rho: QState, seed: int) -> list[float]:
