@@ -40,7 +40,9 @@ class Caps:
     """Hard size limits for exact dense computations."""
 
     product_states: int = 4096   # joint alphabet size of an i.i.d. power
-    rho_dim: int = 256           # total dimension of a density matrix
+    # total dimension of a density matrix; dequantize-check caps its
+    # output law's entries (out_a * out_b * |Z|^n * transcripts) by it
+    rho_dim: int = 256
     branch_terms: int = 1_000_000  # summands in a protocol simulation
 
 

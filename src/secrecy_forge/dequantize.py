@@ -8,7 +8,9 @@ local channel conditioned on the whole transcript.  On an incoherent input
 a purely classical one whose broadcast kernels are trace ratios of the
 acting party's accumulated CP map and whose output channels are the
 diagonals of the leaf states.  Both sides are evaluated here by exact
-dense enumeration so their outputs can be compared in trace distance.
+enumeration, and their output laws over (A', B', E, M) are compared in
+total-variation distance: E and M stay classical, so that is the trace
+distance between the two outputs once A' and B' are measured.
 """
 
 from __future__ import annotations
@@ -20,16 +22,14 @@ import numpy as np
 from . import config
 from .distributions import Dist3, product_power
 from .errors import DimensionCapExceeded, InvalidChannel, InvalidProtocol
-from .qlinalg import QState, dephase, trace_distance
 
 __all__ = [
     "History",
     "InstrumentTree",
     "ClassicalProtocol",
-    "simulate_quantum",
-    "dephase_output",
+    "quantum_law",
     "dequantize",
-    "simulate_classical",
+    "classical_law",
     "verify_equivalence",
     "random_instrument_tree",
 ]
@@ -300,63 +300,52 @@ def _path_maps(
     return traces, fin_a, fin_b
 
 
-def _check_caps(
-    tree_dims: tuple[int, int], out_dims: tuple[int, int], dzn: int, n_hist: int,
-    caps: config.Caps,
-) -> None:
-    branch_amp = (out_dims[0] * out_dims[1] * dzn) ** 2
+def _checked_power(
+    proto: InstrumentTree | ClassicalProtocol, d: Dist3, n: int, what: str
+) -> Dist3:
+    """``d**n`` once it fits the protocol's dims and the size caps."""
+    caps = config.load_caps()
+    pn = product_power(d, n)
+    dims = (proto.dim_a, proto.dim_b)
+    if pn.dims[:2] != dims:
+        raise InvalidProtocol(
+            f"{what} dims ({dims[0]}, {dims[1]}) do not match "
+            f"distribution power dims {pn.dims[:2]}"
+        )
+    dzn = pn.dims[2]
+    n_hist = len(proto.histories())
+    branch_amp = (proto.out_a * proto.out_b * dzn) ** 2
     if branch_amp > caps.product_states:
         raise DimensionCapExceeded(
             f"branch state holds {branch_amp} amplitudes, cap is {caps.product_states}"
         )
-    total_dim = out_dims[0] * out_dims[1] * dzn * n_hist
+    total_dim = proto.out_a * proto.out_b * dzn * n_hist
     if total_dim > caps.rho_dim:
         raise DimensionCapExceeded(
             f"output density matrix dimension {total_dim}, cap is {caps.rho_dim}"
         )
-    terms = tree_dims[0] * tree_dims[1] * dzn * n_hist
+    terms = dims[0] * dims[1] * dzn * n_hist
     if terms > caps.branch_terms:
         raise DimensionCapExceeded(
             f"simulation sums {terms} terms, cap is {caps.branch_terms}"
         )
+    return pn
 
 
-def simulate_quantum(tree: InstrumentTree, d: Dist3, n: int = 1) -> QState:
-    """Run the tree on the diagonal embedding of ``d**n``.
+def quantum_law(tree: InstrumentTree, d: Dist3, n: int = 1) -> np.ndarray:
+    """Law of (A', B', E, M) when the tree runs on the diagonal embedding of ``d**n``.
 
-    Returns the joint output over subsystems (A', B', E, M) where E holds
-    Eve's untouched symbol and M the broadcast transcript, indexed in
-    ``tree.histories()`` order.
+    E holds Eve's untouched symbol and M the broadcast transcript, indexed
+    in ``tree.histories()`` order; the shape is (out_a, out_b, |Z|^n,
+    transcripts).  E and M are classical by construction, so this is the
+    diagonal of the output state: each leaf map's diagonal, weighted by
+    ``d**n``.
     """
-    caps = config.load_caps()
-    pn = product_power(d, n)
-    if pn.dims[:2] != (tree.dim_a, tree.dim_b):
-        raise InvalidProtocol(
-            f"tree dims ({tree.dim_a}, {tree.dim_b}) do not match "
-            f"distribution power dims {pn.dims[:2]}"
-        )
-    hist = tree.histories()
-    dzn = pn.dims[2]
-    _check_caps(pn.dims[:2], (tree.out_a, tree.out_b), dzn, len(hist), caps)
+    pn = _checked_power(tree, d, n, "tree")
     _, fin_a, fin_b = _path_maps(tree)
-    a_stack = np.stack(fin_a)
-    b_stack = np.stack(fin_b)
-    # block[h, z, a, b, a', b'] with E and M diagonal by construction.
-    block = np.einsum("xyz,hxac,hybd->hzabcd", pn.p, a_stack, b_stack)
-    oa, ob = tree.out_a, tree.out_b
-    rho = np.zeros((oa, ob, dzn, len(hist)) * 2, dtype=complex)
-    for hi in range(len(hist)):
-        for z in range(dzn):
-            rho[:, :, z, hi, :, :, z, hi] = block[hi, z]
-    dim = oa * ob * dzn * len(hist)
-    return QState(rho.reshape(dim, dim), (oa, ob, dzn, len(hist)))
-
-
-def dephase_output(state: QState) -> QState:
-    """Kill coherences of the first two subsystems (the A' and B' outputs)."""
-    if len(state.dims) < 2:
-        raise InvalidProtocol(f"expected >= 2 subsystems, got dims {state.dims}")
-    return dephase(dephase(state, 0), 1)
+    diag_a = np.einsum("hxaa->hxa", np.stack(fin_a)).real
+    diag_b = np.einsum("hybb->hyb", np.stack(fin_b)).real
+    return np.einsum("xyz,hxa,hyb->abzh", pn.p, diag_a, diag_b)
 
 
 def _ratio_rows(table: np.ndarray) -> np.ndarray:
@@ -395,19 +384,11 @@ def dequantize(tree: InstrumentTree) -> ClassicalProtocol:
     )
 
 
-def simulate_classical(proto: ClassicalProtocol, d: Dist3, n: int = 1) -> QState:
-    """Forward-chain the protocol on ``d**n``; diagonal joint over (A',B',E,M)."""
-    caps = config.load_caps()
-    pn = product_power(d, n)
-    if pn.dims[:2] != (proto.dim_a, proto.dim_b):
-        raise InvalidProtocol(
-            f"protocol dims ({proto.dim_a}, {proto.dim_b}) do not match "
-            f"distribution power dims {pn.dims[:2]}"
-        )
+def classical_law(proto: ClassicalProtocol, d: Dist3, n: int = 1) -> np.ndarray:
+    """Forward-chain the protocol on ``d**n``: the law of (A', B', E, M)."""
+    pn = _checked_power(proto, d, n, "protocol")
     hist = proto.histories()
-    dzn = pn.dims[2]
-    _check_caps(pn.dims[:2], (proto.out_a, proto.out_b), dzn, len(hist), caps)
-    joint = np.zeros((proto.out_a, proto.out_b, dzn, len(hist)))
+    joint = np.zeros((proto.out_a, proto.out_b, pn.dims[2], len(hist)))
 
     def expand(h: History, w: tuple[np.ndarray, np.ndarray]) -> list:
         wa, wb = w
@@ -421,14 +402,18 @@ def simulate_classical(proto: ClassicalProtocol, d: Dist3, n: int = 1) -> QState
         ta = wa[:, None] * proto.final_a[h]
         tb = wb[:, None] * proto.final_b[h]
         joint[:, :, :, i] = np.einsum("xyz,xa,yb->abz", pn.p, ta, tb)
-    return QState(np.diag(joint.ravel()), (proto.out_a, proto.out_b, dzn, len(hist)))
+    return joint
 
 
 def verify_equivalence(tree: InstrumentTree, d: Dist3, n: int = 1) -> float:
-    """Trace distance between the dephased tree output and its classical twin."""
-    quantum = dephase_output(simulate_quantum(tree, d, n))
-    classical = simulate_classical(dequantize(tree), d, n)
-    return trace_distance(quantum, classical)
+    """Total-variation distance between the tree's output law and its twin's.
+
+    That is the trace distance between the tree's output with A' and B'
+    dephased and the classical twin's output, both diagonal states.
+    """
+    quantum = quantum_law(tree, d, n)
+    classical = classical_law(dequantize(tree), d, n)
+    return float(0.5 * np.abs(quantum - classical).sum())
 
 
 # ---------------------------------------------------------------------------

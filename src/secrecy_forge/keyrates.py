@@ -468,9 +468,10 @@ def advantage_report(
     The quantum side is pinned exactly when the embedded pair state is
     pure (rate = reduced entropy) or when the class equalities apply
     (reversible + semi-unambiguous, block-compatible phases); otherwise
-    it is bracketed by certified bounds and the label only fires when
-    the brackets separate strictly.  The classical rate and the certificate
-    channel come from one ``classify(d, tol, support_eps)``.
+    it is bracketed by certified bounds, taken as the bracket's top once
+    the bracket has closed within ``EQ_TOL``, and the label only fires
+    when the brackets separate strictly.  The classical rate and the
+    certificate channel come from one ``classify(d, tol, support_eps)``.
     """
     report, kd, compatible, rho_ab, measures = _quantum_side(
         d, phases, seed, tol, support_eps
@@ -503,6 +504,8 @@ def advantage_report(
     q_hi = min(uppers + ([q_value] if q_value is not None else []))
     # coherent information (E_r's floor) <= E_D <= K_D (Devetak & Winter 2005)
     q_lo = q_value if q_value is not None else er.diagnostics["lower_bound"]
+    if q_value is None and q_hi - q_lo <= EQ_TOL:
+        q_value = q_hi
 
     gap: float | None = None
     if kd.kind == "exact" and q_value is not None:

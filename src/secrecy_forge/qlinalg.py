@@ -22,7 +22,6 @@ __all__ = [
     "QState",
     "PureState",
     "partial_trace",
-    "dephase",
     "von_neumann_entropy",
     "trace_distance",
     "cond_mutual_info_q",
@@ -123,20 +122,6 @@ def partial_trace(state: QState, keep: Sequence[int]) -> QState:
     out = np.einsum(f"{src}->{dst}", r)
     d_out = math.prod(state.dims[k] for k in keep) if keep else 1
     return QState(out.reshape(d_out, d_out), tuple(state.dims[k] for k in keep) or (1,))
-
-
-def dephase(state: QState, subsystem: int) -> QState:
-    """Kill coherences of one subsystem in the computational basis."""
-    n = len(state.dims)
-    if subsystem < 0 or subsystem >= n:
-        raise SecrecyForgeError(f"bad subsystem {subsystem} for {n} subsystems")
-    dk = state.dims[subsystem]
-    shape = [1] * (2 * n)
-    shape[subsystem] = dk
-    shape[n + subsystem] = dk
-    mask = np.eye(dk).reshape(shape)
-    r = state.rho.reshape(state.dims + state.dims) * mask
-    return QState(r.reshape(state.dim, state.dim), state.dims)
 
 
 def _spectrum_entropy(w: np.ndarray) -> float:

@@ -1,4 +1,5 @@
-"""Shared fixtures: seeded factories for distributions and density matrices."""
+"""Shared fixtures: seeded factories for distributions and density matrices,
+and the reference dephasing map."""
 
 from __future__ import annotations
 
@@ -35,6 +36,24 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     terminalreporter.section("acceptance verdicts")
     for line in lines:
         terminalreporter.write_line(line)
+
+
+def _dephase(state: QState, subsystem: int) -> QState:
+    """Kill coherences of one subsystem in the computational basis."""
+    n = len(state.dims)
+    dk = state.dims[subsystem]
+    shape = [1] * (2 * n)
+    shape[subsystem] = dk
+    shape[n + subsystem] = dk
+    mask = np.eye(dk).reshape(shape)
+    r = state.rho.reshape(state.dims + state.dims) * mask
+    return QState(r.reshape(state.dim, state.dim), state.dims)
+
+
+@pytest.fixture
+def dephase():
+    """Reference dephasing map: what the embedding chain must reproduce."""
+    return _dephase
 
 
 @pytest.fixture

@@ -40,7 +40,7 @@ from secrecy_forge.keyrates import (
     two_block_uniform_example,
     verify_chain,
 )
-from secrecy_forge.qlinalg import dephase, partial_trace, von_neumann_entropy
+from secrecy_forge.qlinalg import partial_trace, von_neumann_entropy
 
 
 VERDICTS: list[str] = []
@@ -244,7 +244,7 @@ def test_criterion_6_nesting_and_additivity():
     assert ok
 
 
-def test_criterion_7_dephasing_chain():
+def test_criterion_7_dephasing_chain(dephase):
     start = time.time()
     rng = np.random.default_rng(20250825)
     ok = True

@@ -7,11 +7,10 @@ import pytest
 
 from secrecy_forge.dequantize import (
     InstrumentTree,
-    dephase_output,
+    classical_law,
     dequantize,
+    quantum_law,
     random_instrument_tree,
-    simulate_classical,
-    simulate_quantum,
     verify_equivalence,
 )
 from secrecy_forge.distributions import Dist3
@@ -20,9 +19,10 @@ from secrecy_forge.errors import (
     InvalidChannel,
     InvalidProtocol,
 )
-from secrecy_forge.qlinalg import partial_trace
+from secrecy_forge.qlinalg import QState
 
 EYE = np.eye(2, dtype=complex)
+HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
 
 
 def projective_announce_tree() -> InstrumentTree:
@@ -77,26 +77,34 @@ def computational_announce_tree(dim_a: int, dim_b: int) -> InstrumentTree:
 class TestCannedTrees:
     def test_trivial_tree_reproduces_distribution(self, make_dist):
         d = make_dist((2, 3, 2))
-        state = simulate_quantum(trivial_tree(2, 3), d)
-        assert state.dims == (2, 3, 2, 1)
-        np.testing.assert_allclose(
-            np.diag(state.rho).real.reshape(2, 3, 2), d.p, atol=1e-15
-        )
+        tree = trivial_tree(2, 3)
+        for law in (quantum_law(tree, d), classical_law(dequantize(tree), d)):
+            assert law.shape == (2, 3, 2, 1)
+            np.testing.assert_allclose(law[..., 0], d.p, atol=1e-15)
 
     def test_announce_tree_hand_law(self, make_dist):
         # a = b = x, m indexes the transcript (x, 0), Eve keeps z
         d = make_dist((2, 2, 2))
         tree = computational_announce_tree(2, 2)
-        state = simulate_quantum(tree, d)
-        assert state.dims == (2, 2, 2, 2)
         expected = np.zeros((2, 2, 2, 2))
         for x in range(2):
             for z in range(2):
                 expected[x, x, z, x] = d.p[x, :, z].sum()
-        got = np.diag(state.rho).real.reshape(2, 2, 2, 2)
-        np.testing.assert_allclose(got, expected, atol=1e-15)
-        off_diag = state.rho - np.diag(np.diag(state.rho))
-        assert np.abs(off_diag).max() < 1e-15
+        for law in (quantum_law(tree, d), classical_law(dequantize(tree), d)):
+            np.testing.assert_allclose(law, expected, atol=1e-15)
+
+    def test_coherence_between_node_and_leaf_is_kept(self, make_dist):
+        # Alice applies H as a one-outcome node and H again as her leaf, so
+        # a' = x; dephasing between the two would make a' uniform instead
+        d = make_dist((2, 2, 3))
+        tree = InstrumentTree(
+            rounds=2, dim_a=2, dim_b=2,
+            instruments={(): ((HADAMARD,),), (0,): ((EYE,),)},
+            leaf_a={(0, 0): (HADAMARD,)}, leaf_b={(0, 0): (EYE,)},
+        )
+        for law in (quantum_law(tree, d), classical_law(dequantize(tree), d)):
+            assert law.shape == (2, 2, 3, 1)
+            np.testing.assert_allclose(law[..., 0], d.p, atol=1e-15)
 
     def test_announce_tree_needs_room_for_the_bit(self):
         with pytest.raises(InvalidProtocol):
@@ -152,22 +160,25 @@ class TestEquivalence:
         d = make_dist((2, 2, 2), sparsity=0.3)
         tree = random_instrument_tree(2, 2, rounds=2, outcomes=2,
                                       kraus_each=2, rng=rng)
-        quantum = dephase_output(simulate_quantum(tree, d))
-        classical = simulate_classical(dequantize(tree), d)
-        for keep in ((3,), (2,)):
-            qm = partial_trace(quantum, keep=keep)
-            cm = partial_trace(classical, keep=keep)
-            np.testing.assert_allclose(qm.rho, cm.rho, atol=1e-10)
+        quantum = quantum_law(tree, d)
+        classical = classical_law(dequantize(tree), d)
+        for axes in ((0, 1, 2), (0, 1, 3)):
+            np.testing.assert_allclose(quantum.sum(axis=axes),
+                                       classical.sum(axis=axes), atol=1e-10)
         # Eve's register is never touched: her marginal is the z-marginal
-        eve = np.diag(partial_trace(quantum, keep=(2,)).rho).real
-        np.testing.assert_allclose(eve, d.p.sum(axis=(0, 1)), atol=1e-12)
+        np.testing.assert_allclose(quantum.sum(axis=(0, 1, 3)),
+                                   d.p.sum(axis=(0, 1)), atol=1e-12)
 
-    def test_dephase_output_is_idempotent(self, rng, make_dist):
-        tree = random_instrument_tree(2, 2, rounds=2, outcomes=2, rng=rng)
-        state = simulate_quantum(tree, make_dist((2, 2, 2)))
-        once = dephase_output(state)
-        twice = dephase_output(once)
-        np.testing.assert_allclose(once.rho, twice.rho, atol=1e-15)
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_builds_no_density_matrix(self, rng, make_dist, monkeypatch, n):
+        def refuse(self):
+            raise AssertionError("verify_equivalence built a QState")
+
+        d = make_dist((2, 2, 2))
+        tree = random_instrument_tree(2**n, 2**n, rounds=2, outcomes=2,
+                                      kraus_each=2, rng=rng)
+        monkeypatch.setattr(QState, "__post_init__", refuse)
+        assert verify_equivalence(tree, d, n=n) <= 1e-9
 
 
 class TestValidation:
@@ -213,13 +224,13 @@ class TestValidation:
 
     def test_rejects_dims_mismatch(self, make_dist):
         with pytest.raises(InvalidProtocol):
-            simulate_quantum(trivial_tree(3, 3), make_dist((2, 2, 2)))
+            quantum_law(trivial_tree(3, 3), make_dist((2, 2, 2)))
 
     def test_caps_bound_the_output_block(self, rng, make_dist, monkeypatch):
         tree = random_instrument_tree(2, 2, rounds=2, outcomes=2, rng=rng)
         monkeypatch.setenv("SECRECY_FORGE_CAPS", '{"rho_dim": 4}')
         with pytest.raises(DimensionCapExceeded):
-            simulate_quantum(tree, make_dist((2, 2, 2)))
+            quantum_law(tree, make_dist((2, 2, 2)))
 
 
 def _digest(*arrays: np.ndarray) -> str:
@@ -260,61 +271,61 @@ PIN_CASES = {
     "trivial-2x2": lambda: (trivial_tree(2, 2), _seeded_dist((2, 2, 2), 18), 1),
 }
 
-# sha256 of simulate_quantum(...).rho, of simulate_classical(...).rho and
+# sha256 of quantum_law(...), of classical_law(...) and
 # of the dequantized tables (kernels in transcript order, then final_a and
 # final_b in histories() order), and verify_equivalence as float.hex
 DEQUANTIZE_PINS = {
     "random-r0-o2-k1": (
-        "49d0d25cfe97b5a6fc7710f251aa4053f05a5d0402cdbf6389e07d98d8338e0a",
-        "443594e848b9b2aae111bfcb1349bf1c4e68f33041289f88fad2fd06583abb32",
+        "273d659b75dd3c2fca68fe9a8eac02ffae1d2adc2fdafc77ac3901b6f191662a",
+        "b4b5cac9c98db2e0a3a358d06220a0f8ffa6258d7c28091f74f8036fa9004900",
         "0ee72c0b4ee98e1dddffe018748891f4b8c696902d56d616c1a7822cacc7d394",
         "0x1.2000000000000p-54",
     ),  # 1 transcripts
     "random-r2-o2-k1": (
-        "b7994167b26981aca059c059cf545dc5884d33c539aba29eee2dac3cda7e7fa2",
-        "b6af49f2298d4b726f263eb1116d90f1377c8e87c8b4814e8338ba70739e2f4a",
+        "bafcd9de6bd301290c447c91b38e98d8111b46b4aea934fd055253a577c84cf3",
+        "7eb09610e3190c7c33700bc20e1eefafa4823afabca94fd586b047c0878e99ab",
         "b6275a52243a136a095c856b66bc5c716b2a2172d545f1be1635175454776d58",
         "0x1.b838000000000p-53",
     ),  # 4 transcripts
     "random-r2-o3-k2": (
-        "5a47238622f8d08528a4f6d0e743eefd753ca318a3bcaf4a63efbe2150846d46",
-        "75e77749fc6c6baea15e01816bc35fed4983aaa0b9cf42c195cfed689daf9e6c",
+        "39a2f790d97a4e960cc2f6e2ae0d1f3fed1985318f893354d526f058db193397",
+        "29de839bacc5ce514f9ef5a4b27c0d26d9808b152381b4d570515a9bf7d9d565",
         "df0f5a8733db5f60e749a1dcc60da7e5e8a37e72880b5b75eed1285e9687a951",
         "0x1.8300000000000p-53",
     ),  # 9 transcripts
     "random-r4-o2-k2": (
-        "b1c77355c30afb6f673cae4c95f2e6ea5ac91cffd9e84ab85296c729b7e9224a",
-        "1a0f2bf1c7618adf4dd6cf37187b2a1645b6117400a1389c20148c2bd9e873b4",
+        "5cd5c771682a1e38bddfffca77e1ce538bc6af971a66234287309c28ea86b3b2",
+        "d9608fda351443b2259d71c3f585afbb0ae749fa67f700bc78943d6d5577c0da",
         "b8c3defbd613f1098b3598ac73d1f8615ab19cda09fd5dedc008f0ec8a167d2d",
         "0x1.dec0000000000p-53",
     ),  # 16 transcripts
     "random-r4-o2-k1": (
-        "c3d8f8afb1cd87a8d4ecb78176ab6cd926f55d15f305ef98d211f2d3b48786e1",
-        "17d96beab53a8183174f72ff1922e2f4824fb2ae185c364a66ae0e0ca67cdbf1",
+        "7daf829babc2bcd35c36d961accfa3c62ad99ef18a0c47e4e3d0609039613ada",
+        "b3060d447b2262b223423900bca627f300b1f9c78c6bd1b2aaa8c1a30a527f59",
         "788e41780ce6697f7d875118f0188b2732c35d242e16715e2713c7035862eb38",
         "0x1.eebc000000000p-53",
     ),  # 16 transcripts
     "random-r2-o3-k1": (
-        "db07bbfd15f400812efe7c7070dd38e4e6011c18bbd1e8499da44f8cc0b7dda7",
-        "0aed33f8f4568653d6e1e55baaf8a009bbb03c4497f1e2846afdad7618410842",
+        "8ebbcd7919e93531101530d9cb7f455a8a228c78fbedeb9a18b56e377e24ec82",
+        "8af2ac86be036b0bf3cb198f5de3f3a084f194e9426f431811fd1d496270257e",
         "4d78ba74d04e1338a287cf6115b9d2df4c47042be700b0e9efd493873c19c239",
         "0x1.e1f0000000000p-53",
     ),  # 9 transcripts
     "random-n2": (
-        "115fcb971d7bc547244646e012f9e5779b752bc8cf24842a95fb1542c788f5c5",
-        "67cbb575e3fc65bdd649f919dbaa098cbbc7914b8b45c186147d88d44121c5d9",
+        "e31034b960c3bded3bebddee6924ec709643c58c8d7f6f7cc3f5bec622300699",
+        "879ed2db7613ede1dfecb927ca25b4e159a8b4efb83c163d526c7db370ea1a2a",
         "05a510ac3560dc24230d5ae381b3e2853969fe0948fd20f446e27bcb412c135e",
         "0x1.8be0000000000p-53",
     ),  # 4 transcripts
     "announce-3x3": (
-        "3b8359c289e5b8fdf40e783daf25aa1b1a43bf2826acc119a7d5c14a9d034ff9",
-        "3b8359c289e5b8fdf40e783daf25aa1b1a43bf2826acc119a7d5c14a9d034ff9",
+        "fb1c1a24055b44793701f8d0f9e392754da61d3388f71b06ba6c021f6fe781f7",
+        "fb1c1a24055b44793701f8d0f9e392754da61d3388f71b06ba6c021f6fe781f7",
         "b89e5d116d8bd9a3490c48856740902c38d40eb81a4971cbaf96e796a9602005",
         "0x0.0p+0",
     ),  # 3 transcripts
     "trivial-2x2": (
-        "a8292a31e8f263220c4ef24fc5992a62884d0130b9be669f7938f1a9fb647ce0",
-        "a8292a31e8f263220c4ef24fc5992a62884d0130b9be669f7938f1a9fb647ce0",
+        "061cbbfe6c34a0803d6263c6b842d011c5dc38bd5bf3ef0e56c30c75e119a4cd",
+        "061cbbfe6c34a0803d6263c6b842d011c5dc38bd5bf3ef0e56c30c75e119a4cd",
         "07ea47b9b2dfc1615fd554ebd45ff7ab2a36b5ab674c8e37f22df1ccf74f8422",
         "0x0.0p+0",
     ),  # 1 transcripts
@@ -331,8 +342,8 @@ def test_dequantization_is_bitwise_pinned(case):
     tables = [proto.kernels[h] for h in sorted(proto.kernels)]
     tables += [proto.final_a[h] for h in hist] + [proto.final_b[h] for h in hist]
     got = (
-        _digest(simulate_quantum(tree, d, n).rho),
-        _digest(simulate_classical(proto, d, n).rho),
+        _digest(quantum_law(tree, d, n)),
+        _digest(classical_law(proto, d, n)),
         _digest(*tables),
         verify_equivalence(tree, d, n).hex(),
     )

@@ -17,7 +17,7 @@ from secrecy_forge.embeddings import (
     extension_sigma,
 )
 from secrecy_forge.errors import SecrecyForgeError
-from secrecy_forge.qlinalg import dephase, partial_trace, trace_distance
+from secrecy_forge.qlinalg import partial_trace, trace_distance
 
 
 def random_phases(rng, dims) -> PhaseAssignment:
@@ -61,7 +61,7 @@ def test_phases_on_null_entries_are_inert(make_dist):
 # the dephasing chain
 
 
-def test_dephasing_chain(make_dist, rng):
+def test_dephasing_chain(make_dist, rng, dephase):
     for sparsity in (0.0, 0.4):
         d = make_dist((2, 2, 3), sparsity=sparsity)
         ph = random_phases(rng, d.dims)

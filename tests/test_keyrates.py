@@ -247,11 +247,17 @@ class TestAdvantageReport:
     def test_skewed_family_favours_eavesdropper(self):
         adv = advantage_report(binary_eve_family(0.25), seed=0)
         assert adv.label == "eve_advantage"
-        assert adv.gap is None  # quantum side only bracketed
         lo, hi = adv.classical_interval
         assert lo == hi == pytest.approx((1 + H_QUARTER) / 2, abs=1e-9)
         assert adv.quantum_interval[1] < lo
         assert adv.phases_block_compatible
+        # the pair state is maximally correlated, so E_r = E_D (Rains) and
+        # the bracket closes at h(3/8) - h(1/2 - sqrt(1/64 + c^2)), with
+        # c = 1/4 + sqrt(3)/8 the coherence between the two branches
+        c = 0.25 + math.sqrt(3.0) / 8.0
+        quantum = h2(3 / 8) - h2(0.5 - math.sqrt(1 / 64 + c * c))
+        assert adv.quantum_value == pytest.approx(quantum, abs=1e-9)
+        assert adv.gap == pytest.approx((1 + H_QUARTER) / 2 - quantum, abs=1e-9)
 
     def test_balanced_family_is_balanced(self):
         adv = advantage_report(binary_eve_family(0.5), seed=0)
@@ -280,14 +286,14 @@ class TestAdvantageReport:
         assert adv.label == "ab_advantage"
         assert adv.classical_interval == pytest.approx((1 / 3, 1 / 3), abs=1e-12)
         assert not adv.phases_block_compatible
-        assert adv.gap is None
+        assert adv.gap == pytest.approx(1 / 3 - 1.0, abs=1e-12)
 
     def test_unpinned_quantum_side_closes_at_one_ebit(self):
         # the pair state is three equal-weight ebits on local blocks: the
         # blocks' hashing floors and E_r values are 1 each
         d, phases = one_sided_coherence_example()
         adv = advantage_report(d, phases=phases, seed=0)
-        assert adv.quantum_value is None
+        assert adv.quantum_value == pytest.approx(1.0, abs=1e-12)
         lo, hi = adv.quantum_interval
         assert lo == pytest.approx(1.0, abs=1e-12)
         assert hi == pytest.approx(1.0, abs=1e-12)

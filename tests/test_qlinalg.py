@@ -1,4 +1,5 @@
-"""State layer: validation, partial trace, dephasing, entropies, distances."""
+"""State layer: validation, partial trace, entropies, distances; and the
+reference dephasing map the embedding tests rely on."""
 
 from __future__ import annotations
 
@@ -12,7 +13,6 @@ from secrecy_forge.qlinalg import (
     PureState,
     QState,
     cond_mutual_info_q,
-    dephase,
     partial_trace,
     trace_distance,
     von_neumann_entropy,
@@ -108,17 +108,17 @@ def test_partial_trace_matches_oracle(make_density):
 
 
 # ---------------------------------------------------------------------------
-# dephasing
+# dephasing (the reference map in conftest.py)
 
 
-def test_dephase_zeroes_cross_terms():
+def test_dephase_zeroes_cross_terms(dephase):
     st = BELL.density()
     out = dephase(st, 0)
     want = np.diag([0.5, 0, 0, 0.5])
     np.testing.assert_allclose(out.rho, want, atol=1e-14)
 
 
-def test_dephase_keeps_within_block_coherence():
+def test_dephase_keeps_within_block_coherence(dephase):
     # |0>(|0>+|1>)/sqrt(2): dephasing subsystem 0 must keep B's coherence
     amp = np.array([1.0, 1.0, 0.0, 0.0]) / math.sqrt(2.0)
     st = PureState(amp, (2, 2)).density()
@@ -126,14 +126,14 @@ def test_dephase_keeps_within_block_coherence():
     np.testing.assert_allclose(out.rho, st.rho, atol=1e-14)
 
 
-def test_dephase_idempotent(make_density):
+def test_dephase_idempotent(make_density, dephase):
     st = make_density((2, 3))
     once = dephase(st, 1)
     twice = dephase(once, 1)
     np.testing.assert_allclose(once.rho, twice.rho, atol=1e-14)
 
 
-def test_dephase_preserves_diagonal(make_density):
+def test_dephase_preserves_diagonal(make_density, dephase):
     st = make_density((2, 2))
     for sub in (0, 1):
         np.testing.assert_allclose(
