@@ -27,8 +27,6 @@ __all__ = [
     "History",
     "InstrumentTree",
     "ClassicalProtocol",
-    "quantum_law",
-    "dequantize",
     "classical_law",
     "verify_equivalence",
     "random_instrument_tree",
@@ -332,8 +330,9 @@ def _checked_power(
     return pn
 
 
-def quantum_law(tree: InstrumentTree, d: Dist3, n: int = 1) -> np.ndarray:
-    """Law of (A', B', E, M) when the tree runs on the diagonal embedding of ``d**n``.
+def _quantum_law(pn: Dist3, maps: tuple) -> np.ndarray:
+    """Law of (A', B', E, M) when the tree walked into ``maps`` by
+    ``_path_maps`` runs on the diagonal embedding of ``pn`` = ``d**n``.
 
     E holds Eve's untouched symbol and M the broadcast transcript, indexed
     in ``tree.histories()`` order; the shape is (out_a, out_b, |Z|^n,
@@ -341,8 +340,7 @@ def quantum_law(tree: InstrumentTree, d: Dist3, n: int = 1) -> np.ndarray:
     diagonal of the output state: each leaf map's diagonal, weighted by
     ``d**n``.
     """
-    pn = _checked_power(tree, d, n, "tree")
-    _, fin_a, fin_b = _path_maps(tree)
+    _, fin_a, fin_b = maps
     diag_a = np.einsum("hxaa->hxa", np.stack(fin_a)).real
     diag_b = np.einsum("hybb->hyb", np.stack(fin_b)).real
     return np.einsum("xyz,hxa,hyb->abzh", pn.p, diag_a, diag_b)
@@ -357,15 +355,16 @@ def _ratio_rows(table: np.ndarray) -> np.ndarray:
     return out
 
 
-def dequantize(tree: InstrumentTree) -> ClassicalProtocol:
-    """Extract the classical protocol with the same output law on every incoherent input.
+def _dequantize(tree: InstrumentTree, maps: tuple) -> ClassicalProtocol:
+    """The classical protocol with the same output law as ``tree`` on every
+    incoherent input, from the tree's ``_path_maps``.
 
     Broadcast kernels are the trace ratios of the acting party's
     accumulated CP map on basis inputs; final channels are the normalized
     diagonals of the leaf states.  Rows conditioned on unreachable
     transcripts are set uniform; they never influence the output law.
     """
-    traces, fin_a, fin_b = _path_maps(tree)
+    traces, fin_a, fin_b = maps
     hist = tree.histories()
     kernels = {h: _ratio_rows(t) for h, t in traces.items()}
     final_a, final_b = (
@@ -411,8 +410,10 @@ def verify_equivalence(tree: InstrumentTree, d: Dist3, n: int = 1) -> float:
     That is the trace distance between the tree's output with A' and B'
     dephased and the classical twin's output, both diagonal states.
     """
-    quantum = quantum_law(tree, d, n)
-    classical = classical_law(dequantize(tree), d, n)
+    pn = _checked_power(tree, d, n, "tree")
+    maps = _path_maps(tree)  # one walk serves both sides
+    quantum = _quantum_law(pn, maps)
+    classical = classical_law(_dequantize(tree, maps), d, n)
     return float(0.5 * np.abs(quantum - classical).sum())
 
 

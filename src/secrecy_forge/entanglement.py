@@ -55,7 +55,7 @@ EIG_FLOOR = 1e-30
 OPT_DIM_CAP = 16
 EOF_RESTARTS = 32  # formation restarts, alternating the two ensemble sizes
 EOF_MAX_ITER = 400  # step cap of each formation restart
-EOF_CONV_TOL = 1e-8  # a formation restart converges once a step gains less
+EOF_CONV_TOL = 1e-8  # a formation restart converges once two steps gain less
 REL_ENT_RESTARTS = 4  # E_r restarts, run where the closed-form bracket stays open
 REL_ENT_MIX = 1e-6  # weight of I/d in each E_r candidate: S(rho || sigma) < inf
 REL_ENT_MEMORY = 10  # curvature pairs each E_r restart keeps
@@ -288,11 +288,12 @@ def _descend(
     the new tangent space; where eta does not descend, it is -grad.  Each
     restart keeps its own Armijo step size, which doubles after each
     accepted step, and leaves the stack when it stops: CONVERGED when the
-    tangent gradient vanishes or a step gains less than ``EOF_CONV_TOL``,
-    STALLED when 30 step halvings find no sufficient decrease, AT_MAX_ITER
-    after ``EOF_MAX_ITER`` steps.  Only the restarts still backtracking are
-    evaluated again.  Returns the final values, the iteration counts and
-    the stop reasons, all of shape (n,).
+    tangent gradient vanishes or a second step gains less than
+    ``EOF_CONV_TOL`` (one short step is no plateau), STALLED when 30 step
+    halvings find no sufficient decrease, AT_MAX_ITER after ``EOF_MAX_ITER``
+    steps.  Only the restarts still backtracking are evaluated again.
+    Returns the final values, the iteration counts and the stop reasons,
+    all of shape (n,).
     """
     n = u.shape[0]
     val, grad = _ensemble_energy_grad(u, w, da, db)
@@ -302,6 +303,7 @@ def _descend(
     step = np.ones(n)
     iters = np.zeros(n, dtype=int)
     stop = np.full(n, AT_MAX_ITER)
+    small_gains = np.zeros(n, dtype=int)
     live = np.arange(n)
     for _ in range(EOF_MAX_ITER):
         if not live.size:
@@ -340,7 +342,8 @@ def _descend(
         eta[live] = beta[:, None, None] * _stiefel_project(cand, eta[live]) - new
         u[live], val[live], tang[live], sq[live] = cand, cval[acc], new, _re_inner(new, new)
         step[live] *= 2.0
-        small = moved < EOF_CONV_TOL
+        small_gains[live] += moved < EOF_CONV_TOL
+        small = small_gains[live] == 2
         stop[live[small]] = CONVERGED
         live = live[~small]
     return val, iters, stop
@@ -361,7 +364,7 @@ def eof_numeric(rho: QState, seed: int = 0) -> MeasureResult:
     deterministic for a fixed seed.
 
     The diagnostics count how each restart stopped: ``restarts_converged``
-    (the tangent gradient vanished or a step gained less than
+    (the tangent gradient vanished or a second step gained less than
     ``EOF_CONV_TOL``), ``restarts_stalled`` (the line search found no
     decrease in 30 halvings) and ``restarts_at_max_iter``.
 

@@ -349,18 +349,18 @@ def verify_chain(
 ) -> ChainReport:
     """Compute every available rate and bound for d and check the orderings.
 
+    E_F is Wootters' closed form on two qubits, ``eof_numeric`` otherwise.
     Checks, by class of d: UBI-PD-down certified -> key rate at least the
     classical-extension squashed-entanglement bound (tight tolerance);
-    UBI-PD -> key rate at least the numeric formation bound (chain
-    tolerance); additionally semi-unambiguous -> all quantities agree
-    within the chain tolerance, or within ``tol`` for each measure tagged
-    exact.  The key rate, H(J|Z) and the extension channel come from one
-    ``classify(d, tol, support_eps)``.
+    UBI-PD -> key rate at least E_F; additionally semi-unambiguous -> all
+    quantities agree.  Comparisons with a measure tagged exact use ``tol``,
+    the others the chain tolerance.  The key rate, H(J|Z) and the extension
+    channel come from one ``classify(d, tol, support_eps)``.
     """
     report, kd, compatible, rho_ab, measures = _quantum_side(
         d, phases, seed, tol, support_eps
     )
-    ef = eof_numeric(rho_ab, seed=seed)
+    ef = measures.get("E_F_2q") or eof_numeric(rho_ab, seed=seed)
     esq = _esq(d, report.down.channel, phases, support_eps)
     er = measures["E_r_bound"]
     measures.update(K_D_class=kd, E_F_numeric=ef, E_sq_bound=esq)
@@ -396,7 +396,7 @@ def verify_chain(
                     "key_rate_vs_formation",
                     "K_D_class_formula", kd.value,
                     "E_F_numeric", ef.value,
-                    chain_tol,
+                    tol if ef.kind == "exact" else chain_tol,
                 )
             )
         if report.ubi_pd == YES and report.semi_unambiguous == YES:

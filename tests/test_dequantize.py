@@ -1,6 +1,7 @@
 """Instrument trees, classical extraction, and output-law equivalence."""
 
 import hashlib
+import importlib
 
 import numpy as np
 import pytest
@@ -8,8 +9,6 @@ import pytest
 from secrecy_forge.dequantize import (
     InstrumentTree,
     classical_law,
-    dequantize,
-    quantum_law,
     random_instrument_tree,
     verify_equivalence,
 )
@@ -20,6 +19,20 @@ from secrecy_forge.errors import (
     InvalidProtocol,
 )
 from secrecy_forge.qlinalg import QState
+
+dequantize_module = importlib.import_module("secrecy_forge.dequantize")
+
+
+def quantum_law(tree: InstrumentTree, d: Dist3, n: int = 1) -> np.ndarray:
+    """The tree's output law on d**n, one side of ``verify_equivalence``."""
+    pn = dequantize_module._checked_power(tree, d, n, "tree")
+    return dequantize_module._quantum_law(pn, dequantize_module._path_maps(tree))
+
+
+def dequantize(tree: InstrumentTree):
+    """The tree's classical twin, the other side of ``verify_equivalence``."""
+    return dequantize_module._dequantize(tree, dequantize_module._path_maps(tree))
+
 
 EYE = np.eye(2, dtype=complex)
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
@@ -179,6 +192,22 @@ class TestEquivalence:
                                       kraus_each=2, rng=rng)
         monkeypatch.setattr(QState, "__post_init__", refuse)
         assert verify_equivalence(tree, d, n=n) <= 1e-9
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_walks_the_tree_once(self, rng, make_dist, monkeypatch, n):
+        walks = []
+        real = dequantize_module._path_maps
+
+        def counted(tree):
+            walks.append(1)
+            return real(tree)
+
+        d = make_dist((2, 2, 2))
+        tree = random_instrument_tree(2**n, 2**n, rounds=2, outcomes=2,
+                                      kraus_each=2, rng=rng)
+        monkeypatch.setattr(dequantize_module, "_path_maps", counted)
+        assert verify_equivalence(tree, d, n=n) <= 1e-9
+        assert len(walks) == 1
 
 
 class TestValidation:

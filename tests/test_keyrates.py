@@ -231,6 +231,38 @@ class TestVerifyChain:
         assert chain_report.measures["E_sq_bound"].kind == "upper_bound"
         assert checks["equality_band_E_sq_bound"].tol == 2e-2
 
+    def test_two_qubit_pair_takes_wootters(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("eof_numeric ran on a two-qubit pair")
+
+        monkeypatch.setattr(keyrates, "eof_numeric", refuse)
+        lam = 0.25
+        report = verify_chain(binary_eve_family(lam))
+        ef = report.measures["E_F_numeric"]
+        assert (ef.kind, ef.method) == ("exact", "wootters")
+        # criterion 9's closed form: K_D = [1 + h(lam)]/2, and the pair's
+        # concurrence C = 1/2 + sqrt(lam(1-lam)) gives E_F = h((1 + sqrt(1 - C^2))/2)
+        conc = 0.5 + math.sqrt(lam * (1 - lam))
+        gap = (1 + h2(lam)) / 2 - h2((1 + math.sqrt(1 - conc**2)) / 2)
+        check = {c.name: c for c in report.checks}["key_rate_vs_formation"]
+        assert check.slack == pytest.approx(gap, abs=1e-9)
+        assert check.tol == 1e-9 and check.passed
+        assert gap == pytest.approx(1.172496e-3, abs=1e-9)
+
+    def test_larger_pair_still_runs_the_optimizer(self, monkeypatch):
+        shapes = []
+        real = keyrates.eof_numeric
+
+        def counted(rho, seed=0):
+            shapes.append(rho.dims)
+            return real(rho, seed=seed)
+
+        monkeypatch.setattr(keyrates, "eof_numeric", counted)
+        report = verify_chain(two_block_uniform_example(), seed=0)
+        assert len(shapes) == 1 and shapes[0] != (2, 2)
+        assert "E_F_2q" not in report.measures
+        assert report.measures["E_F_numeric"].method == "local-blocks"
+
     def test_json_shape(self, chain_report):
         doc = chain_report.to_json()
         assert set(doc) == {"values", "checks", "all_passed",

@@ -75,3 +75,19 @@ def test_reproduce_all_imports_its_own_checkout(tmp_path):
     res = _run_reproduce_all(["--help"], tmp_path)
     assert res.returncode == 0, res.stderr
     assert "--out-dir" in res.stdout
+
+
+def test_reproduce_all_is_byte_identical_across_runs(tmp_path):
+    # two fresh interpreters at one seed: every envelope and input file the
+    # script writes must match byte for byte
+    for out in ("first", "second"):
+        res = _run_reproduce_all(["--seed", "0", "--out-dir", out], tmp_path)
+        assert res.returncode == 0, res.stderr
+    first, second = (
+        {p.relative_to(tmp_path / out): p.read_bytes()
+         for p in sorted((tmp_path / out).rglob("*.json"))}
+        for out in ("first", "second")
+    )
+    assert len(first) >= 6 + 16  # six reproduce examples, 16 session envelopes
+    assert first.keys() == second.keys()
+    assert [name for name in first if first[name] != second[name]] == []
