@@ -10,6 +10,7 @@ malformed input.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from pathlib import Path
@@ -118,6 +119,9 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--out", help="write the JSON envelope here instead of stdout")
 
 
+# built on the first run, not at import; parse_args leaves the parser as it
+# found it, so one instance serves every in-process call
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="secrecy-forge",

@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any, Callable
 
@@ -53,10 +54,12 @@ def _plain(obj: Any, num: Callable[[float], float]) -> Any:
     """
     if isinstance(obj, dict):
         return {str(k): _plain(v, num) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v, num) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_plain(v, num) for v in obj.tolist()]
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        items = obj.tolist() if isinstance(obj, np.ndarray) else obj
+        if all(type(v) is float for v in items):
+            # exact zeros, most of a sparse state, pass through: num keeps them
+            return [(num(v) if math.isfinite(v) else None) if v else v for v in items]
+        return [_plain(v, num) for v in items]
     if isinstance(obj, (bool, np.bool_)):
         return bool(obj)
     if isinstance(obj, (int, np.integer)):
@@ -75,8 +78,46 @@ def jsonable(obj: Any) -> Any:
     return _plain(obj, lambda x: float(f"{x:.{SIG_DIGITS}g}"))
 
 
+def _render(doc: Any, nl: str) -> str:
+    """``json.dumps(doc, indent=2, sort_keys=True)`` for ``_plain``'s output.
+
+    ``nl`` is a newline plus the indent of the enclosing level.  The
+    stdlib's encoder runs in pure Python whenever it indents; this one
+    writes a list of floats in a single join.
+    """
+    if isinstance(doc, str):
+        return encode_basestring_ascii(doc)
+    if doc is None:
+        return "null"
+    if doc is True:
+        return "true"
+    if doc is False:
+        return "false"
+    if isinstance(doc, float):
+        return float.__repr__(doc)
+    if isinstance(doc, int):
+        return int.__repr__(doc)
+    inner = nl + "  "
+    if isinstance(doc, dict):
+        if not doc:
+            return "{}"
+        items = (
+            f"{encode_basestring_ascii(k)}: {_render(doc[k], inner)}" for k in sorted(doc)
+        )
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
+    if isinstance(doc, list):
+        if not doc:
+            return "[]"
+        if all(type(v) is float for v in doc):
+            items = map(float.__repr__, doc)
+        else:
+            items = (_render(v, inner) for v in doc)
+        return "[" + inner + ("," + inner).join(items) + nl + "]"
+    raise TypeError(f"cannot render {type(doc).__name__}")
+
+
 def _text(doc: Any) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    return _render(doc, "\n") + "\n"
 
 
 def json_text(obj: Any) -> str:

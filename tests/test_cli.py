@@ -102,6 +102,44 @@ class TestEnvelope:
         doc = json.loads(target.read_text())
         assert doc["result"]["value"] == 1.0
 
+    def test_readme_envelope_is_what_keyrate_prints(self, capsys, tmp_path,
+                                                    monkeypatch):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        head = readme.index("A typical envelope")
+        start = readme.index("```json\n", head) + len("```json\n")
+        block = readme[start:readme.index("```\n", start)]
+        monkeypatch.chdir(tmp_path)
+        dump_json(dump_dist(two_block_uniform_example()), "dist.json")
+        assert cli.run(["keyrate", "--dist", "dist.json"]) == 0
+        assert capsys.readouterr().out == block
+
+
+class TestParserReuse:
+    # one parser serves every run in a process; nothing may carry over
+    def test_seed_falls_back_to_its_default(self, capsys, files):
+        argv = ["keyrate", "--dist", files["dist"]]
+        assert run_json(capsys, [*argv, "--seed", "7"])[1]["seed"] == 7
+        assert run_json(capsys, argv)[1]["seed"] == 0
+
+    def test_a_usage_exit_leaves_the_parser_as_new(self, capsys, files):
+        argv = ["embed", "--dist", files["lemma_dist"],
+                "--phases", files["phases"], "--kind", "qqq"]
+        with pytest.raises(SystemExit) as info:
+            cli.run([*argv[:-1], "qq"])
+        assert info.value.code == 2
+        assert cli.run(argv) == 0
+        reused = capsys.readouterr().out
+        cli._parser.cache_clear()
+        assert cli.run(argv) == 0
+        assert capsys.readouterr().out == reused
+
+    def test_tolerance_override_ends_with_its_run(self, capsys, files):
+        argv = ["classify", "--dist", files["dist"]]
+        doc = run_json(capsys, [*argv, "--tol.entropy", "1e-7"])[1]
+        assert doc["tolerances"]["entropy"] == 1e-7
+        doc = run_json(capsys, argv)[1]
+        assert doc["tolerances"] == config.default_tolerances()
+
 
 class TestCommands:
     def test_classify_statuses(self, capsys, files):

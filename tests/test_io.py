@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from secrecy_forge.dequantize import random_instrument_tree, verify_equivalence
@@ -15,12 +15,15 @@ from secrecy_forge.distributions import Dist3, validate_pmf
 from secrecy_forge.embeddings import PhaseAssignment
 from secrecy_forge.errors import UsageError
 from secrecy_forge.io import (
+    _plain,
+    _text,
     dump_dist,
     dump_json,
     dump_phases,
     dump_state,
     dump_tree,
     json_text,
+    jsonable,
     load_dist,
     load_phases,
     load_state,
@@ -229,6 +232,94 @@ class TestJsonText:
 
         text = json_text({"v": float("nan"), "w": [float("inf"), np.float64(-np.inf)]})
         assert json.loads(text, parse_constant=reject) == {"v": None, "w": [None, None]}
+
+
+def _plain_reference(obj, num):
+    """``io._plain`` as it was before lists of floats got a fast path: one
+    element at a time."""
+    if isinstance(obj, dict):
+        return {str(k): _plain_reference(v, num) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_plain_reference(v, num) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return [_plain_reference(v, num) for v in obj.tolist()]
+    if isinstance(obj, (bool, np.bool_)):
+        return bool(obj)
+    if isinstance(obj, (int, np.integer)):
+        return int(obj)
+    if isinstance(obj, (float, np.floating)):
+        if not math.isfinite(obj):
+            return None
+        return num(float(obj))
+    if obj is None or isinstance(obj, str):
+        return obj
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def _outcome(convert, obj):
+    """repr of the converted document, which tells -0.0 from 0.0 and 1 from
+    1.0 or True, or the exception type raised."""
+    try:
+        return repr(convert(obj))
+    except TypeError:
+        return TypeError
+
+
+SPECIAL_F64 = [0.5, 1 / 3, 0.0, -0.0, 5e-324, 1e-310, 1e-05, 1e16,
+               1.7976931348623157e308, np.nan, np.inf, -np.inf]
+SPECIAL_F32 = [0.5, 1 / 3, 0.0, -0.0, 1e-45, 1e-40, 3.4e38, np.nan, np.inf, -np.inf]
+PLAIN_INPUTS = [
+    np.array(-0.0),
+    np.array(5e-324),
+    np.array(np.nan, dtype=np.float32),
+    np.array(1e-45, dtype=np.float32),
+    np.array(SPECIAL_F64),
+    np.array(SPECIAL_F64[:-2]).reshape(2, 5),
+    np.array(SPECIAL_F32, dtype=np.float32),
+    np.array(SPECIAL_F32, dtype=np.float32).reshape(5, 2),
+    np.zeros((3, 0)),
+    np.array([True, False, True]),
+    np.array([[True], [False]]),
+    np.arange(6, dtype=np.int32).reshape(2, 3),
+    np.array([2**62, -(2**62)]),
+    tuple(SPECIAL_F64),
+    (1, 2.0, True, None),
+    tuple(np.float64(v) for v in SPECIAL_F64),
+    {"a": (np.float32(0.1), 1.0), "b": [np.array([-0.0, 2.5]), ()], 3: np.bool_(True)},
+]
+
+
+@pytest.mark.parametrize("obj", PLAIN_INPUTS, ids=lambda obj: type(obj).__name__)
+def test_fast_float_lists_convert_as_one_element_at_a_time(obj):
+    # jsonable rounds for envelopes; dump_json keeps every digit with float
+    rounded = lambda x: float(f"{x:.12g}")  # noqa: E731
+    for new, num in ((jsonable, rounded), (lambda o: _plain(o, float), float)):
+        assert _outcome(new, obj) == _outcome(lambda o: _plain_reference(o, num), obj)
+
+
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 5e-324, 1e-05, 1e16, 1.7976931348623157e308])
+_STRINGS = st.text() | st.sampled_from(
+    ['"', "\\", 'a "quoted" \\ word', "\x00\x1f\x7f\n\t", "é", "ü\u2028😀", ""])
+_LEAVES = (st.none() | st.booleans() | st.integers()
+           | st.sampled_from([2**64, -(10**40)]) | _FLOATS | _STRINGS)
+_KEYS = _STRINGS | st.sampled_from(["10", "9", "B", "a", "_", "é", "Z", " "])
+_DOCS = st.recursive(
+    _LEAVES,
+    lambda inner: st.lists(inner, max_size=5) | st.lists(_FLOATS, max_size=5)
+    | st.dictionaries(_KEYS, inner, max_size=5),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300)
+@given(doc=_DOCS)
+@example(doc=[1, 2.0, True, None])
+@example(doc=[-0.0, 5e-324, 1e-05, 1e16, 1.7976931348623157e308])
+@example(doc={"10": [], "9": {}, "B": [[]], "a": [{}], "é": "ü\x00\"", "Z": 2**70})
+@example(doc=[True, 1, False, 0, 1.0, 0.0])
+def test_renderer_writes_what_json_dumps_writes(doc):
+    assert _text(doc) == json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 class TestSha256:

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import pytest
 
+from secrecy_forge.io import dump_json
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 LABELS = {"eve_advantage", "ab_advantage", "balanced", "indeterminate"}
 
@@ -91,3 +93,12 @@ def test_reproduce_all_is_byte_identical_across_runs(tmp_path):
     assert len(first) >= 6 + 16  # six reproduce examples, 16 session envelopes
     assert first.keys() == second.keys()
     assert [name for name in first if first[name] != second[name]] == []
+    # the envelopes are json.dumps' text on real data; the session's input
+    # files are written compactly by the benchmark, so dump_json renders them
+    # again here
+    for name, blob in first.items():
+        doc = json.loads(blob)
+        if name.parent.name == "cli-session" and not name.name.startswith("out-"):
+            dump_json(doc, tmp_path / "again.json")
+            blob = (tmp_path / "again.json").read_bytes()
+        assert blob.decode() == json.dumps(doc, indent=2, sort_keys=True) + "\n", name
