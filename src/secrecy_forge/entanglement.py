@@ -708,7 +708,7 @@ def _rel_ent_whole(rho: QState, seed: int, tol: float) -> MeasureResult:
     """``rel_ent_upper`` on a state that does not split into local blocks."""
     da, db = rho.dims
     k = 2 * da * db
-    ew = np.linalg.eigvalsh(rho.rho)
+    ew = rho.spectrum
     s_ab = _spectrum_entropy(ew)
     if int((ew > 1e-12).sum()) == 1:
         ev, vec = np.linalg.eigh(rho.rho)

@@ -279,7 +279,7 @@ def load_state(path: str | Path) -> QState:
     _require(isinstance(doc, dict), path, "top level must be an object")
     dims = _int_list(doc, path, "dims")
     rho = _matrix(doc, path, "state")
-    dim = int(np.prod(dims))
+    dim = math.prod(dims)
     _require(
         rho.shape == (dim, dim),
         path,

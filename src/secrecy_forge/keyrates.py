@@ -539,18 +539,6 @@ def advantage_report(
 # the bundled one-sided-coherence rates
 
 
-def _branch_key_value(sigma: QState) -> float:
-    """Key content of one conditional branch against a flag-holding Eve.
-
-    A coherent (pure) branch is worth its reduced entropy; a dephased
-    branch carries classical correlation worth its mutual information.
-    Only meaningful for branches that are pure or basis-diagonal on the
-    dephased side, which is all this module ever feeds it.
-    """
-    s_pure = _pure_entropy(sigma, 0)
-    return s_pure if s_pure is not None else cond_mutual_info_q(sigma, (0,), (1,))
-
-
 _PM = np.array(
     [
         [1 / math.sqrt(2), 1 / math.sqrt(2), 0, 0],
@@ -569,23 +557,15 @@ def _measured_key_value(sigma: QState) -> float:
     when the opposite side's support lies in that half.
     """
     da, db = sigma.dims
-    diag_a = np.real(np.diag(partial_trace(sigma, (0,)).rho))
-    diag_b = np.real(np.diag(partial_trace(sigma, (1,)).rho))
-
-    def basis(own: np.ndarray, other: np.ndarray) -> np.ndarray:
-        own_low = own[0] + own[1] > config.SUPPORT_EPS
-        other_low = other[0] + other[1] > config.SUPPORT_EPS
-        if own_low and not other_low:
-            return _PM
-        return np.eye(4)
-
-    ua = basis(diag_a, diag_b)
-    ub = basis(diag_b, diag_a)
-    joint = np.zeros((da, db))
-    for a in range(da):
-        for b in range(db):
-            v = np.kron(ua[a], ub[b])
-            joint[a, b] = max(0.0, float(np.real(v.conj() @ sigma.rho @ v)))
+    diag = np.real(np.diag(sigma.rho)).reshape(da, db)
+    low_a = diag[:2].sum() > config.SUPPORT_EPS
+    low_b = diag[:, :2].sum() > config.SUPPORT_EPS
+    ua = _PM if low_a and not low_b else np.eye(4)
+    ub = _PM if low_b and not low_a else np.eye(4)
+    # row a * db + b of u is the product vector ua[a] (x) ub[b]; both are real
+    u = np.kron(ua, ub)
+    joint = np.einsum("ik,kl,il->i", u, sigma.rho, u).real.clip(0.0, None)
+    joint = joint.reshape(da, db)
     total = joint.sum()
     if abs(total - 1.0) > 1e-9:
         raise SecrecyForgeError(f"measurement outcomes sum to {total}")
@@ -600,6 +580,10 @@ def lemma_example_rates() -> dict:
     ways: the branch key value, and the mutual information left after the
     subspace-adapted measurement protocol.  The two routes must agree to
     1e-9 on every branch; the headline values are exactly (1, 2/3, 1/3).
+    Each branch's I(A:B) is computed once.  A coherent (pure) branch is
+    worth its reduced entropy S(A) = I(A:B)/2; a dephased branch
+    (basis-diagonal on its dephased side) carries classical correlation
+    worth I(A:B).  The half-CMI bound sums the same I(A:B).
 
     The middle state is not the literal one-sided dephasing of the
     coherent embedding.  In the flag-1 branch Alice's symbol lives
@@ -648,7 +632,9 @@ def lemma_example_rates() -> dict:
             pz = float(np.real(np.trace(block)))
             weights.append(pz)
             branch = QState(block / pz, (dx, dy))
-            v = _branch_key_value(branch)
+            mi = cond_mutual_info_q(branch, (0,), (1,))
+            pure = float(np.real(np.trace(branch.rho @ branch.rho))) >= 1.0 - EQ_TOL
+            v = 0.5 * mi if pure else mi
             m = _measured_key_value(branch)
             if abs(v - m) > EQ_TOL:
                 raise SecrecyForgeError(
@@ -656,7 +642,7 @@ def lemma_example_rates() -> dict:
                 )
             branch_vals.append(v)
             measured_vals.append(m)
-            half_cmi += 0.5 * pz * cond_mutual_info_q(branch, (0,), (1,))
+            half_cmi += 0.5 * pz * mi
         value = float(np.dot(weights, branch_vals))
         out[name] = {
             "value": value,

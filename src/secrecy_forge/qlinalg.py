@@ -4,13 +4,15 @@ States carry an explicit tuple of subsystem dimensions; every operation
 that addresses subsystems does so by index into that tuple.  Entropies
 are in bits.  Validation tolerances follow ``config.STATE_TOL``; the
 total dimension is capped (``caps.rho_dim``) so a misconstructed tensor
-power fails fast instead of allocating gigabytes.
+power fails fast instead of allocating gigabytes.  A state's spectrum is
+computed once, when it is validated, and kept as ``QState.spectrum``;
+entropies read it instead of solving again.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -53,10 +55,15 @@ def _check_dims(dims: Sequence[int], total: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class QState:
-    """Density operator with named subsystem dimensions."""
+    """Density operator with named subsystem dimensions.
+
+    ``spectrum`` holds the eigenvalues of ``rho`` in ascending order, as
+    validation computed them; it is read-only.
+    """
 
     rho: np.ndarray
     dims: tuple[int, ...]
+    spectrum: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         rho = _frozen(self.rho)
@@ -71,8 +78,10 @@ class QState:
         w = np.linalg.eigvalsh(rho)
         if w.min() < EIG_NEGATIVE_ERROR:
             raise InvalidState(f"negative eigenvalue {w.min():.3e}")
+        w.setflags(write=False)
         object.__setattr__(self, "rho", rho)
         object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "spectrum", w)
 
     @property
     def dim(self) -> int:
@@ -107,11 +116,16 @@ def _subsystem_letters(n: int) -> tuple[list[str], list[str]]:
 
 
 def partial_trace(state: QState, keep: Sequence[int]) -> QState:
-    """Trace out everything except ``keep``, reordered as listed."""
+    """Trace out everything except ``keep``, reordered as listed.
+
+    Keeping every subsystem in order returns ``state`` itself.
+    """
     n = len(state.dims)
     keep = tuple(int(k) for k in keep)
     if len(set(keep)) != len(keep) or any(k < 0 or k >= n for k in keep):
         raise SecrecyForgeError(f"bad subsystem list {keep} for {n} subsystems")
+    if keep == tuple(range(n)):
+        return state
     rows, cols = _subsystem_letters(n)
     for k in range(n):
         if k not in keep:
@@ -132,10 +146,7 @@ def _spectrum_entropy(w: np.ndarray) -> float:
 
 def von_neumann_entropy(state: QState) -> float:
     """S(rho) in bits; eigenvalues below 1e-12 count as zero."""
-    w = np.linalg.eigvalsh(state.rho)
-    if w.min() < EIG_NEGATIVE_ERROR:
-        raise InvalidState(f"negative eigenvalue {w.min():.3e}")
-    return _spectrum_entropy(w)
+    return _spectrum_entropy(state.spectrum)
 
 
 def trace_distance(a: QState, b: QState) -> float:

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from secrecy_forge import cli
 from secrecy_forge.dequantize import random_instrument_tree, verify_equivalence
 from secrecy_forge.distributions import Dist3, validate_pmf
 from secrecy_forge.embeddings import PhaseAssignment
@@ -152,6 +153,14 @@ class TestState:
         }))
         with pytest.raises(UsageError):
             load_state(path)
+
+    def test_huge_dims_report_their_true_size(self, tmp_path, capsys):
+        # 2**32 * 2**32 is 2**64, which wraps to 0 in int64
+        path = tmp_path / "rho.json"
+        path.write_text(json.dumps({"dims": [2**32, 2**32], "re": [[1.0]]}))
+        assert cli.run(["measures", "--state", str(path), "--which", "neg"]) == 2
+        err = capsys.readouterr().err
+        assert f"dims [{2**32}, {2**32}] require {2**64}x{2**64}" in err
 
     def test_rejects_non_state_matrix(self, tmp_path):
         path = tmp_path / "rho.json"

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from secrecy_forge import cli, common_info, keyrates
 from secrecy_forge.classify import classify
-from secrecy_forge.distributions import Dist3, product_power
-from secrecy_forge.errors import InvalidDistribution
+from secrecy_forge.distributions import Dist3, mutual_information, product_power
+from secrecy_forge.errors import InvalidDistribution, SecrecyForgeError
 from secrecy_forge.io import dump_dist, dump_json
 from secrecy_forge.keyrates import (
     advantage_report,
@@ -24,6 +24,7 @@ from secrecy_forge.keyrates import (
     two_block_uniform_example,
     verify_chain,
 )
+from secrecy_forge.qlinalg import QState, partial_trace
 
 # the package's top level binds "classify" to the function, not the module
 classify_module = importlib.import_module("secrecy_forge.classify")
@@ -190,6 +191,73 @@ class TestLemmaExampleRates:
         assert rates["qqq"]["literal_dephasing_distance"] == pytest.approx(0.0, abs=1e-12)
         assert rates["cqq"]["literal_dephasing_distance"] > 0.4
         assert rates["ccq"]["literal_dephasing_distance"] == pytest.approx(0.0, abs=1e-12)
+
+
+def measured_key_value_reference(sigma: QState) -> float:
+    """The measurement route one product vector at a time, from the marginals."""
+    diag_a = np.real(np.diag(partial_trace(sigma, (0,)).rho))
+    diag_b = np.real(np.diag(partial_trace(sigma, (1,)).rho))
+
+    def basis(own: np.ndarray, other: np.ndarray) -> np.ndarray:
+        own_low = own[0] + own[1] > 1e-12
+        other_low = other[0] + other[1] > 1e-12
+        return keyrates._PM if own_low and not other_low else np.eye(4)
+
+    ua, ub = basis(diag_a, diag_b), basis(diag_b, diag_a)
+    joint = np.zeros((4, 4))
+    for a in range(4):
+        for b in range(4):
+            v = np.kron(ua[a], ub[b])
+            joint[a, b] = max(0.0, float(np.real(v.conj() @ sigma.rho @ v)))
+    return mutual_information(joint / joint.sum(), (0,), (1,))
+
+
+def _supported_state(rng, low_a: bool, low_b: bool) -> QState:
+    """Random 4x4 state; a side without low support lives on levels {2, 3}."""
+    keep_a = np.arange(4) if low_a else np.arange(2, 4)
+    keep_b = np.arange(4) if low_b else np.arange(2, 4)
+    idx = (keep_a[:, None] * 4 + keep_b[None, :]).ravel()
+    shape = (idx.size, idx.size)
+    g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    rho = np.zeros((16, 16), dtype=complex)
+    rho[np.ix_(idx, idx)] = g @ g.conj().T
+    return QState(rho / np.real(np.trace(rho)), (4, 4))
+
+
+class TestMeasuredKeyValue:
+    def test_matches_the_reference_on_the_lemma_branches(self, monkeypatch):
+        branches = []
+        measured = keyrates._measured_key_value
+
+        def spy(sigma):
+            branches.append(sigma)
+            return measured(sigma)
+
+        monkeypatch.setattr(keyrates, "_measured_key_value", spy)
+        lemma_example_rates()
+        assert len(branches) == 9
+        for sigma in branches:
+            assert measured(sigma) == pytest.approx(
+                measured_key_value_reference(sigma), abs=1e-15
+            )
+
+    @pytest.mark.parametrize("low_a", [True, False])
+    @pytest.mark.parametrize("low_b", [True, False])
+    def test_matches_the_reference_on_random_states(self, low_a, low_b):
+        rng = np.random.default_rng([7, low_a, low_b])
+        for _ in range(10):
+            sigma = _supported_state(rng, low_a, low_b)
+            assert keyrates._measured_key_value(sigma) == pytest.approx(
+                measured_key_value_reference(sigma), abs=1e-15
+            )
+
+    def test_lemma_raises_when_the_routes_disagree(self, monkeypatch):
+        measured = keyrates._measured_key_value
+        monkeypatch.setattr(
+            keyrates, "_measured_key_value", lambda sigma: measured(sigma) + 1e-6
+        )
+        with pytest.raises(SecrecyForgeError, match="measured value"):
+            lemma_example_rates()
 
 
 CHAIN_NAMES = (

@@ -78,6 +78,13 @@ def test_state_matrix_frozen():
         st.rho[0, 0] = 1.0
 
 
+def test_spectrum_is_the_read_only_validation_eigensolve(make_density):
+    st = make_density((2, 3))
+    assert st.spectrum.tobytes() == np.linalg.eigvalsh(st.rho).tobytes()
+    with pytest.raises(ValueError):
+        st.spectrum[0] = 0.5
+
+
 # ---------------------------------------------------------------------------
 # partial trace
 
@@ -97,6 +104,12 @@ def test_partial_trace_reorders_as_listed(make_density):
     swapped = partial_trace(t, (1, 0))
     assert swapped.dims == (3, 2)
     np.testing.assert_allclose(swapped.rho, np.kron(b.rho, a.rho), atol=1e-12)
+
+
+def test_partial_trace_keeping_everything_in_order_is_the_state(make_density):
+    st = make_density((2, 3, 2))
+    assert partial_trace(st, range(3)) is st
+    assert partial_trace(st, (0, 2, 1)) is not st
 
 
 def test_partial_trace_matches_oracle(make_density):
@@ -148,6 +161,20 @@ def test_dephase_preserves_diagonal(make_density, dephase):
 def test_entropy_of_pure_state_is_zero(make_density):
     st = make_density((2, 2), rank=1)
     assert abs(von_neumann_entropy(st)) < 1e-9
+
+
+def test_entropy_reads_the_kept_spectrum(make_density, monkeypatch):
+    st = make_density((2, 2))
+    want = -sum(w * math.log2(w) for w in np.linalg.eigvalsh(st.rho) if w > 1e-12)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return np.linalg.eigh(*args, **kwargs)[0]
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    assert von_neumann_entropy(st) == pytest.approx(want, abs=1e-12)
+    assert calls == []
 
 
 def test_bell_reduced_entropy_is_one():

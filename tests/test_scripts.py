@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from secrecy_forge.io import dump_json
+from secrecy_forge.cli import run
+from secrecy_forge.io import dump_json, sha256_file
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 LABELS = {"eve_advantage", "ab_advantage", "balanced", "indeterminate"}
@@ -77,6 +78,19 @@ def test_reproduce_all_imports_its_own_checkout(tmp_path):
     res = _run_reproduce_all(["--help"], tmp_path)
     assert res.returncode == 0, res.stderr
     assert "--out-dir" in res.stdout
+
+
+# sha256 of `reproduce lemma --seed 0`'s envelope: the lemma's rates are exact,
+# so a refactor of the state layer or of the lemma must not move it by a byte.
+# table1 is not pinned: one of its values is a 1.6e-16 rounding residue that an
+# equivalent reordering of floating-point sums may change.
+LEMMA_SHA256 = "d544630cff6ed7bb1ecb9bb426c7a599e92bedba31b36a2c9cfed50daaaba8af"
+
+
+def test_reproduce_lemma_envelope_is_pinned(tmp_path):
+    target = tmp_path / "lemma.json"
+    assert run(["reproduce", "lemma", "--seed", "0", "--out", str(target)]) == 0
+    assert sha256_file(target) == LEMMA_SHA256
 
 
 def test_reproduce_all_is_byte_identical_across_runs(tmp_path):
