@@ -34,6 +34,7 @@ d's own cross-z merge, so UBI implies UBI-PD.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping
@@ -216,6 +217,27 @@ def set_partitions(n: int) -> Iterator[tuple[int, ...]]:
     yield from extend([0], 0)
 
 
+@functools.cache
+def _channel_table(n: int) -> tuple[tuple[tuple[int, ...], ...], bool, np.ndarray]:
+    """The search's channels on n symbols: the first ``CHANNEL_BUDGET``
+    restricted growth strings, whether the budget cut their enumeration,
+    and their read-only one-hot (channel, z, zbar) matrices, zbar < n."""
+    partitions = set_partitions(n)
+    channels = tuple(itertools.islice(partitions, CHANNEL_BUDGET))
+    cut = next(partitions, None) is not None
+    onehot = np.zeros((len(channels), n, n))
+    onehot[np.arange(len(channels))[:, None], np.arange(n), channels] = 1.0
+    onehot.setflags(write=False)
+    return channels, cut, onehot
+
+
+def _channel_stack(d: Dist3) -> np.ndarray:
+    """d's pmf after every channel of the search, axes (x, y, channel, zbar);
+    zero beyond each output alphabet, and ``apply_channel_z``'s to within a
+    few ulps, as einsum may sum in another order."""
+    return np.einsum("xyz,czw->xycw", d.p, _channel_table(d.dims[2])[2])
+
+
 def _degrade(d: Dist3, rgs: tuple[int, ...]) -> np.ndarray:
     """d's pmf after the channel z -> rgs[z], bitwise ``apply_channel_z``'s
     with ``Channel.deterministic(rgs)``, whose matrix this is."""
@@ -233,6 +255,9 @@ class PDDownResult:
     certificate: PDCertificate | None = None
     extra_cmi: float | None = None
     degraded_rate: float | None = None  # H(J|Zbar) of a found channel; not serialized
+    # no channel found: the key-rate ceiling min I(X:Y|Zbar) clamped at 0,
+    # the first channel attaining it, and the channel count; not serialized
+    ceiling: tuple[float, tuple[int, ...], int] | None = None
 
     def to_json(self) -> dict:
         out: dict = {"status": self.status, "tested": self.tested, "reason": self.reason}
@@ -270,7 +295,8 @@ def _pd_down_extra_cmi(
 # exceeds tol by this margin.  It sums the same terms as
 # cmi_xy_given_blocks in another order (unnormalized, all slices at once),
 # so the two agree to about 1e-14; the margin keeps every rejection one
-# that the exact test would make too.
+# that the exact test would make too.  The ceiling re-decides exactly the
+# channels whose batched I(X:Y|Zbar) is within it of the batched minimum.
 PREFILTER_MARGIN = 1e-10
 
 
@@ -279,42 +305,41 @@ def _xlogx(a: np.ndarray) -> np.ndarray:
     return a * np.log2(np.where(a > 0.0, a, 1.0))
 
 
-def _block_gaps(
-    d: Dist3, channels: list[tuple[int, ...]], support_eps: float
-) -> np.ndarray:
-    """I(X:Y | block label, Zbar) in bits after each deterministic channel.
+def _block_gaps(d: Dist3, support_eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """I(X:Y | block label, Zbar) and I(X:Y | Zbar) in bits after each
+    channel of the search, both read off ``_channel_stack``.
 
-    Each degraded pmf is computed as ``apply_channel_z`` computes it, so
-    the conditional supports, and with them the blocks, are the ones the
-    exact path sees.  All slices of all channels are then labelled and
-    summed at once: a (z, block) cell with in-block entries s, row sums r,
-    column sums c and mass m contributes
-    -sum r log r - sum c log c + sum s log s + m log m.
+    The stack can differ from ``apply_channel_z`` by an ulp, which can move
+    a support test: a channel with a Zbar mass or a conditional entry within
+    a relative 1e-9 of support_eps has gap -inf, so the exact checks decide
+    it.  All slices are labelled and summed at once: a (zbar, block) cell
+    with in-block entries s, row sums r, column sums c and mass m adds
+    -sum r log r - sum c log c + sum s log s + m log m.  I(X:Y|Zbar) sums
+    these over the whole stack, every positive entry counting.
     """
-    dx, dy, dz = d.dims
-    q = np.zeros((dx, dy, len(channels), dz))
-    support = np.zeros(q.shape, dtype=bool)
-    for i, rgs in enumerate(channels):
-        qi = _degrade(d, rgs)
-        zbar_probs = qi.sum(axis=(0, 1))
-        zs = np.flatnonzero(zbar_probs > support_eps)
-        q[:, :, i, : qi.shape[2]] = qi
-        support[:, :, i, zs] = qi[:, :, zs] / zbar_probs[zs] > support_eps
-    row_roots, col_roots = _component_roots(support)
-    in_block = row_roots[:, None] == col_roots[None]
-    cells = np.where(in_block, q, 0.0)
-    rows = cells.sum(axis=1)
-    cols = cells.sum(axis=0)
-    masses = (
-        (row_roots[:, None] == np.arange(dx)[None, :, None, None]) * rows[:, None]
-    ).sum(axis=0)
-    gap = (
-        _xlogx(cells).sum(axis=(0, 1))
-        + _xlogx(masses).sum(axis=0)
-        - _xlogx(rows).sum(axis=0)
-        - _xlogx(cols).sum(axis=0)
-    )
-    return gap.sum(axis=1)
+    dx = d.dims[0]
+    q = _channel_stack(d)
+    zbar = q.sum(axis=(0, 1))
+    cond = np.divide(q, zbar, out=np.zeros_like(q), where=zbar > support_eps)
+    lo, hi = support_eps * (1 - 1e-9), support_eps * (1 + 1e-9)
+    fragile = (((lo < zbar) & (zbar < hi)).any(axis=1)
+               | ((lo < cond) & (cond < hi)).any(axis=(0, 1, 3)))
+    row_roots, col_roots = _component_roots(cond > support_eps)
+    del cond
+    xq = _xlogx(q)
+    cmi = (xq.sum(axis=(0, 1)) + _xlogx(zbar) - _xlogx(q.sum(axis=1)).sum(axis=0)
+           - _xlogx(q.sum(axis=0)).sum(axis=0)).sum(axis=1)
+    # zeroing what lies outside every block leaves the cells and their a log a
+    outside = row_roots[:, None] != col_roots[None]
+    q[outside] = xq[outside] = 0.0
+    rows = q.sum(axis=1)
+    cols = q.sum(axis=0)
+    roots = np.arange(dx)[None, :, None, None]
+    masses = ((row_roots[:, None] == roots) * rows[:, None]).sum(axis=0)
+    gap = (xq.sum(axis=(0, 1)) + _xlogx(masses).sum(axis=0)
+           - _xlogx(rows).sum(axis=0) - _xlogx(cols).sum(axis=0)).sum(axis=1)
+    gap[fragile] = -np.inf
+    return gap, cmi
 
 
 def is_ubi_pd_down(
@@ -333,12 +358,11 @@ def is_ubi_pd_down(
 
     A vectorized prefilter sets aside the channels whose degraded
     distribution is not block independent by a clear margin; the exact
-    checks decide every other channel.
+    checks decide every other channel.  When no channel passes, the result
+    carries the coarse-graining ceiling over the searched channels.
     """
-    partitions = set_partitions(d.dims[2])
-    channels = list(itertools.islice(partitions, CHANNEL_BUDGET))
-    cut = next(partitions, None) is not None
-    gaps = _block_gaps(d, channels, support_eps)
+    channels, cut, _ = _channel_table(d.dims[2])
+    gaps, cmis = _block_gaps(d, support_eps)
     for tested, (rgs, gap) in enumerate(zip(channels, gaps), start=1):
         if gap > tol + PREFILTER_MARGIN:
             continue
@@ -355,21 +379,16 @@ def is_ubi_pd_down(
         if status == YES:
             rate = ccf.block_entropy(dbar)
             return PDDownResult(YES, ch, tested, "channel found", cert, extra, rate)
+    # each batched I(X:Y|Zbar) is well within PREFILTER_MARGIN / 2 of the
+    # exact one, so the exact first minimum is among these; the clamp at 0
+    # absorbs rounding below the interval's lower bound
+    near = np.flatnonzero(cmis <= cmis.min() + PREFILTER_MARGIN)
+    exact = [conditional_mutual_information(_degrade(d, channels[i]), (0,), (1,), (2,))
+             for i in near]
+    best = int(np.argmin(exact))  # the first minimum
+    ceiling = (max(exact[best], 0.0), channels[near[best]], len(channels))
     reason = "budget exhausted" if cut else "search space exhausted"
-    return PDDownResult(INCONCLUSIVE, None, len(channels), reason)
-
-
-def _coarse_graining_ceiling(d: Dist3) -> tuple[float, tuple[int, ...], int]:
-    """min over the search's channels of I(X:Y|Zbar), the first channel that
-    attains it, and the channel count.  A sound upper bound on the key rate
-    (the all-merge channel gives plain I(X:Y)), clamped at 0, where rounding
-    can leave a vanishing I(X:Y|Zbar) just below the interval's lower bound.
-    """
-    channels = list(itertools.islice(set_partitions(d.dims[2]), CHANNEL_BUDGET))
-    cmi = [conditional_mutual_information(_degrade(d, c), (0,), (1,), (2,))
-           for c in channels]
-    best = min(range(len(channels)), key=cmi.__getitem__)  # the first minimum
-    return max(cmi[best], 0.0), channels[best], len(channels)
+    return PDDownResult(INCONCLUSIVE, None, len(channels), reason, ceiling=ceiling)
 
 
 # ---------------------------------------------------------------------------
@@ -381,8 +400,8 @@ class ClassReport:
     """Verdicts for every class plus certificates and numeric diagnostics.
 
     ``ccf`` (d's conditional common function) and ``down`` (the UBI-PD-down
-    search result, with its channel and degraded rate) are what classify
-    built; not serialized.
+    search result, with its channel and degraded rate or its ceiling) are
+    what classify built; not serialized.
     """
 
     bi: str

@@ -26,7 +26,6 @@ from .classify import (
     YES,
     ClassReport,
     classify,
-    _coarse_graining_ceiling,
     _ubi_pd_certified,
     is_ubi_pd_down,
 )
@@ -162,8 +161,9 @@ def kd_class(
     needs is computed, along the class chain: UBI, then the canonical
     protocol, and the channel search only when neither certifies UBI-PD;
     the result equals that with ``report=classify(d, tol, support_eps)``.
-    The search supplies the degraded rate, and the upper bound is taken
-    over the channels it searches.
+    The search supplies the degraded rate or, when it certifies nothing,
+    the upper bound over the channels it searched and whether its budget
+    cut it short.
     """
     if report is None:
         ccf = conditional_common_function(d, support_eps)
@@ -188,7 +188,7 @@ def kd_class(
             method="common-block-entropy-degraded",
             diagnostics={"class": "ubi_pd_down", "channel": down.channel.assignment()},
         )
-    upper, rgs, tested = _coarse_graining_ceiling(d)
+    upper, rgs, tested = down.ceiling
     return MeasureResult(
         name="K_D",
         value=upper,
@@ -200,6 +200,7 @@ def kd_class(
             "upper_bound": upper,
             "upper_bound_channel": list(rgs),
             "channels_tested": tested,
+            "budget_exhausted": down.reason == "budget exhausted",
         },
     )
 

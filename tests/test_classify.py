@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 import itertools
 import math
 
@@ -15,10 +16,12 @@ from secrecy_forge.classify import (
     CHANNEL_BUDGET,
     PREFILTER_MARGIN,
     _block_gaps,
-    _coarse_graining_ceiling,
+    _channel_stack,
+    _channel_table,
     _common_part_maps,
     classify,
     cmi_xy_given_blocks,
+    is_ubi_pd_down,
     set_partitions,
 )
 from secrecy_forge.common_info import conditional_common_function
@@ -27,6 +30,7 @@ from secrecy_forge.distributions import (
     Dist3,
     apply_channel_z,
     conditional_mutual_information,
+    product_power,
 )
 from secrecy_forge.keyrates import (
     binary_eve_family,
@@ -35,6 +39,9 @@ from secrecy_forge.keyrates import (
     one_sided_coherence_example,
     two_block_uniform_example,
 )
+
+# the package's top level binds "classify" to the function, not the module
+classify_module = importlib.import_module("secrecy_forge.classify")
 
 REPORT_KEYS = {
     "bi",
@@ -375,11 +382,14 @@ def test_kd_class_without_report_matches_report_path(d):
 def test_prefilter_rejects_only_channels_the_exact_test_rejects(d):
     tol = config.ENTROPY_TOL
     channels = list(set_partitions(d.dims[2]))
-    gaps = _block_gaps(d, channels, config.SUPPORT_EPS)
-    for rgs, gap in zip(channels, gaps):
+    gaps, cmis = _block_gaps(d, config.SUPPORT_EPS)
+    assert len(gaps) == len(channels)
+    for rgs, gap, cmi in zip(channels, gaps, cmis):
         dbar = apply_channel_z(d, Channel.deterministic(rgs))
         exact = cmi_xy_given_blocks(dbar, conditional_common_function(dbar))
         assert abs(gap - exact) <= 1e-12
+        # the ceiling's candidates rest on this: far inside PREFILTER_MARGIN / 2
+        assert abs(cmi - conditional_mutual_information(dbar.p, (0,), (1,), (2,))) <= 1e-12
         if gap > tol + PREFILTER_MARGIN:
             assert exact > tol
 
@@ -397,8 +407,121 @@ def _channel_loop_ceiling(d):
     return max(best, 0.0), best_rgs, len(channels)
 
 
+def _reported_ceilings(d):
+    """(value, channel, count) of the ceiling kd_class reports for d without
+    and with a report, and whether each says the budget cut its search;
+    empty when d's key rate is resolved."""
+    out = []
+    for kd in (kd_class(d), kd_class(d, classify(d))):
+        diag = kd.diagnostics
+        if diag["class"] == "unresolved":
+            assert kd.value == diag["upper_bound"]
+            ceiling = (kd.value, tuple(diag["upper_bound_channel"]), diag["channels_tested"])
+            out.append((ceiling, diag["budget_exhausted"]))
+    return out
+
+
 @settings(max_examples=80)
 @given(small_dist3(max_z=6))
 def test_coarse_graining_ceiling_equals_the_channel_loop(d):
     # |Z| = 6 has 203 partitions, so the budget cuts the enumeration
-    assert _coarse_graining_ceiling(d) == _channel_loop_ceiling(d)
+    want = _channel_loop_ceiling(d)
+    down = is_ubi_pd_down(d)
+    if down.channel is None:
+        assert down.ceiling == want
+    for ceiling, cut in _reported_ceilings(d):
+        assert ceiling == want
+        assert cut == (d.dims[2] >= 6)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_ceiling_of_a_budget_cut_product_power(seed):
+    # |Z| = 9 has 21147 partitions; the search stops after CHANNEL_BUDGET
+    rng = np.random.default_rng(seed)
+    p = rng.random((2, 2, 3))
+    d = product_power(Dist3(p / p.sum()), 2)
+    reported = _reported_ceilings(d)
+    assert reported == [(_channel_loop_ceiling(d), True)] * 2
+
+
+def test_unresolved_kd_class_degrades_only_near_the_minimum(monkeypatch):
+    rng = np.random.default_rng(5)
+    p = rng.random((3, 3, 6))
+    d = Dist3(p / p.sum())
+    degraded = []
+    degrade = classify_module._degrade
+
+    def spy(dist, rgs):
+        degraded.append(rgs)
+        return degrade(dist, rgs)
+
+    monkeypatch.setattr(classify_module, "_degrade", spy)
+    assert kd_class(d).diagnostics["class"] == "unresolved"
+    _, cmis = _block_gaps(d, config.SUPPORT_EPS)
+    near = np.flatnonzero(cmis <= cmis.min() + PREFILTER_MARGIN)
+    assert degraded == [_channel_table(6)[0][i] for i in near]
+    assert 1 <= len(degraded) < CHANNEL_BUDGET
+
+
+def test_set_partitions_runs_once_per_alphabet(monkeypatch):
+    calls = []
+    enumerate_ = classify_module.set_partitions
+
+    def spy(n):
+        calls.append(n)
+        return enumerate_(n)
+
+    monkeypatch.setattr(classify_module, "set_partitions", spy)
+    _channel_table.cache_clear()
+    rng = np.random.default_rng(6)
+    for dz in (5, 6, 5, 6):
+        p = rng.random((3, 3, dz))
+        d = Dist3(p / p.sum())
+        classify(d)
+        kd_class(d)
+    assert calls == [5, 6]
+
+
+@settings(max_examples=60)
+@given(st.one_of(small_dist3(max_z=6), light_dist3()))
+def test_channel_stack_slices_are_the_degraded_pmfs(d):
+    channels, _, onehot = _channel_table(d.dims[2])
+    assert not onehot.flags.writeable
+    stack = _channel_stack(d)
+    assert stack.shape == d.dims[:2] + (len(channels), d.dims[2])
+    for i, rgs in enumerate(channels):
+        want = apply_channel_z(d, Channel.deterministic(rgs)).p
+        out_dim = want.shape[2]
+        np.testing.assert_array_max_ulp(stack[:, :, i, :out_dim], want, maxulp=4)
+        assert not stack[:, :, i, out_dim:].any()
+
+
+def merged_entry_at_support_eps():
+    """A 2x2x5 pmf and a support_eps at which, after the all-merge channel,
+    the (0, 1) conditional entry is exactly support_eps as ``apply_channel_z``
+    and ``conditional_common_function`` compute it.  Left out of the
+    support, x and y are perfectly correlated in two blocks and the channel
+    certifies; let in, they form one block and it fails."""
+    rng = np.random.default_rng(1)
+    e = rng.random(5) * 1e-13
+    w = rng.dirichlet(np.ones(5))
+    p = np.zeros((2, 2, 5))
+    p[0, 1] = e
+    p[0, 0] = p[1, 1] = w * (1 - e.sum()) / 2
+    d = Dist3(p)
+    q = apply_channel_z(d, Channel.deterministic([0] * 5)).p
+    return d, q[0, 1, 0] / q.sum(axis=(0, 1))[0]
+
+
+def test_search_leaves_a_channel_at_support_eps_to_the_exact_checks(monkeypatch):
+    d, eps = merged_entry_at_support_eps()
+    gaps, _ = _block_gaps(d, eps)
+    assert gaps[0] == -math.inf
+
+    def outcome(res):
+        return res.status, res.channel and res.channel.assignment(), res.tested
+
+    got = outcome(is_ubi_pd_down(d, support_eps=eps))
+    # an infinite margin turns the prefilter off: every channel is decided exactly
+    monkeypatch.setattr(classify_module, "PREFILTER_MARGIN", math.inf)
+    assert got == outcome(is_ubi_pd_down(d, support_eps=eps)) == ("yes", [0] * 5, 1)

@@ -1,6 +1,9 @@
 """Distillation rates, the ordering chain, and advantage labelling."""
 
+import hashlib
 import importlib
+import itertools
+import json
 import math
 
 import numpy as np
@@ -10,7 +13,14 @@ from hypothesis import strategies as st
 
 from secrecy_forge import cli, common_info, keyrates
 from secrecy_forge.classify import classify
-from secrecy_forge.distributions import Dist3, mutual_information, product_power
+from secrecy_forge.distributions import (
+    Channel,
+    Dist3,
+    apply_channel_z,
+    conditional_mutual_information,
+    mutual_information,
+    product_power,
+)
 from secrecy_forge.errors import InvalidDistribution, SecrecyForgeError
 from secrecy_forge.io import dump_dist, dump_json
 from secrecy_forge.keyrates import (
@@ -122,6 +132,16 @@ def correlated_pair_noisy_eve(draw):
     return Dist3(pxy[..., None] * kernel)
 
 
+def loop_ceiling(d: Dist3) -> float:
+    """min I(X:Y|Zbar) over the searched channels, each via apply_channel_z."""
+    channels = itertools.islice(classify_module.set_partitions(d.dims[2]),
+                                classify_module.CHANNEL_BUDGET)
+    return max(0.0, min(
+        conditional_mutual_information(
+            apply_channel_z(d, Channel.deterministic(rgs)).p, (0,), (1,), (2,))
+        for rgs in channels))
+
+
 def test_unresolved_interval_contains_its_value():
     unresolved = []
 
@@ -130,7 +150,7 @@ def test_unresolved_interval_contains_its_value():
         # the coarse-graining ceiling caps every key rate, and an
         # unresolved interval holds its reported value
         res = kd_class(d)
-        ceiling = classify_module._coarse_graining_ceiling(d)[0]
+        ceiling = loop_ceiling(d)
         assert 0.0 <= ceiling
         assert res.value <= ceiling + 1e-9
         if res.kind != "exact":
@@ -140,6 +160,46 @@ def test_unresolved_interval_contains_its_value():
 
     check()
     assert any(unresolved)
+
+
+def unresolved_corpus() -> list[Dist3]:
+    """Seeded 3x3x|Z| pmfs, dense and sparse, with |Z| in {4, 5, 6}, and
+    correlated pairs with a noisy Eve on six symbols.  Bell(6) = 203
+    exceeds ``CHANNEL_BUDGET``, so the budget cuts the |Z| = 6 searches."""
+    rng = np.random.default_rng(20261019)
+    out = []
+    for dz in (4, 5, 6):
+        for _ in range(4):
+            dense = rng.random((3, 3, dz))
+            sparse = dense * (rng.random((3, 3, dz)) < 0.6)
+            out += [Dist3(dense / dense.sum()), Dist3(sparse / sparse.sum())]
+    for _ in range(4):
+        c = rng.uniform(0.3, 0.9)
+        kernel = rng.uniform(0.01, 1.0, (3, 3, 6))
+        kernel /= kernel.sum(axis=2, keepdims=True)
+        pxy = np.full((3, 3), (1 - c) / 9) + c * np.eye(3) / 3
+        out.append(Dist3(pxy[..., None] * kernel))
+    return out
+
+
+# sha256 over kd_class(d) and kd_class(d, classify(d)) of every pmf of
+# unresolved_corpus(), each as json.dumps(..., sort_keys=True) with the
+# budget_exhausted diagnostic left out.  Recorded before the ceiling was
+# read off the batched channel stack: every unresolved value, its channel
+# and the channel count must stay bit for bit.
+GOLDEN_UNRESOLVED_KD = "9ec8ee59718eae391a6dc53a0265861a9430d7d7f99c12ba5fdae8bfc337fd40"
+
+
+def test_unresolved_kd_class_is_pinned():
+    digest = hashlib.sha256()
+    for d in unresolved_corpus():
+        for kd in (kd_class(d), kd_class(d, classify(d))):
+            doc = kd.to_json()
+            assert doc["diagnostics"]["class"] == "unresolved"
+            doc["diagnostics"] = {k: v for k, v in doc["diagnostics"].items()
+                                  if k != "budget_exhausted"}
+            digest.update(json.dumps(doc, sort_keys=True).encode())
+    assert digest.hexdigest() == GOLDEN_UNRESOLVED_KD
 
 
 class TestIndependentEve:
