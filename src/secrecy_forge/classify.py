@@ -202,30 +202,31 @@ def set_partitions(n: int) -> Iterator[tuple[int, ...]]:
     """All set partitions of range(n) as restricted growth strings.
 
     Emitted in ascending lexicographic order: the all-merge string
-    (0,...,0) first, the identity (0,1,...,n-1) last.
+    (0,...,0) first, the identity (0,1,...,n-1) last.  Iterative, so any
+    alphabet size enumerates.
     """
-
-    def extend(prefix: list[int], top: int) -> Iterator[tuple[int, ...]]:
-        if len(prefix) == n:
-            yield tuple(prefix)
+    rgs = [0] * n
+    while True:
+        yield tuple(rgs)
+        tops = list(itertools.accumulate(rgs, max))
+        # grow the rightmost symbol that stays at most one above all before it
+        i = next((i for i in range(n - 1, 0, -1) if rgs[i] <= tops[i - 1]), 0)
+        if i == 0:
             return
-        for v in range(top + 2):
-            prefix.append(v)
-            yield from extend(prefix, max(top, v))
-            prefix.pop()
-
-    yield from extend([0], 0)
+        rgs[i] += 1
+        rgs[i + 1:] = [0] * (n - i - 1)
 
 
 @functools.cache
 def _channel_table(n: int) -> tuple[tuple[tuple[int, ...], ...], bool, np.ndarray]:
     """The search's channels on n symbols: the first ``CHANNEL_BUDGET``
     restricted growth strings, whether the budget cut their enumeration,
-    and their read-only one-hot (channel, z, zbar) matrices, zbar < n."""
+    and their read-only one-hot (channel, z, zbar) matrices, zbar below the
+    widest output alphabet (at most five symbols), so linear in n."""
     partitions = set_partitions(n)
     channels = tuple(itertools.islice(partitions, CHANNEL_BUDGET))
     cut = next(partitions, None) is not None
-    onehot = np.zeros((len(channels), n, n))
+    onehot = np.zeros((len(channels), n, max(map(max, channels)) + 1))
     onehot[np.arange(len(channels))[:, None], np.arange(n), channels] = 1.0
     onehot.setflags(write=False)
     return channels, cut, onehot
@@ -236,12 +237,6 @@ def _channel_stack(d: Dist3) -> np.ndarray:
     zero beyond each output alphabet, and ``apply_channel_z``'s to within a
     few ulps, as einsum may sum in another order."""
     return np.einsum("xyz,czw->xycw", d.p, _channel_table(d.dims[2])[2])
-
-
-def _degrade(d: Dist3, rgs: tuple[int, ...]) -> np.ndarray:
-    """d's pmf after the channel z -> rgs[z], bitwise ``apply_channel_z``'s
-    with ``Channel.deterministic(rgs)``, whose matrix this is."""
-    return np.einsum("xyz,zw->xyw", d.p, np.eye(max(rgs) + 1)[list(rgs)])
 
 
 @dataclass(frozen=True)
@@ -255,9 +250,9 @@ class PDDownResult:
     certificate: PDCertificate | None = None
     extra_cmi: float | None = None
     degraded_rate: float | None = None  # H(J|Zbar) of a found channel; not serialized
-    # no channel found: the key-rate ceiling min I(X:Y|Zbar) clamped at 0,
-    # the first channel attaining it, and the channel count; not serialized
-    ceiling: tuple[float, tuple[int, ...], int] | None = None
+    # no channel found: the key-rate ceiling min I(X:Y|Zbar) clamped at 0
+    # and the first channel attaining it; not serialized
+    ceiling: tuple[float, tuple[int, ...]] | None = None
 
     def to_json(self) -> dict:
         out: dict = {"status": self.status, "tested": self.tested, "reason": self.reason}
@@ -383,10 +378,11 @@ def is_ubi_pd_down(
     # exact one, so the exact first minimum is among these; the clamp at 0
     # absorbs rounding below the interval's lower bound
     near = np.flatnonzero(cmis <= cmis.min() + PREFILTER_MARGIN)
-    exact = [conditional_mutual_information(_degrade(d, channels[i]), (0,), (1,), (2,))
-             for i in near]
+    exact = [conditional_mutual_information(
+        apply_channel_z(d, Channel.deterministic(channels[i])).p, (0,), (1,), (2,))
+        for i in near]
     best = int(np.argmin(exact))  # the first minimum
-    ceiling = (max(exact[best], 0.0), channels[near[best]], len(channels))
+    ceiling = (max(exact[best], 0.0), channels[near[best]])
     reason = "budget exhausted" if cut else "search space exhausted"
     return PDDownResult(INCONCLUSIVE, None, len(channels), reason, ceiling=ceiling)
 

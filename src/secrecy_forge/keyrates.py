@@ -188,7 +188,7 @@ def kd_class(
             method="common-block-entropy-degraded",
             diagnostics={"class": "ubi_pd_down", "channel": down.channel.assignment()},
         )
-    upper, rgs, tested = down.ceiling
+    upper, rgs = down.ceiling
     return MeasureResult(
         name="K_D",
         value=upper,
@@ -199,7 +199,7 @@ def kd_class(
             "lower_bound": 0.0,
             "upper_bound": upper,
             "upper_bound_channel": list(rgs),
-            "channels_tested": tested,
+            "channels_tested": down.tested,
             "budget_exhausted": down.reason == "budget exhausted",
         },
     )

@@ -428,7 +428,7 @@ def test_coarse_graining_ceiling_equals_the_channel_loop(d):
     want = _channel_loop_ceiling(d)
     down = is_ubi_pd_down(d)
     if down.channel is None:
-        assert down.ceiling == want
+        assert down.ceiling + (down.tested,) == want
     for ceiling, cut in _reported_ceilings(d):
         assert ceiling == want
         assert cut == (d.dims[2] >= 6)
@@ -449,18 +449,22 @@ def test_unresolved_kd_class_degrades_only_near_the_minimum(monkeypatch):
     p = rng.random((3, 3, 6))
     d = Dist3(p / p.sum())
     degraded = []
-    degrade = classify_module._degrade
+    degrade = classify_module.apply_channel_z
 
-    def spy(dist, rgs):
-        degraded.append(rgs)
-        return degrade(dist, rgs)
+    def spy(dist, ch):
+        degraded.append(tuple(ch.assignment()))
+        return degrade(dist, ch)
 
-    monkeypatch.setattr(classify_module, "_degrade", spy)
+    monkeypatch.setattr(classify_module, "apply_channel_z", spy)
     assert kd_class(d).diagnostics["class"] == "unresolved"
-    _, cmis = _block_gaps(d, config.SUPPORT_EPS)
+    channels = _channel_table(6)[0]
+    gaps, cmis = _block_gaps(d, config.SUPPORT_EPS)
+    # the exact checks see only the channels the prefilter passes, and the
+    # ceiling only those near the batched minimum
+    passed = np.flatnonzero(gaps <= config.ENTROPY_TOL + PREFILTER_MARGIN)
     near = np.flatnonzero(cmis <= cmis.min() + PREFILTER_MARGIN)
-    assert degraded == [_channel_table(6)[0][i] for i in near]
-    assert 1 <= len(degraded) < CHANNEL_BUDGET
+    assert degraded == [channels[i] for i in passed] + [channels[i] for i in near]
+    assert 1 <= len(near) <= len(degraded) < CHANNEL_BUDGET
 
 
 def test_set_partitions_runs_once_per_alphabet(monkeypatch):
@@ -488,13 +492,30 @@ def test_channel_stack_slices_are_the_degraded_pmfs(d):
     channels, _, onehot = _channel_table(d.dims[2])
     assert not onehot.flags.writeable
     stack = _channel_stack(d)
-    assert stack.shape == d.dims[:2] + (len(channels), d.dims[2])
+    width = max(map(max, channels)) + 1
+    assert onehot.shape == (len(channels), d.dims[2], width)
+    assert stack.shape == d.dims[:2] + (len(channels), width)
     for i, rgs in enumerate(channels):
         want = apply_channel_z(d, Channel.deterministic(rgs)).p
         out_dim = want.shape[2]
         np.testing.assert_array_max_ulp(stack[:, :, i, :out_dim], want, maxulp=4)
         assert not stack[:, :, i, out_dim:].any()
 
+
+def test_channel_table_grows_linearly_in_the_alphabet():
+    # the budgeted channels merge into at most five symbols, so the table
+    # is (C, |Z|, 5) and the stack (x, y, C, 5) however wide Z is
+    rng = np.random.default_rng(7)
+    p = rng.random((2, 2, 1024))
+    d = Dist3(p / p.sum())
+    channels, cut, onehot = _channel_table(1024)
+    assert cut and len(channels) == CHANNEL_BUDGET
+    assert onehot.shape == (CHANNEL_BUDGET, 1024, 5)
+    assert onehot.nbytes <= CHANNEL_BUDGET * 1024 * 5 * 8
+    assert _channel_stack(d).shape == (2, 2, CHANNEL_BUDGET, 5)
+    down = is_ubi_pd_down(d)
+    assert down.tested == CHANNEL_BUDGET and down.reason == "budget exhausted"
+    assert down.ceiling + (down.tested,) == _channel_loop_ceiling(d)
 
 def merged_entry_at_support_eps():
     """A 2x2x5 pmf and a support_eps at which, after the all-merge channel,

@@ -525,7 +525,7 @@ def test_only_classify_reads_the_channel_set():
     # degraded through them, in one place, which both the UBI-PD-down
     # search and the key-rate ceiling use
     names = {"set_partitions", "CHANNEL_BUDGET", "_channel_table",
-             "_channel_stack", "_degrade"}
+             "_channel_stack"}
     src = Path(secrecy_forge.__file__).parent
     readers = sorted(
         path.name
