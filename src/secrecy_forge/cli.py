@@ -26,7 +26,7 @@ from .common_info import (
 )
 from .dequantize import random_instrument_tree, verify_equivalence
 from .distributions import Dist2, binary_entropy
-from .embeddings import embed_ccc, embed_ccq, embed_cqq, embed_qqq
+from .embeddings import embed_ccc, embed_ccq, embed_cqq, embed_qqq, pair_state
 from .entanglement import (
     eof_2q,
     eof_numeric,
@@ -50,7 +50,6 @@ from .keyrates import (
     two_block_uniform_example,
     verify_chain,
 )
-from .qlinalg import partial_trace
 
 __all__ = ["main", "run"]
 
@@ -359,8 +358,7 @@ def _thm6a_result(lam: float, seed: int, tols: dict[str, float]) -> dict:
     d = binary_eve_family(lam)
     rate = kd_class(d, tol=tols["entropy"], support_eps=tols["support"])
     formula = 0.5 * (1.0 + binary_entropy(lam))
-    rho_ab = partial_trace(embed_qqq(d).density(), (0, 1))
-    ef = eof_2q(rho_ab)
+    ef = eof_2q(pair_state(d))
     gap = rate.value - ef.value
     items = [
         _item("kd_exact", rate.kind, "exact", rate.kind == "exact"),

@@ -13,8 +13,10 @@ Each incoherent embedding equals the computational-basis dephasing of
 the previous one; tests assert this chain elementwise.  Subsystem order
 is always (A, B, E), x major and z minor in flattened indices.
 
-Also here: the Eve-side classical extension sigma_{ABZbar} obtained by
-pushing Eve's symbol through a channel and dephasing.
+The two-party objects come from Eve's amplitude matrix M, the qqq
+amplitudes reshaped to (|X||Y|, |Z|), without the tripartite state:
+``pair_state`` is rho_AB = M M^dagger, and ``extension_blocks`` are the
+blocks of the classical-Eve extension through a channel on Z.
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ import numpy as np
 
 from . import config
 from .distributions import Channel, Dist3
-from .errors import SecrecyForgeError
-from .qlinalg import PureState, QState
+from .errors import DimensionCapExceeded, SecrecyForgeError
+from .qlinalg import PureState, QState, _check_dims
 
 __all__ = [
     "PhaseAssignment",
@@ -35,7 +37,8 @@ __all__ = [
     "embed_cqq",
     "embed_ccq",
     "embed_ccc",
-    "extension_sigma",
+    "pair_state",
+    "extension_blocks",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -143,38 +146,35 @@ def embed_ccc(d: Dist3) -> QState:
     return QState(np.diag(d.p.ravel()).astype(complex), d.dims)
 
 
-def extension_sigma(
+def _eve_matrix(d: Dist3, phases: PhaseAssignment | None) -> np.ndarray:
+    """M, the amplitudes reshaped to (|X||Y|, |Z|), once |X||Y| has passed
+    ``rho_dim`` and |X||Y||Z| ``product_states``; nothing larger is built."""
+    _check_dims(d.dims[:2], d.dims[0] * d.dims[1])
+    cap = config.load_caps().product_states
+    if d.p.size > cap:
+        raise DimensionCapExceeded(f"|X||Y||Z| = {d.p.size} > cap {cap}")
+    return _amplitudes(d, phases).reshape(-1, d.dims[2])
+
+
+def pair_state(d: Dist3, phases: PhaseAssignment | None = None) -> QState:
+    """rho_AB = tr_E of the coherent embedding, as M M^dagger."""
+    m = _eve_matrix(d, phases)
+    return QState(m @ m.conj().T, d.dims[:2])
+
+
+def extension_blocks(
     d: Dist3,
     ch: Channel,
     phases: PhaseAssignment | None = None,
     support_eps: float = config.SUPPORT_EPS,
-) -> QState:
-    """Classical-Eve extension of rho^AB through a channel on Z.
-
-    sigma = sum_zbar p(zbar) sigma_(zbar) (x) |zbar><zbar| with
-    sigma_(zbar) = sum_z p(z|zbar) |phi_z><phi_z| and
-    <xy|phi_z> = e^{i phi(x,y,z)} sqrt(p(x,y|z)).  Tracing out the third
-    register recovers tr_E of the coherent embedding.
+) -> np.ndarray:
+    """The blocks p(zbar) sigma_(zbar) = sum_z Pr[zbar|z] M_z M_z^dagger of
+    the classical-Eve extension of rho^AB through a channel on Z, stacked as
+    (|Zbar|, |X||Y|, |X||Y|).  A z with p(z) <= ``support_eps`` adds nothing;
+    the blocks sum to ``pair_state`` when every z is kept.
     """
-    dx, dy, dz = d.dims
+    dz = d.dims[2]
     if ch.in_dim != dz:
         raise SecrecyForgeError(f"channel input {ch.in_dim} does not match dz={dz}")
-    amp = _amplitudes(d, phases)
-    pz = d.p.sum(axis=(0, 1))
-    n = dx * dy
-    phis = np.zeros((dz, n), dtype=complex)
-    for z in range(dz):
-        if pz[z] > support_eps:
-            phis[z] = amp[:, :, z].ravel() / math.sqrt(pz[z])
-    dzbar = ch.out_dim
-    rho = np.zeros((n * dzbar, n * dzbar), dtype=complex)
-    for zbar in range(dzbar):
-        block = np.zeros((n, n), dtype=complex)
-        for z in range(dz):
-            w = pz[z] * ch.k[z, zbar]  # p(zbar) p(z|zbar) = p(z) Pr[zbar|z]
-            if w > 0.0:
-                block += w * np.outer(phis[z], phis[z].conj())
-        # third register is minor: index (x,y,zbar) = (x*dy+y)*dzbar + zbar
-        sel = range(zbar, n * dzbar, dzbar)
-        rho[np.ix_(sel, sel)] = block
-    return QState(rho, (dx, dy, dzbar))
+    m = (_eve_matrix(d, phases) * (d.p.sum(axis=(0, 1)) > support_eps)).T
+    return np.tensordot(ch.k.T, m[:, :, None] * m[:, None, :].conj(), axes=1)

@@ -38,7 +38,7 @@ from . import config
 from .common_info import _component_roots
 from .distributions import binary_entropy
 from .errors import InvalidState, SecrecyForgeError
-from .qlinalg import QState, _spectrum_entropy, partial_trace, von_neumann_entropy
+from .qlinalg import QState, _spectrum_entropy, cond_mutual_info_q
 
 __all__ = [
     "MeasureResult",
@@ -369,11 +369,11 @@ def eof_numeric(rho: QState, seed: int = 0) -> MeasureResult:
     decrease in 30 halvings) and ``restarts_at_max_iter``.
 
     A rho that splits into local blocks is measured block by block
-    (``_blockwise``), each block with the same seed.
+    (``_blockwise``), each block with the same seed.  A pure block is exact
+    at any size; the descent refuses a block of more than ``OPT_DIM_CAP``
+    dimensions.
     """
-    da, db = _require_bipartite(rho.dims, "eof_numeric")
-    if da * db > OPT_DIM_CAP:
-        raise SecrecyForgeError(f"dimension {da * db} exceeds optimizer cap {OPT_DIM_CAP}")
+    _require_bipartite(rho.dims, "eof_numeric")
     return _blockwise("E_F", rho, lambda block: _eof_whole(block, seed))
 
 
@@ -392,6 +392,8 @@ def _eof_whole(rho: QState, seed: int) -> MeasureResult:
             method="pure-state",
             diagnostics={"rank": 1},
         )
+    if da * db > OPT_DIM_CAP:
+        raise SecrecyForgeError(f"dimension {da * db} exceeds optimizer cap {OPT_DIM_CAP}")
     sizes = (r, r * r)
     rng = np.random.default_rng(seed)
     starts = []
@@ -448,26 +450,22 @@ def esq_classical_extension_bound(sigma: QState) -> MeasureResult:
     da, db, dz = sigma.dims
     n = da * db
     r = sigma.rho.reshape(da, db, dz, da, db, dz)
-    off = r.copy()
-    for z in range(dz):
-        off[:, :, z, :, :, z] = 0.0
-    if np.abs(off).max() > 1e-10:
+    if np.abs(r * ~np.eye(dz, dtype=bool)[:, None, None, :]).max() > 1e-10:
         raise InvalidState("third register is not classical (off-diagonal blocks)")
+    # the diagonal blocks r[:, :, z, :, :, z], stacked
+    blocks = np.einsum("abzcdz->zabcd", r).reshape(dz, n, n)
+    return _extension_bound(blocks, (da, db))
+
+
+def _extension_bound(blocks: np.ndarray, dims: tuple[int, int]) -> MeasureResult:
+    """(1/2) sum_zbar p(zbar) I(A:B) over the stacked blocks p(zbar) sigma_(zbar)."""
     value = 0.0
     weights = []
-    for z in range(dz):
-        block = r[:, :, z, :, :, z].reshape(n, n)
+    for block in blocks:
         pz = float(np.real(np.trace(block)))
         weights.append(pz)
-        if pz <= 1e-12:
-            continue
-        st = QState(block / pz, (da, db))
-        mi = (
-            von_neumann_entropy(partial_trace(st, (0,)))
-            + von_neumann_entropy(partial_trace(st, (1,)))
-            - von_neumann_entropy(st)
-        )
-        value += 0.5 * pz * mi
+        if pz > 1e-12:
+            value += 0.5 * pz * cond_mutual_info_q(QState(block / pz, dims), (0,), (1,))
     return MeasureResult(
         name="E_sq",
         value=value,
@@ -694,11 +692,11 @@ def rel_ent_upper(
     summed over restarts (0 when it did not run).
 
     A rho that splits into local blocks is measured block by block
-    (``_blockwise``), each block with the same seed and ``tol``.
+    (``_blockwise``), each block with the same seed and ``tol``.  A closed
+    bracket is exact at any size; the optimizer refuses a block of more
+    than ``OPT_DIM_CAP`` dimensions.
     """
-    da, db = _require_bipartite(rho.dims, "rel_ent_upper")
-    if da * db > OPT_DIM_CAP:
-        raise SecrecyForgeError(f"dimension {da * db} exceeds optimizer cap {OPT_DIM_CAP}")
+    _require_bipartite(rho.dims, "rel_ent_upper")
     return _blockwise(
         "E_r", rho, lambda block: _rel_ent_whole(block, seed, tol), bounds=True
     )
@@ -725,6 +723,8 @@ def _rel_ent_whole(rho: QState, seed: int, tol: float) -> MeasureResult:
             method=method,
             diagnostics={"lower_bound": floor, "upper_bound": ceiling, "iterations": 0},
         )
+    if da * db > OPT_DIM_CAP:
+        raise SecrecyForgeError(f"dimension {da * db} exceeds optimizer cap {OPT_DIM_CAP}")
     rng = np.random.default_rng(seed)
     diag = np.clip(np.real(np.diag(rho.rho)), 0.0, None)
 

@@ -32,7 +32,6 @@ __all__ = [
     "jsonable",
     "json_text",
     "load_json",
-    "dump_json",
     "load_dist",
     "dump_dist",
     "load_phases",

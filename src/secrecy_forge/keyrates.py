@@ -33,16 +33,18 @@ from .common_info import CondCommonFunction, conditional_common_function
 from .distributions import Channel, Dist3, mutual_information
 from .embeddings import (
     PhaseAssignment,
+    _amplitudes,
     embed_ccq,
     embed_cqq,
     embed_qqq,
-    extension_sigma,
+    extension_blocks,
+    pair_state,
 )
 from .entanglement import (
     MeasureResult,
+    _extension_bound,
     eof_2q,
     eof_numeric,
-    esq_classical_extension_bound,
     rel_ent_upper,
 )
 from .errors import InvalidDistribution, SecrecyForgeError
@@ -238,7 +240,7 @@ def _phases_block_compatible(
     """
     if phases is None:
         return True
-    amp = np.sqrt(d.p) * np.exp(1j * phases.phi)
+    amp = _amplitudes(d, phases)
     for z, part in ccf.per_z.items():
         for xs, ys in part.blocks:
             sub = amp[np.ix_(list(xs), list(ys), [z])][:, :, 0]
@@ -323,9 +325,9 @@ def _quantum_side(
     key rate, whether the phases are block compatible, rho_AB = tr_E of the
     coherent embedding, and its ``E_r_bound`` and, for two qubits, ``E_F_2q``.
     """
+    rho_ab = pair_state(d, phases)  # refuses an oversized d before classify runs
     report = classify(d, tol, support_eps)
     compatible = _phases_block_compatible(d, phases, report.ccf)
-    rho_ab = partial_trace(embed_qqq(d, phases).density(), (0, 1))
     measures = {"E_r_bound": rel_ent_upper(rho_ab, seed=seed, tol=tol)}
     if rho_ab.dims == (2, 2):
         measures["E_F_2q"] = eof_2q(rho_ab)
@@ -337,7 +339,7 @@ def _esq(
 ) -> MeasureResult:
     """Classical-extension E_sq bound through ``channel`` (None: identity) on Z."""
     ch = channel or Channel.identity(d.dims[2])
-    return esq_classical_extension_bound(extension_sigma(d, ch, phases, support_eps))
+    return _extension_bound(extension_blocks(d, ch, phases, support_eps), d.dims[:2])
 
 
 def verify_chain(

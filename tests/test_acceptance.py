@@ -1,4 +1,4 @@
-"""Acceptance gate: nine end-to-end checks, one verdict line each.
+"""Acceptance gate: end-to-end checks, one verdict line each.
 
 Each test records ``[ACCEPTANCE] criterion N: PASS/FAIL`` before
 asserting; conftest replays the collected lines in the terminal
@@ -32,6 +32,7 @@ from secrecy_forge.embeddings import (
 )
 from secrecy_forge.entanglement import eof_2q, eof_numeric
 from secrecy_forge.keyrates import (
+    advantage_report,
     binary_eve_family,
     independent_eve_example,
     kd_class,
@@ -327,4 +328,49 @@ def test_criterion_9_gap_scales_linearly():
                     f"{reference:.6e}, steps "
                     + ", ".join(f"{step:.6e}" for step in steps)
                     + f", {elapsed:.2f}s")
+    assert ok
+
+
+def fourier_pair_family(d: int) -> tuple[Dist3, PhaseAssignment]:
+    """Uniform d x d with a constant Eve, phi = 2 pi xy / d: the pair state
+    is pure with log2 d ebits, while independent X and Y give K_D = 0."""
+    x = np.arange(d)
+    phi = 2 * math.pi * np.outer(x, x) / d
+    return Dist3(np.full((d, d, 1), 1.0 / d**2)), PhaseAssignment(phi[:, :, None])
+
+
+def eve_family(d: int) -> tuple[Dist3, PhaseAssignment]:
+    """p(x, x, z) = 1/d^2, phi = 2 pi xz / d: K_D = log2 d, while the pair
+    state is the separable sum_x |xx><xx| / d, so E_r = 0 caps its key."""
+    x = np.arange(d)
+    p = np.zeros((d, d, d))
+    phi = np.zeros((d, d, d))
+    p[x, x, :] = 1.0 / d**2
+    phi[x, x, :] = 2 * math.pi * np.outer(x, x) / d
+    return Dist3(p), PhaseAssignment(phi)
+
+
+def test_criterion_11_gaps_grow_as_log_d_both_ways():
+    # the Fourier pair's chain waits for premise-gated UBI-PD checks, and its
+    # quantum interval is inverted by an ulp at d = 3; neither is asserted
+    start = time.time()
+    ok = True
+    ladders = {"ab_advantage": [], "eve_advantage": []}
+    for d in (2, 3, 4, 8, 16):
+        for family, label, sign in ((fourier_pair_family, "ab_advantage", -1),
+                                    (eve_family, "eve_advantage", 1)):
+            dist, phases = family(d)
+            adv = advantage_report(dist, phases)
+            ok &= adv.label == label
+            ok &= adv.gap is not None and abs(adv.gap - sign * math.log2(d)) <= 1e-9
+            ok &= all(adv.measures[name].kind == "exact"
+                      for name in ("K_D_classical", "E_r_bound"))
+            if family is eve_family:
+                ok &= verify_chain(dist, phases).all_passed
+            ladders[label].append(f"{d}: {adv.gap:+.9f}")
+    elapsed = time.time() - start
+    ok &= elapsed < 60.0
+    announce(11, ok, "; ".join(f"{label} {', '.join(rungs)}"
+                               for label, rungs in ladders.items())
+             + f"; {elapsed:.2f}s")
     assert ok

@@ -6,6 +6,7 @@ import importlib
 import json
 import math
 import pkgutil
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +30,7 @@ from secrecy_forge.keyrates import (
     one_sided_coherence_example,
     two_block_uniform_example,
 )
-from secrecy_forge.qlinalg import PureState, partial_trace
+from secrecy_forge.qlinalg import PureState, QState, partial_trace
 
 
 @pytest.fixture(scope="module")
@@ -443,8 +444,51 @@ class TestExitCodes:
         assert cli.run(["dequantize-check", "--tree", files["tree"],
                         "--dist", files["small_dist"],
                         "--tol.equality", "1e-30"]) == 1
-        capsys.readouterr()
-        assert cli.run(["reproduce", "thm7d", "--tol.chain", "1e-30"]) == 1
+
+    def test_chain_tolerance_reaches_every_check_on_a_bound(self, capsys):
+        # Every thm7d check compares two values that are exactly 1, so its
+        # exit code rests on rounding residues and is not asserted.  The
+        # override shows in the tolerance of each check against a value not
+        # tagged exact; the extension check keeps its fixed band.
+        code, doc = run_json(capsys, ["reproduce", "thm7d", "--tol.chain", "1e-30"])
+        assert code in (0, 1)
+        chain = doc["result"]["chain"]
+        on_bounds = [
+            c for c in chain["checks"]
+            if c["name"] != "key_rate_vs_extension_bound"
+            and chain["measures"].get(c["rhs"]["name"], {}).get("kind") != "exact"
+        ]
+        assert [c["name"] for c in on_bounds] == [
+            "equality_band_E_sq_bound", "equality_band_H_J_given_Z"]
+        assert all(c["tol"] == 1e-30 for c in on_bounds)
+
+    def test_optimizer_cap_refusal_is_usage(self, capsys, tmp_path):
+        # a full-rank 5x4 state: its E_r bracket is open and 20 > 16
+        g = np.random.default_rng(0).standard_normal((20, 20, 2)) @ [1, 1j]
+        rho = g @ g.conj().T
+        path = tmp_path / "wide.json"
+        dump_json(dump_state(QState(rho / np.trace(rho).real, (5, 4))), path)
+        assert cli.run(["measures", "--state", str(path), "--which", "er"]) == 2
+        assert "dimension 20 exceeds optimizer cap 16" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("dims, msg", [
+        ([100, 100, 1], "density operator dimension 10000 > cap 256"),
+        ([16, 16, 32], "|X||Y||Z| = 8192 > cap 4096"),
+    ])
+    def test_chain_refuses_an_oversized_dense_pmf(self, capsys, tmp_path, dims, msg):
+        # a dense 'p' file has no cap of its own; chain refuses it before it
+        # builds rho_AB (a 10000-dim one is 1.6 GB) or the extension blocks
+        path = tmp_path / "big.json"
+        dump_json({"dims": dims, "p": np.full(dims, 1.0 / math.prod(dims)).tolist()}, path)
+        tracemalloc.start()
+        try:
+            code = cli.run(["chain", "--dist", str(path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert msg in capsys.readouterr().err
+        assert peak < 32 * 2**20
 
     def test_sparse_dims_past_the_cap_are_usage(self, capsys, tmp_path):
         # the declared dims alone would ask numpy for 7 PiB

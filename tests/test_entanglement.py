@@ -20,7 +20,7 @@ from secrecy_forge.entanglement import (
     negativity_log,
     rel_ent_upper,
 )
-from secrecy_forge.embeddings import embed_qqq
+from secrecy_forge.embeddings import pair_state
 from secrecy_forge.errors import InvalidState, SecrecyForgeError
 from secrecy_forge.keyrates import (
     binary_eve_family,
@@ -28,7 +28,7 @@ from secrecy_forge.keyrates import (
     one_sided_coherence_example,
     two_block_uniform_example,
 )
-from secrecy_forge.qlinalg import PureState, QState, partial_trace
+from secrecy_forge.qlinalg import PureState, QState
 
 BELL = PureState(np.array([1, 0, 0, 1]) / math.sqrt(2), (2, 2)).density()
 PRODUCT = PureState(np.array([1, 0, 0, 0]), (2, 2)).density()
@@ -51,11 +51,6 @@ def werner_eof_oracle(p: float) -> float:
     return h2((1 + math.sqrt(1 - c * c)) / 2)
 
 
-def _pair_state(d, phases=None) -> QState:
-    """The AB marginal of the coherent embedding, as verify_chain builds it."""
-    return partial_trace(embed_qqq(d, phases).density(), (0, 1))
-
-
 def _full_rank_2q(seed: int) -> QState:
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
@@ -64,9 +59,9 @@ def _full_rank_2q(seed: int) -> QState:
 
 
 PIN_STATES = {
-    "lambda-quarter": lambda: _pair_state(binary_eve_family(0.25)),
-    "two-block": lambda: _pair_state(two_block_uniform_example()),
-    "one-sided": lambda: _pair_state(*one_sided_coherence_example()),
+    "lambda-quarter": lambda: pair_state(binary_eve_family(0.25)),
+    "two-block": lambda: pair_state(two_block_uniform_example()),
+    "one-sided": lambda: pair_state(*one_sided_coherence_example()),
     "full-rank-101": lambda: _full_rank_2q(101),
     "full-rank-202": lambda: _full_rank_2q(202),
 }
@@ -260,17 +255,17 @@ def random_density(dims: tuple[int, int], rank: int, seed: int) -> QState:
 #    1/2 +- 1/sqrt(8).
 CLOSED_FORMS = {
     "lambda-quarter": (
-        lambda: _pair_state(binary_eve_family(0.25)),
+        lambda: pair_state(binary_eve_family(0.25)),
         h2(0.25 + 0.125) - h2(0.5 + (0.5 + math.sqrt(0.75)) / (2 * math.sqrt(2))),
         0.829969352,
     ),
     "two-block": (
-        lambda: _pair_state(two_block_uniform_example()),
+        lambda: pair_state(two_block_uniform_example()),
         entropy([0.25] * 4) - entropy([0.5, 0.5]),
         1.0,
     ),
     "independent-eve": (
-        lambda: _pair_state(independent_eve_example()),
+        lambda: pair_state(independent_eve_example()),
         h2(0.5 + 1 / math.sqrt(8)),
         0.600876037,
     ),
@@ -308,7 +303,7 @@ class TestRelativeEntropyUpper:
         c, s = math.cos(0.3), math.sin(0.3)
         rot[1:3, 1:3] = [[c, -s], [s, c]]
         u = np.kron(rot, rot)
-        pair = _pair_state(*one_sided_coherence_example())
+        pair = pair_state(*one_sided_coherence_example())
         rho = QState(u @ pair.rho @ u.T, (4, 4))
         assert entanglement._local_blocks(rho) is None
         res = rel_ent_upper(rho, seed=0)
@@ -469,8 +464,8 @@ def _objective_fd_errors(rho: QState, seed: int) -> list[float]:
 @pytest.mark.parametrize(
     "make",
     [
-        lambda: _pair_state(*one_sided_coherence_example()),
-        lambda: _pair_state(binary_eve_family(0.25)),
+        lambda: pair_state(*one_sided_coherence_example()),
+        lambda: pair_state(binary_eve_family(0.25)),
         lambda: random_density((2, 3), 2, 0),
         lambda: random_density((2, 3), 6, 1),
     ],
@@ -485,8 +480,8 @@ def test_rel_ent_gradient_matches_finite_differences(make, seed):
 @pytest.mark.parametrize(
     "make",
     [
-        lambda: _pair_state(*one_sided_coherence_example()),
-        lambda: _pair_state(binary_eve_family(0.25)),
+        lambda: pair_state(*one_sided_coherence_example()),
+        lambda: pair_state(binary_eve_family(0.25)),
     ],
     ids=["one-sided-coherence", "lambda-quarter"],
 )
@@ -517,6 +512,29 @@ def test_rel_ent_at_most_formation_on_two_qubits(rank):
     for seed in range(15):
         rho = random_density((2, 2), rank, seed)
         assert rel_ent_upper(rho).value <= eof_2q(rho).value + 1e-5, seed
+
+
+def fourier_pair(dim: int) -> QState:
+    """sum_xy e^{2 pi i xy / dim} |xy> / dim: pure, with log2(dim) ebits."""
+    x = np.arange(dim)
+    return PureState(np.exp(2j * math.pi * np.outer(x, x) / dim) / dim,
+                     (dim, dim)).density()
+
+
+def test_an_open_bracket_above_the_optimizer_cap_is_refused():
+    rho = random_density((5, 4), rank=20, seed=0)
+    for measure in (rel_ent_upper, eof_numeric):
+        with pytest.raises(SecrecyForgeError,
+                           match="dimension 20 exceeds optimizer cap 16"):
+            measure(rho)
+
+
+def test_a_pure_state_above_the_optimizer_cap_is_exact():
+    rho = fourier_pair(6)
+    for measure in (rel_ent_upper, eof_numeric):
+        res = measure(rho)
+        assert (res.kind, res.method) == ("exact", "pure-state")
+        assert res.value == pytest.approx(math.log2(6), abs=1e-9)
 
 
 def test_import_loads_no_scipy():

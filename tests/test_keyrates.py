@@ -5,6 +5,7 @@ import importlib
 import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from secrecy_forge.distributions import (
     mutual_information,
     product_power,
 )
-from secrecy_forge.errors import InvalidDistribution, SecrecyForgeError
+from secrecy_forge.errors import DimensionCapExceeded, InvalidDistribution, SecrecyForgeError
 from secrecy_forge.io import dump_dist, dump_json
 from secrecy_forge.keyrates import (
     advantage_report,
@@ -34,7 +35,7 @@ from secrecy_forge.keyrates import (
     two_block_uniform_example,
     verify_chain,
 )
-from secrecy_forge.qlinalg import QState, partial_trace
+from secrecy_forge.qlinalg import PureState, QState, partial_trace
 
 # the package's top level binds "classify" to the function, not the module
 classify_module = importlib.import_module("secrecy_forge.classify")
@@ -553,3 +554,74 @@ class TestConditionalCommonFunctionBuilds:
         dump_json(dump_dist(example[0]), path)
         assert cli.run(["commoninfo", "--dist", str(path)]) == 0
         assert len(builds) == 1
+
+
+class TestPairStateOnly:
+    """The reports and thm6a read rho_AB and the extension blocks off
+    Eve's amplitude matrix and build no tripartite state."""
+
+    @pytest.fixture(autouse=True)
+    def no_tripartite(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("the tripartite pure state was built")
+
+        post_init = QState.__post_init__
+
+        def two_party(state):
+            assert len(state.dims) < 3, f"a state with dims {state.dims} was built"
+            post_init(state)
+
+        monkeypatch.setattr(PureState, "density", refuse)
+        monkeypatch.setattr(QState, "__post_init__", two_party)
+
+    @pytest.mark.parametrize(
+        "make, label",
+        [(one_sided_coherence_example, "ab_advantage"),
+         (lambda: (binary_eve_family(0.25), None), "eve_advantage")],
+        ids=["one-sided-coherence", "lambda-quarter"],
+    )
+    def test_reports(self, make, label):
+        d, phases = make()
+        assert verify_chain(d, phases).measures["E_sq_bound"].value > 0.0
+        assert advantage_report(d, phases).label == label
+
+    def test_reproduce_thm6a(self, capsys):
+        assert cli.run(["reproduce", "thm6a"]) == 0
+
+
+@pytest.mark.parametrize(
+    "dims, msg",
+    [((100, 100, 1), "density operator dimension 10000 > cap 256"),
+     ((16, 16, 32), "|X||Y||Z| = 8192 > cap 4096")],
+)
+@pytest.mark.parametrize("report", [verify_chain, advantage_report])
+def test_reports_refuse_an_oversized_pmf_before_classifying(monkeypatch, dims, msg, report):
+    # |X||Y| is bounded by rho_dim and |X||Y||Z| by product_states before rho_AB,
+    # the blocks or an identity channel are built, and before classify runs
+    def refuse(*args, **kwargs):
+        raise AssertionError("classify ran on an oversized pmf")
+
+    monkeypatch.setattr(keyrates, "classify", refuse)
+    d = Dist3(np.full(dims, 1.0 / math.prod(dims)))
+    with pytest.raises(DimensionCapExceeded, match=re.escape(msg)):
+        report(d)
+
+
+def k_block_family(k: int) -> Dist3:
+    """X = Y uniform on 2k symbols, Eve holds z = floor(x / 2): one ebit."""
+    p = np.zeros((2 * k, 2 * k, k))
+    for x in range(2 * k):
+        p[x, x, x // 2] = 1.0 / (2 * k)
+    return Dist3(p)
+
+
+@pytest.mark.parametrize("k", [2, 4, 8])
+def test_k_block_chain_is_exact_up_to_a_256_dim_pair(k):
+    # rho_AB is k equal-weight Bell pairs on local blocks, (2k)^2 dims
+    report = verify_chain(k_block_family(k))
+    assert report.all_passed
+    for name in ("E_r_bound", "E_F_numeric"):
+        m = report.measures[name]
+        assert m.kind == "exact"
+        assert m.value == pytest.approx(1.0, abs=1e-12)
+        assert m.diagnostics["iterations"] == 0

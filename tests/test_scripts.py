@@ -43,21 +43,10 @@ def test_chain_demo_passes_and_labels_every_case(capsys):
     assert all(LABELS & set(row) for row in rows)
 
 
-def test_gap_scan_puts_the_key_rate_on_top(tmp_path, capsys):
-    out = tmp_path / "rows.json"
-    assert _load("gap_scan").main(["--points", "3", "--out", str(out)]) == 0
-    rows = json.loads(out.read_text())["rows"]
-    assert [r["lambda"] for r in rows] == [0.0, 0.25, 0.5]
-    assert all(r["kd"] >= r["ef"] - 1e-9 for r in rows)
-    assert abs(rows[-1]["gap"]) <= 1e-9
-
-
 @pytest.mark.parametrize(
     "name, argv",
     [
         ("chain_demo", ["--seed", "-1"]),
-        ("gap_scan", ["--points", "-1"]),
-        ("gap_scan", ["--points", "0"]),
     ],
 )
 def test_bad_numbers_exit_at_the_parser(name, argv, capsys):
