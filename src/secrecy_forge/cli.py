@@ -4,7 +4,7 @@ Every command prints a single JSON envelope carrying the tool version,
 seed, effective tolerances, and sha256 digests of the input files, so a
 report can be regenerated and diffed byte for byte.  Exit codes: 0 on
 success, 1 when a computed property fails its check, 2 on bad usage or
-malformed input.
+malformed input, including an input above a size cap.
 """
 
 from __future__ import annotations
@@ -333,8 +333,8 @@ def _cmd_dequantize_check(args, tols) -> int:
     d = io.load_dist(args.dist)
     try:
         deviation = verify_equivalence(tree, d, n=args.n)
-    except (InvalidProtocol, DimensionCapExceeded) as exc:
-        # incompatible or oversized inputs, not a failed equivalence check
+    except InvalidProtocol as exc:
+        # incompatible inputs, not a failed equivalence check
         raise UsageError(str(exc)) from exc
     tol = tols["equality"]
     passed = deviation <= tol
@@ -585,7 +585,7 @@ def run(argv: list[str] | None = None) -> int:
         tols, rest = _extract_tol_flags(argv)
         args = _parser().parse_args(rest)
         return _HANDLERS[args.command](args, tols)
-    except UsageError as exc:
+    except (UsageError, DimensionCapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SecrecyForgeError as exc:

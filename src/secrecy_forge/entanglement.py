@@ -37,8 +37,8 @@ import numpy as np
 from . import config
 from .common_info import _component_roots
 from .distributions import binary_entropy
-from .errors import InvalidState, SecrecyForgeError
-from .qlinalg import QState, _spectrum_entropy, cond_mutual_info_q
+from .errors import DimensionCapExceeded, InvalidState, SecrecyForgeError
+from .qlinalg import EIG_CLIP, QState, _spectrum_entropy, cond_mutual_info_q
 
 __all__ = [
     "MeasureResult",
@@ -393,7 +393,7 @@ def _eof_whole(rho: QState, seed: int) -> MeasureResult:
             diagnostics={"rank": 1},
         )
     if da * db > OPT_DIM_CAP:
-        raise SecrecyForgeError(f"dimension {da * db} exceeds optimizer cap {OPT_DIM_CAP}")
+        raise DimensionCapExceeded(f"dimension {da * db} exceeds optimizer cap {OPT_DIM_CAP}")
     sizes = (r, r * r)
     rng = np.random.default_rng(seed)
     starts = []
@@ -702,13 +702,17 @@ def rel_ent_upper(
     )
 
 
+def _is_pure(rho: QState) -> bool:
+    """True when rho's validation spectrum has one eigenvalue above ``EIG_CLIP``."""
+    return int((rho.spectrum > EIG_CLIP).sum()) == 1
+
+
 def _rel_ent_whole(rho: QState, seed: int, tol: float) -> MeasureResult:
     """``rel_ent_upper`` on a state that does not split into local blocks."""
     da, db = rho.dims
     k = 2 * da * db
-    ew = rho.spectrum
-    s_ab = _spectrum_entropy(ew)
-    if int((ew > 1e-12).sum()) == 1:
+    s_ab = _spectrum_entropy(rho.spectrum)
+    if _is_pure(rho):
         ev, vec = np.linalg.eigh(rho.rho)
         floor = ceiling = _schmidt_entropy(vec[:, -1] * math.sqrt(ev[-1]), da, db)
         method = "pure-state"
@@ -724,7 +728,7 @@ def _rel_ent_whole(rho: QState, seed: int, tol: float) -> MeasureResult:
             diagnostics={"lower_bound": floor, "upper_bound": ceiling, "iterations": 0},
         )
     if da * db > OPT_DIM_CAP:
-        raise SecrecyForgeError(f"dimension {da * db} exceeds optimizer cap {OPT_DIM_CAP}")
+        raise DimensionCapExceeded(f"dimension {da * db} exceeds optimizer cap {OPT_DIM_CAP}")
     rng = np.random.default_rng(seed)
     diag = np.clip(np.real(np.diag(rho.rho)), 0.0, None)
 

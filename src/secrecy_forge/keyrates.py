@@ -4,7 +4,10 @@ The class-conditional formulas are exact: a distribution that is uniform
 block independent after public discussion (UBI-PD) has key rate equal to
 the conditional common-block entropy H(J|Z); one that reaches UBI-PD
 only after a channel on Eve's symbol inherits the formula on the
-degraded distribution.  Everything else is reported as an interval.
+degraded distribution.  Everything else is reported as an interval from
+the one-way floor max(I(X:Y) - I(X:Z), I(X:Y) - I(Y:Z), 0) to the
+channel search's intrinsic-information ceiling, exact where the two meet
+(an Eve independent of (X, Y) is one such case).
 
 verify_chain and advantage_report compare those classical rates against
 entanglement quantities of the coherent embedding.  The class equalities
@@ -43,18 +46,13 @@ from .embeddings import (
 from .entanglement import (
     MeasureResult,
     _extension_bound,
+    _is_pure,
     eof_2q,
     eof_numeric,
     rel_ent_upper,
 )
 from .errors import InvalidDistribution, SecrecyForgeError
-from .qlinalg import (
-    QState,
-    cond_mutual_info_q,
-    partial_trace,
-    trace_distance,
-    von_neumann_entropy,
-)
+from .qlinalg import QState, cond_mutual_info_q, trace_distance
 
 __all__ = [
     "ChainCheck",
@@ -65,7 +63,6 @@ __all__ = [
     "two_block_uniform_example",
     "one_sided_coherence_example",
     "kd_class",
-    "kd_independent_eve",
     "verify_chain",
     "advantage_report",
     "lemma_example_rates",
@@ -154,9 +151,14 @@ def kd_class(
     """Distillable key rate from the classification, when a formula applies.
 
     UBI-PD: exact H(J|Z).  Only UBI-PD-down with certificate channel:
-    exact H(J|Zbar) on the degraded distribution.  Otherwise the result
-    kind is ``inconclusive``; ``value`` then carries the best cheap
-    upper bound and ``diagnostics`` the certified interval.
+    exact H(J|Zbar) on the degraded distribution.  Otherwise ``value``
+    carries the best cheap upper bound, min I(X:Y|Zbar) over the searched
+    channels (Maurer & Wolf, IEEE T-IT 45, 499 (1999)), and
+    ``diagnostics`` the certified interval above the one-way floor
+    max(I(X:Y) - I(X:Z), I(X:Y) - I(Y:Z), 0) (Ahlswede & Csiszar 1993;
+    Maurer 1993).  The kind is ``exact`` (class ``one_way``) when the
+    two lie within ``tol``, ``inconclusive`` (class ``unresolved``)
+    otherwise.
 
     A report (classify's on d) supplies the verdict, conditional common
     function and channel search result.  Without one only what the value
@@ -191,35 +193,23 @@ def kd_class(
             diagnostics={"class": "ubi_pd_down", "channel": down.channel.assignment()},
         )
     upper, rgs = down.ceiling
+    i_xy = mutual_information(d.p, (0,), (1,))
+    lower = max(i_xy - mutual_information(d.p, (0,), (2,)),
+                i_xy - mutual_information(d.p, (1,), (2,)), 0.0)
+    closed = upper - lower <= tol
     return MeasureResult(
         name="K_D",
         value=upper,
-        kind="inconclusive",
-        method="interval",
+        kind="exact" if closed else "inconclusive",
+        method="one-way-floor" if closed else "interval",
         diagnostics={
-            "class": "unresolved",
-            "lower_bound": 0.0,
+            "class": "one_way" if closed else "unresolved",
+            "lower_bound": lower,
             "upper_bound": upper,
             "upper_bound_channel": list(rgs),
             "channels_tested": down.tested,
             "budget_exhausted": down.reason == "budget exhausted",
         },
-    )
-
-
-def kd_independent_eve(d: Dist3, tol: float = config.ENTROPY_TOL) -> MeasureResult:
-    """Key rate when Eve's symbol is independent of (X, Y): exactly I(X:Y)."""
-    leak = mutual_information(d.p, (0, 1), (2,))
-    if leak > tol:
-        raise InvalidDistribution(
-            f"eavesdropper symbol is correlated with the pair (I={leak:.3g})"
-        )
-    return MeasureResult(
-        name="K_D",
-        value=mutual_information(d.p, (0,), (1,)),
-        kind="exact",
-        method="mutual-information",
-        diagnostics={"pair_eve_mutual_info": leak},
     )
 
 
@@ -248,13 +238,6 @@ def _phases_block_compatible(
             if s.size > 1 and s[1] > 1e-9 * max(s[0], 1.0):
                 return False
     return True
-
-
-def _pure_entropy(rho: QState, keep: int) -> float | None:
-    """S of subsystem ``keep`` when rho is pure (tr rho^2 >= 1 - EQ_TOL), else None."""
-    if float(np.real(np.trace(rho.rho @ rho.rho))) < 1.0 - EQ_TOL:
-        return None
-    return von_neumann_entropy(partial_trace(rho, (keep,)))
 
 
 @dataclass(frozen=True)
@@ -378,9 +361,8 @@ def verify_chain(
     }
     if "E_F_2q" in measures:
         values["E_F_2q"] = measures["E_F_2q"].value
-    s_pure = _pure_entropy(rho_ab, 1)
-    if s_pure is not None:
-        values["E_entropy"] = s_pure
+    if _is_pure(rho_ab):
+        values["E_entropy"] = er.value
 
     checks: list[ChainCheck] = []
     if kd.kind == "exact":
@@ -468,19 +450,20 @@ def advantage_report(
 ) -> AdvantageReport:
     """Compare the classical key rate of d against its coherent embedding.
 
-    The quantum side is pinned exactly when the embedded pair state is
-    pure (rate = reduced entropy) or when the class equalities apply
-    (reversible + semi-unambiguous, block-compatible phases); otherwise
-    it is bracketed by certified bounds, taken as the bracket's top once
-    the bracket has closed within ``EQ_TOL``, and the label only fires
-    when the brackets separate strictly.  The classical rate and the
-    certificate channel come from one ``classify(d, tol, support_eps)``.
+    The classical side is ``kd_class``'s: its value when exact, its
+    certified interval otherwise.  The quantum side is pinned, and is its
+    own interval, when the embedded pair state is pure (rate = E_r, the
+    entropy of entanglement) or when the class equalities apply
+    (reversible + semi-unambiguous, block-compatible phases).  Otherwise
+    it is bracketed by E_r's floor and the smallest certified upper
+    bound, and taken as the bracket's top once the bracket has closed
+    within ``EQ_TOL``; the label only fires when the brackets separate
+    strictly.  The classical rate and the certificate channel come from
+    one ``classify(d, tol, support_eps)``.
     """
     report, kd, compatible, rho_ab, measures = _quantum_side(
         d, phases, seed, tol, support_eps
     )
-    if kd.kind != "exact" and mutual_information(d.p, (0, 1), (2,)) <= tol:
-        kd = kd_independent_eve(d, tol)
     if kd.kind == "exact":
         c_lo = c_hi = kd.value
     else:
@@ -493,22 +476,26 @@ def advantage_report(
     if cert is not None and cert.assignment() != list(range(d.dims[2])):
         measures["E_sq_bound_certificate"] = _esq(d, cert, phases, support_eps)
     er = measures["E_r_bound"]
-    # every measure but the classical rate caps the quantum side's key rate
-    uppers = [m.value for name, m in measures.items() if name != "K_D_classical"]
-
-    q_value = _pure_entropy(rho_ab, 1)
-    if q_value is None and (
+    q_value: float | None = None
+    if _is_pure(rho_ab):
+        q_value = er.value
+    elif (
         compatible
         and kd.kind == "exact"
         and report.ubi_pd_down == YES
         and report.semi_unambiguous == YES
     ):
         q_value = kd.value
-    q_hi = min(uppers + ([q_value] if q_value is not None else []))
-    # coherent information (E_r's floor) <= E_D <= K_D (Devetak & Winter 2005)
-    q_lo = q_value if q_value is not None else er.diagnostics["lower_bound"]
-    if q_value is None and q_hi - q_lo <= EQ_TOL:
-        q_value = q_hi
+    if q_value is not None:
+        q_lo = q_hi = q_value
+    else:
+        # every measure but the classical rate caps the quantum side's key
+        # rate; coherent information (E_r's floor) <= E_D <= K_D (Devetak &
+        # Winter 2005)
+        q_hi = min(m.value for name, m in measures.items() if name != "K_D_classical")
+        q_lo = er.diagnostics["lower_bound"]
+        if q_hi - q_lo <= EQ_TOL:
+            q_value = q_hi
 
     gap: float | None = None
     if kd.kind == "exact" and q_value is not None:
@@ -636,8 +623,7 @@ def lemma_example_rates() -> dict:
             weights.append(pz)
             branch = QState(block / pz, (dx, dy))
             mi = cond_mutual_info_q(branch, (0,), (1,))
-            pure = float(np.real(np.trace(branch.rho @ branch.rho))) >= 1.0 - EQ_TOL
-            v = 0.5 * mi if pure else mi
+            v = 0.5 * mi if _is_pure(branch) else mi
             m = _measured_key_value(branch)
             if abs(v - m) > EQ_TOL:
                 raise SecrecyForgeError(

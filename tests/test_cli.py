@@ -370,6 +370,16 @@ class TestReproduce:
         assert doc["result"]["notes"]
         assert any("1 - h(1/3)" in note for note in doc["result"]["notes"])
 
+    def test_thm6b_quantum_interval_is_ordered(self, capsys):
+        # rho_AB is pure, so the quantum side is pinned at E_r's exact value,
+        # the entropy of entanglement, and is its own interval
+        code, doc = run_json(capsys, ["reproduce", "thm6b"])
+        assert code == 0
+        adv = doc["result"]["advantage"]
+        lo, hi = adv["quantum_interval"]
+        assert lo <= hi
+        assert lo == hi == adv["quantum_value"] == adv["measures"]["E_r_bound"]["value"]
+
     def test_unpinned_quantum_rate_is_null_and_fails(self, capsys,
                                                      monkeypatch):
         real = cli.advantage_report
@@ -471,13 +481,24 @@ class TestExitCodes:
         assert cli.run(["measures", "--state", str(path), "--which", "er"]) == 2
         assert "dimension 20 exceeds optimizer cap 16" in capsys.readouterr().err
 
+    def test_chain_optimizer_cap_refusal_is_usage(self, capsys, tmp_path):
+        # a full-rank 5x4x3 pmf: rho_AB has rank 3, so neither E_r's bracket
+        # nor a local-block split answers, and the optimizers refuse 20 > 16
+        # with the same exit code as in measures
+        path = tmp_path / "wide.json"
+        p = np.random.default_rng(0).random((5, 4, 3))
+        dump_json(dump_dist(Dist3(p / p.sum())), path)
+        assert cli.run(["chain", "--dist", str(path)]) == 2
+        assert "dimension 20 exceeds optimizer cap 16" in capsys.readouterr().err
+
     @pytest.mark.parametrize("dims, msg", [
         ([100, 100, 1], "density operator dimension 10000 > cap 256"),
         ([16, 16, 32], "|X||Y||Z| = 8192 > cap 4096"),
     ])
     def test_chain_refuses_an_oversized_dense_pmf(self, capsys, tmp_path, dims, msg):
         # a dense 'p' file has no cap of its own; chain refuses it before it
-        # builds rho_AB (a 10000-dim one is 1.6 GB) or the extension blocks
+        # builds rho_AB (a 10000-dim one is 1.6 GB) or the extension blocks,
+        # and a size-cap refusal is bad input (exit 2)
         path = tmp_path / "big.json"
         dump_json({"dims": dims, "p": np.full(dims, 1.0 / math.prod(dims)).tolist()}, path)
         tracemalloc.start()
@@ -486,7 +507,7 @@ class TestExitCodes:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert code == 1
+        assert code == 2
         assert msg in capsys.readouterr().err
         assert peak < 32 * 2**20
 

@@ -29,7 +29,6 @@ from secrecy_forge.keyrates import (
     binary_eve_family,
     independent_eve_example,
     kd_class,
-    kd_independent_eve,
     lemma_example_rates,
     one_sided_coherence_example,
     two_block_uniform_example,
@@ -185,10 +184,13 @@ def unresolved_corpus() -> list[Dist3]:
 
 # sha256 over kd_class(d) and kd_class(d, classify(d)) of every pmf of
 # unresolved_corpus(), each as json.dumps(..., sort_keys=True) with the
-# budget_exhausted diagnostic left out.  Recorded before the ceiling was
-# read off the batched channel stack: every unresolved value, its channel
-# and the channel count must stay bit for bit.
-GOLDEN_UNRESOLVED_KD = "9ec8ee59718eae391a6dc53a0265861a9430d7d7f99c12ba5fdae8bfc337fd40"
+# budget_exhausted and lower_bound diagnostics left out (the test checks
+# the floor against its formula).  Every unresolved value, its channel and
+# the channel count must stay bit for bit.  With lower_bound put back at
+# its former constant 0.0, the same docs hash to the digest recorded
+# before the ceiling was read off the batched channel stack,
+# 9ec8ee59718eae391a6dc53a0265861a9430d7d7f99c12ba5fdae8bfc337fd40.
+GOLDEN_UNRESOLVED_KD = "2f6379a1a7e1a01c92e76a48e21c535b1b09d5c385a6ff478b605a48bdf10dd0"
 
 
 def test_unresolved_kd_class_is_pinned():
@@ -197,24 +199,105 @@ def test_unresolved_kd_class_is_pinned():
         for kd in (kd_class(d), kd_class(d, classify(d))):
             doc = kd.to_json()
             assert doc["diagnostics"]["class"] == "unresolved"
+            assert doc["diagnostics"]["lower_bound"] == pytest.approx(
+                one_way_floor(d), abs=1e-12)
             doc["diagnostics"] = {k: v for k, v in doc["diagnostics"].items()
-                                  if k != "budget_exhausted"}
+                                  if k not in ("budget_exhausted", "lower_bound")}
             digest.update(json.dumps(doc, sort_keys=True).encode())
     assert digest.hexdigest() == GOLDEN_UNRESOLVED_KD
 
 
+def one_way_floor(d: Dist3) -> float:
+    """max(I(X:Y) - I(X:Z), I(X:Y) - I(Y:Z), 0): one-way key with either
+    party speaking (Ahlswede & Csiszar 1993; Maurer 1993)."""
+    i_xy = mutual_information(d.p, (0,), (1,))
+    return max(i_xy - mutual_information(d.p, (0,), (2,)),
+               i_xy - mutual_information(d.p, (1,), (2,)), 0.0)
+
+
+def test_one_way_floor_is_below_the_ceiling():
+    @given(correlated_pair_noisy_eve())
+    def check(d):
+        res = kd_class(d)
+        diag = res.diagnostics
+        assert diag["lower_bound"] == pytest.approx(one_way_floor(d), abs=1e-12)
+        assert diag["lower_bound"] <= diag["upper_bound"] + 1e-12
+        assert diag["lower_bound"] <= loop_ceiling(d) + 1e-12
+
+    check()
+
+
+@st.composite
+def block_product_pmf(draw):
+    """Disjoint rectangles X_j x Y_j: under each z the block label has some
+    weight and x and y are independent inside the block, so the pmf is
+    UBI (and UBI-PD) with K_D = H(J|Z)."""
+    dx, dy, dz = draw(st.integers(2, 3)), draw(st.integers(2, 3)), draw(st.integers(1, 3))
+    k = draw(st.integers(1, min(dx, dy)))
+    lx = np.array(list(range(k)) + draw(st.lists(st.integers(0, k - 1),
+                                                 min_size=dx - k, max_size=dx - k)))
+    ly = np.array(list(range(k)) + draw(st.lists(st.integers(0, k - 1),
+                                                 min_size=dy - k, max_size=dy - k)))
+
+    def weights(n):
+        return np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n)))
+
+    p = np.zeros((dx, dy, dz))
+    for z in range(dz):
+        wj, ux, uy = weights(k), weights(dx), weights(dy)
+        for j in range(k):
+            xs, ys = lx == j, ly == j
+            p[np.ix_(xs, ys, [z])] = (wj[j] * np.outer(ux[xs] / ux[xs].sum(),
+                                                       uy[ys] / uy[ys].sum()))[:, :, None]
+    return Dist3(p / p.sum())
+
+
+def test_one_way_floor_is_below_the_exact_rate():
+    classes = []
+
+    @given(block_product_pmf())
+    def check(d):
+        res = kd_class(d)
+        assert res.kind == "exact"
+        assert one_way_floor(d) <= res.value + 1e-12
+        classes.append(res.diagnostics["class"])
+
+    check()
+    assert "ubi_pd" in classes
+
+
+@st.composite
+def product_eve_pmf(draw):
+    """p(x, y) q(z) with 2-3 symbols per party and 1-4 for Eve; p may have zeros."""
+    dx, dy, dz = draw(st.integers(2, 3)), draw(st.integers(2, 3)), draw(st.integers(1, 4))
+    pxy = np.array(draw(st.lists(st.sampled_from([0.0, 0.2, 0.5, 1.0]),
+                                 min_size=dx * dy, max_size=dx * dy))).reshape(dx, dy)
+    pxy[0, 0] += 0.1
+    qz = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=dz, max_size=dz)))
+    p = pxy[:, :, None] * qz[None, None, :]
+    return Dist3(p / p.sum())
+
+
+def test_independent_eve_rate_is_mutual_information():
+    @given(product_eve_pmf())
+    def check(d):
+        res = kd_class(d)
+        assert res.kind == "exact"
+        assert res.value == pytest.approx(mutual_information(d.p, (0,), (1,)), abs=1e-9)
+
+    check()
+
+
 class TestIndependentEve:
     def test_example_rate_is_mutual_information(self):
-        res = kd_independent_eve(independent_eve_example())
-        assert res.kind == "exact"
+        # a constant Eve: the one-way floor I(X:Y) - 0 meets the identity
+        # channel's ceiling I(X:Y|Z) = I(X:Y)
+        res = kd_class(independent_eve_example())
+        assert (res.kind, res.method) == ("exact", "one-way-floor")
+        assert res.diagnostics["class"] == "one_way"
         assert res.value == pytest.approx(H_QUARTER - 0.5, abs=1e-9)
-        assert res.diagnostics["pair_eve_mutual_info"] == pytest.approx(0.0, abs=1e-12)
-
-    def test_rejects_correlated_eavesdropper(self):
-        p = np.zeros((2, 2, 2))
-        p[0, 0, 0] = p[1, 1, 1] = 0.5
-        with pytest.raises(InvalidDistribution):
-            kd_independent_eve(Dist3(p))
+        assert res.diagnostics["lower_bound"] == pytest.approx(res.value, abs=1e-12)
+        assert res.value == res.diagnostics["upper_bound"]
 
 
 @pytest.fixture(scope="module")
