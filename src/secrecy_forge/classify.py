@@ -81,35 +81,30 @@ CHANNEL_BUDGET = 64
 # entropic helpers on the block decomposition
 
 
-def _blockwise(d: Dist3, ccf: CondCommonFunction):
-    """Yield (z, block, submatrix, mass) over supported (z, block) cells."""
+def _cell_entropies(d: Dist3, ccf: CondCommonFunction) -> tuple[float, float]:
+    """I(X:Y | block label, Z) and H(XY | block label, Z) in bits, from one
+    walk over the supported (z, block) cells.
+
+    The cells partition the support, so each is the mass-weighted sum of
+    its per-cell value.
+    """
+    cmi = h_xy = 0.0
     for z, part in ccf.per_z.items():
         slice_ = d.p[:, :, z]
-        for b, (bxs, bys) in enumerate(part.blocks):
+        for bxs, bys in part.blocks:
             sub = slice_[np.array(bxs)[:, None], np.array(bys)]
             mass = float(sub.sum())
             if mass > 0.0:
-                yield z, b, sub / mass, mass
+                sub = sub / mass
+                hxy = entropy_bits(sub)
+                cmi += mass * (entropy_bits(sub.sum(axis=1)) + entropy_bits(sub.sum(axis=0)) - hxy)
+                h_xy += mass * hxy
+    return cmi, h_xy
 
 
 def cmi_xy_given_blocks(d: Dist3, ccf: CondCommonFunction) -> float:
-    """I(X:Y | block label, Z) in bits.
-
-    The (z, block) cells partition the support, so the conditional mutual
-    information is the mass-weighted sum of per-cell mutual informations.
-    """
-    total = 0.0
-    for _, _, sub, mass in _blockwise(d, ccf):
-        hx = entropy_bits(sub.sum(axis=1))
-        hy = entropy_bits(sub.sum(axis=0))
-        hxy = entropy_bits(sub)
-        total += mass * (hx + hy - hxy)
-    return total
-
-
-def h_xy_given_blocks(d: Dist3, ccf: CondCommonFunction) -> float:
-    """H(XY | block label, Z) in bits."""
-    return sum(mass * entropy_bits(sub) for _, _, sub, mass in _blockwise(d, ccf))
+    """I(X:Y | block label, Z) in bits."""
+    return _cell_entropies(d, ccf)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -183,15 +178,15 @@ def _pd_canonical(ccf: CondCommonFunction) -> tuple[str, PDCertificate]:
     return (YES if ext_ubi else INCONCLUSIVE), cert
 
 
-def _ubi_pd_certified(d: Dist3, ccf: CondCommonFunction, tol: float) -> bool:
-    """Whether classify would report d as UBI-PD, computing only what that needs.
+def _ubi_pd_verdict(d: Dist3, ccf: CondCommonFunction, tol: float) -> str:
+    """classify's UBI-PD verdict on d, computing only what that needs.
 
     UBI implies UBI-PD (the nesting ClassReport enforces), so the
     canonical protocol runs only for a BI distribution that is not UBI.
     """
     if cmi_xy_given_blocks(d, ccf) > tol:
-        return False
-    return ccf.per_z_injective or _pd_canonical(ccf)[0] == YES
+        return NO
+    return YES if ccf.per_z_injective else _pd_canonical(ccf)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -286,12 +281,13 @@ def _pd_down_extra_cmi(
     return conditional_mutual_information(joint, (0,), (2,), (1,))
 
 
-# The prefilter below rejects a channel when its block-independence gap
-# exceeds tol by this margin.  It sums the same terms as
-# cmi_xy_given_blocks in another order (unnormalized, all slices at once),
-# so the two agree to about 1e-14; the margin keeps every rejection one
-# that the exact test would make too.  The ceiling re-decides exactly the
-# channels whose batched I(X:Y|Zbar) is within it of the batched minimum.
+# The prefilters below reject a channel when its block-independence gap,
+# or its leak, exceeds tol by this margin.  They sum the same terms as
+# cmi_xy_given_blocks and _pd_down_extra_cmi in another order
+# (unnormalized, all slices at once), so each agrees with its exact test
+# to about 1e-14; the margin keeps every rejection one that the exact test
+# would make too.  The ceiling re-decides exactly the channels whose
+# batched I(X:Y|Zbar) is within it of the batched minimum.
 PREFILTER_MARGIN = 1e-10
 
 
@@ -300,19 +296,26 @@ def _xlogx(a: np.ndarray) -> np.ndarray:
     return a * np.log2(np.where(a > 0.0, a, 1.0))
 
 
-def _block_gaps(d: Dist3, support_eps: float) -> tuple[np.ndarray, np.ndarray]:
-    """I(X:Y | block label, Zbar) and I(X:Y | Zbar) in bits after each
-    channel of the search, both read off ``_channel_stack``.
+def _block_gaps(
+    d: Dist3, tol: float, support_eps: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """I(X:Y | block label, Zbar), I(Z : block label | Zbar) and
+    I(X:Y | Zbar) in bits after each channel of the search, all read off
+    ``_channel_stack``.
 
     The stack can differ from ``apply_channel_z`` by an ulp, which can move
     a support test: a channel with a Zbar mass or a conditional entry within
-    a relative 1e-9 of support_eps has gap -inf, so the exact checks decide
-    it.  All slices are labelled and summed at once: a (zbar, block) cell
-    with in-block entries s, row sums r, column sums c and mass m adds
-    -sum r log r - sum c log c + sum s log s + m log m.  I(X:Y|Zbar) sums
-    these over the whole stack, every positive entry counting.
+    a relative 1e-9 of support_eps has gap and leak -inf, so the exact
+    checks decide it.  All slices are labelled and summed at once: a
+    (zbar, block) cell with in-block entries s, row sums r, column sums c
+    and mass m adds -sum r log r - sum c log c + sum s log s + m log m.
+    I(X:Y|Zbar) sums these over the whole stack, every positive entry
+    counting.  The leak, ``_pd_down_extra_cmi``'s value, is computed only
+    for the channels whose gap passes the prefilter, and is +inf for the
+    rest; each block is named by its component root.
     """
-    dx = d.dims[0]
+    dx, _, dz = d.dims
+    channels, _, onehot = _channel_table(dz)
     q = _channel_stack(d)
     zbar = q.sum(axis=(0, 1))
     cond = np.divide(q, zbar, out=np.zeros_like(q), where=zbar > support_eps)
@@ -333,14 +336,31 @@ def _block_gaps(d: Dist3, support_eps: float) -> tuple[np.ndarray, np.ndarray]:
     masses = ((row_roots[:, None] == roots) * rows[:, None]).sum(axis=0)
     gap = (xq.sum(axis=(0, 1)) + _xlogx(masses).sum(axis=0)
            - _xlogx(rows).sum(axis=0) - _xlogx(cols).sum(axis=0)).sum(axis=1)
-    gap[fragile] = -np.inf
-    return gap, cmi
+    leak = np.full_like(gap, np.inf)
+    keep = np.flatnonzero(gap <= tol + PREFILTER_MARGIN)
+    if keep.size:
+        # joint[k, z, r]: the mass of p(x, y, z) > support_eps whose x has
+        # root r in slice zbar(z) of kept channel k, binned so that memory
+        # stays linear in |Z|; H(Z, Zbar) is H(Z)
+        px = np.where(d.p > support_eps, d.p, 0.0).sum(axis=1)
+        x_roots = row_roots[:, keep[:, None], np.array(channels)[keep]]
+        cells = (np.arange(keep.size)[:, None] * dz + np.arange(dz)) * dx + x_roots
+        joint = np.bincount(cells.ravel(), np.broadcast_to(px[:, None], cells.shape).ravel(),
+                            keep.size * dz * dx).reshape(keep.size, dz, dx)
+        pz, kept = px.sum(axis=0), onehot[keep]
+        leak[keep] = (_xlogx(joint).sum(axis=(1, 2)) + _xlogx(pz @ kept).sum(axis=1)
+                      - _xlogx(pz).sum()
+                      - _xlogx(np.einsum("kzr,kzw->kwr", joint, kept)).sum(axis=(1, 2)))
+    gap[fragile] = leak[fragile] = -np.inf
+    return gap, leak, cmi
 
 
 def is_ubi_pd_down(
     d: Dist3,
     tol: float = config.ENTROPY_TOL,
     support_eps: float = config.SUPPORT_EPS,
+    *,
+    _identity: tuple[CondCommonFunction, str, PDCertificate | None] | None = None,
 ) -> PDDownResult:
     """Search deterministic channels on Z, coarsest first, for a UBI-PD image.
 
@@ -351,27 +371,35 @@ def is_ubi_pd_down(
     distribution UBI-PD under the canonical protocol and leave the original
     symbol independent of the new block label given the degraded symbol.
 
-    A vectorized prefilter sets aside the channels whose degraded
-    distribution is not block independent by a clear margin; the exact
-    checks decide every other channel.  When no channel passes, the result
-    carries the coarse-graining ceiling over the searched channels.
+    Two vectorized prefilters set aside the channels whose degraded
+    distribution is not block independent, or whose block label leaks
+    about Z, by a clear margin; the exact checks decide every other
+    channel.  When no channel passes, the result carries the
+    coarse-graining ceiling over the searched channels.
+
+    ``_identity`` is for callers in this package that have classified d:
+    d's conditional common function, UBI-PD verdict and certificate.  The
+    identity channel leaves d's pmf as it is, bit for bit, so these decide
+    that channel without a second build.
     """
     channels, cut, _ = _channel_table(d.dims[2])
-    gaps, cmis = _block_gaps(d, support_eps)
-    for tested, (rgs, gap) in enumerate(zip(channels, gaps), start=1):
-        if gap > tol + PREFILTER_MARGIN:
+    _, leaks, cmis = _block_gaps(d, tol, support_eps)
+    for tested, (rgs, leak) in enumerate(zip(channels, leaks), start=1):
+        if leak > tol + PREFILTER_MARGIN:  # +inf where the gap fails
             continue
         ch = Channel.deterministic(rgs)
-        dbar = apply_channel_z(d, ch)
-        ccf = conditional_common_function(dbar, support_eps)
-        if cmi_xy_given_blocks(dbar, ccf) > tol:
+        if _identity is not None and ch.out_dim == d.dims[2]:
+            dbar, (ccf, status, cert) = d, _identity
+        else:
+            dbar = apply_channel_z(d, ch)
+            ccf = conditional_common_function(dbar, support_eps)
+            if cmi_xy_given_blocks(dbar, ccf) > tol:
+                continue
+            status, cert = _pd_canonical(ccf)
+        if status != YES:
             continue
-        # both tests must pass; the leak test fails more often
         extra = _pd_down_extra_cmi(d, ch, ccf, support_eps)
-        if extra > tol:
-            continue
-        status, cert = _pd_canonical(ccf)
-        if status == YES:
+        if extra <= tol:
             rate = ccf.block_entropy(dbar)
             return PDDownResult(YES, ch, tested, "channel found", cert, extra, rate)
     # each batched I(X:Y|Zbar) is well within PREFILTER_MARGIN / 2 of the
@@ -447,8 +475,7 @@ def classify(
     its certificate's ``reason`` says whether that budget cut it short.
     """
     ccf = conditional_common_function(d, support_eps)
-    cmi = cmi_xy_given_blocks(d, ccf)
-    h_resid = h_xy_given_blocks(d, ccf)
+    cmi, h_resid = _cell_entropies(d, ccf)
     bi = YES if cmi <= tol else NO
     ubi = YES if (bi == YES and ccf.per_z_injective) else NO
     semi = YES if is_semi_unambiguous(d, support_eps) else NO
@@ -476,7 +503,7 @@ def classify(
     if pd_cert is not None:
         certificates["ubi_pd"] = pd_cert.to_json()
 
-    down = is_ubi_pd_down(d, tol, support_eps)
+    down = is_ubi_pd_down(d, tol, support_eps, _identity=(ccf, pd_status, pd_cert))
     if down.status != YES and pd_status == YES:
         # the identity channel always certifies a UBI-PD distribution, even
         # when the search stopped short of it

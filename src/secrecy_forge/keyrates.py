@@ -29,11 +29,11 @@ from .classify import (
     YES,
     ClassReport,
     classify,
-    _ubi_pd_certified,
+    _ubi_pd_verdict,
     is_ubi_pd_down,
 )
 from .common_info import CondCommonFunction, conditional_common_function
-from .distributions import Channel, Dist3, mutual_information
+from .distributions import Channel, Dist3, entropy_bits, mutual_information
 from .embeddings import (
     PhaseAssignment,
     _amplitudes,
@@ -171,12 +171,12 @@ def kd_class(
     """
     if report is None:
         ccf = conditional_common_function(d, support_eps)
-        pd = _ubi_pd_certified(d, ccf, tol)
-        down = None if pd else is_ubi_pd_down(d, tol, support_eps)
+        pd = _ubi_pd_verdict(d, ccf, tol)
+        down = None if pd == YES else is_ubi_pd_down(
+            d, tol, support_eps, _identity=(ccf, pd, None))
     else:
-        ccf, down = report.ccf, report.down
-        pd = report.ubi_pd == YES
-    if pd:
+        ccf, down, pd = report.ccf, report.down, report.ubi_pd
+    if pd == YES:
         return MeasureResult(
             name="K_D",
             value=ccf.block_entropy(d),
@@ -193,9 +193,11 @@ def kd_class(
             diagnostics={"class": "ubi_pd_down", "channel": down.channel.assignment()},
         )
     upper, rgs = down.ceiling
-    i_xy = mutual_information(d.p, (0,), (1,))
-    lower = max(i_xy - mutual_information(d.p, (0,), (2,)),
-                i_xy - mutual_information(d.p, (1,), (2,)), 0.0)
+    # each I(A:B) is H(A) + H(B) - H(AB), summed as mutual_information does
+    hx, hy, hz, hxy, hxz, hyz = (entropy_bits(d.p.sum(axis=drop))
+                                 for drop in ((1, 2), (0, 2), (0, 1), 2, 1, 0))
+    i_xy = hx + hy - hxy
+    lower = max(i_xy - (hx + hz - hxz), i_xy - (hy + hz - hyz), 0.0)
     closed = upper - lower <= tol
     return MeasureResult(
         name="K_D",

@@ -19,6 +19,7 @@ from secrecy_forge.classify import (
     _channel_stack,
     _channel_table,
     _common_part_maps,
+    _pd_down_extra_cmi,
     classify,
     cmi_xy_given_blocks,
     is_ubi_pd_down,
@@ -317,6 +318,32 @@ def light_dist3(draw):
     return Dist3(w.reshape(dims) / w.sum())
 
 
+@st.composite
+def block_dist3(draw, max_z=5):
+    """Block-product pmfs: a label J = f(x) = g(y) and, given z, weights
+    p(j | z) times a product of small integer weights inside each block.
+    Most are UBI, so the search's channels pass its gap prefilter and
+    reach the leak test, which random dense pmfs seldom do."""
+    dx, dy = draw(st.integers(2, 3)), draw(st.integers(2, 3))
+    dz = draw(st.integers(1, max_z))
+    k = draw(st.integers(1, min(dx, dy)))
+
+    def labels(n):
+        extra = draw(st.lists(st.integers(0, k - 1), min_size=n - k, max_size=n - k))
+        return np.array(draw(st.permutations(list(range(k)) + extra)))
+
+    fx, gy = labels(dx), labels(dy)
+    u = np.array(draw(st.lists(st.integers(1, 3), min_size=dx + dy, max_size=dx + dy)), float)
+    w = np.array(draw(st.lists(st.integers(0, 2), min_size=dz * k, max_size=dz * k)),
+                 float).reshape(dz, k)
+    w[w.sum(axis=1) == 0.0, 0] = 1.0
+    ux = u[:dx] / np.bincount(fx, u[:dx])[fx]
+    uy = u[dx:] / np.bincount(gy, u[dx:])[gy]
+    inside = fx[:, None] == gy[None, :]
+    p = (inside * np.outer(ux, uy))[:, :, None] * (w / w.sum(axis=1, keepdims=True)).T[fx][:, None, :]
+    return Dist3(p / p.sum())
+
+
 def _built_extension(d, support_eps):
     """The message-extended pmf built as a Dist3 of its own.
 
@@ -382,7 +409,7 @@ def test_kd_class_without_report_matches_report_path(d):
 def test_prefilter_rejects_only_channels_the_exact_test_rejects(d):
     tol = config.ENTROPY_TOL
     channels = list(set_partitions(d.dims[2]))
-    gaps, cmis = _block_gaps(d, config.SUPPORT_EPS)
+    gaps, _, cmis = _block_gaps(d, tol, config.SUPPORT_EPS)
     assert len(gaps) == len(channels)
     for rgs, gap, cmi in zip(channels, gaps, cmis):
         dbar = apply_channel_z(d, Channel.deterministic(rgs))
@@ -392,6 +419,40 @@ def test_prefilter_rejects_only_channels_the_exact_test_rejects(d):
         assert abs(cmi - conditional_mutual_information(dbar.p, (0,), (1,), (2,))) <= 1e-12
         if gap > tol + PREFILTER_MARGIN:
             assert exact > tol
+
+
+@settings(max_examples=80)
+@given(st.one_of(small_dist3(), block_dist3()), st.sampled_from(TOLERANCE_PAIRS))
+def test_leak_prefilter_skips_only_channels_the_exact_leak_test_fails(d, tols):
+    tol, eps = tols["tol"], tols["support_eps"]
+    channels = list(set_partitions(d.dims[2]))
+    gaps, leaks, _ = _block_gaps(d, tol, eps)
+    for rgs, gap, leak in zip(channels, gaps, leaks):
+        if gap > tol + PREFILTER_MARGIN:
+            assert leak == math.inf  # never computed: the gap already rejects
+            continue
+        if leak == -math.inf:  # fragile: left to the exact checks
+            continue
+        ch = Channel.deterministic(rgs)
+        dbar = apply_channel_z(d, ch)
+        exact = _pd_down_extra_cmi(d, ch, conditional_common_function(dbar, eps), eps)
+        assert abs(leak - exact) <= 1e-12
+        if leak > tol + PREFILTER_MARGIN:
+            assert exact > tol
+
+
+def _down_fields(res):
+    return (res.status, res.channel and res.channel.assignment(), res.tested, res.reason,
+            res.certificate, res.extra_cmi, res.degraded_rate, res.ceiling)
+
+
+@settings(max_examples=120)
+@given(st.one_of(block_dist3(), small_dist3(), light_dist3()), st.sampled_from(TOLERANCE_PAIRS))
+def test_classify_search_equals_the_standalone_search(d, tols):
+    # classify decides the identity channel from d's own partition and
+    # protocol run; the standalone search builds them again, through
+    # apply_channel_z.  Every |Z| here is at most 5, so both search it.
+    assert _down_fields(classify(d, **tols).down) == _down_fields(is_ubi_pd_down(d, **tols))
 
 
 def _channel_loop_ceiling(d):
@@ -458,10 +519,11 @@ def test_unresolved_kd_class_degrades_only_near_the_minimum(monkeypatch):
     monkeypatch.setattr(classify_module, "apply_channel_z", spy)
     assert kd_class(d).diagnostics["class"] == "unresolved"
     channels = _channel_table(6)[0]
-    gaps, cmis = _block_gaps(d, config.SUPPORT_EPS)
-    # the exact checks see only the channels the prefilter passes, and the
+    gaps, leaks, cmis = _block_gaps(d, config.ENTROPY_TOL, config.SUPPORT_EPS)
+    # the exact checks see only the channels both prefilters pass, and the
     # ceiling only those near the batched minimum
-    passed = np.flatnonzero(gaps <= config.ENTROPY_TOL + PREFILTER_MARGIN)
+    bound = config.ENTROPY_TOL + PREFILTER_MARGIN
+    passed = np.flatnonzero((gaps <= bound) & (leaks <= bound))
     near = np.flatnonzero(cmis <= cmis.min() + PREFILTER_MARGIN)
     assert degraded == [channels[i] for i in passed] + [channels[i] for i in near]
     assert 1 <= len(near) <= len(degraded) < CHANNEL_BUDGET
@@ -536,8 +598,8 @@ def merged_entry_at_support_eps():
 
 def test_search_leaves_a_channel_at_support_eps_to_the_exact_checks(monkeypatch):
     d, eps = merged_entry_at_support_eps()
-    gaps, _ = _block_gaps(d, eps)
-    assert gaps[0] == -math.inf
+    gaps, leaks, _ = _block_gaps(d, config.ENTROPY_TOL, eps)
+    assert gaps[0] == leaks[0] == -math.inf
 
     def outcome(res):
         return res.status, res.channel and res.channel.assignment(), res.tested

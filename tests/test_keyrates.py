@@ -587,6 +587,18 @@ class TestConditionalCommonFunctionBuilds:
         merged = d.p.sum(axis=2, keepdims=True)
         assert sum(np.array_equal(b.p, merged) for b in builds) == 1
 
+    def test_classify_builds_no_partition_for_the_identity_channel(self, builds):
+        # perfectly correlated bits whose bias changes with z: the leak
+        # prefilter sets aside the four coarser channels, which leak the
+        # bit about z, and d's own partition decides the identity channel
+        p = np.zeros((2, 2, 3))
+        p[0, 0], p[1, 1] = [0.1, 0.5, 0.8], [0.9, 0.5, 0.2]
+        d = Dist3(p / 3)
+        down = classify(d).down
+        assert (down.channel.assignment(), down.reason, down.tested) == (
+            [0, 1, 2], "channel found", 5)
+        assert len(builds) == 1 and builds[0] is d
+
     @pytest.mark.parametrize(
         "make, status",
         [(crossed_pairs, "inconclusive"),
