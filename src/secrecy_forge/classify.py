@@ -124,19 +124,6 @@ def is_semi_unambiguous(
 # canonical public-discussion check
 
 
-def _common_part_maps(
-    ccf: CondCommonFunction,
-) -> tuple[dict[int, int], dict[int, int]]:
-    """Common part of X with Z as a map on x, and of Y with Z as a map on y.
-
-    Both are read off ccf's support, so every entry the canonical protocol
-    takes from that support has a message.
-    """
-    (part_xz,) = _partitions(ccf.support.any(axis=1)[:, :, None])
-    (part_yz,) = _partitions(ccf.support.any(axis=0)[:, :, None])
-    return dict(part_xz.block_of_x), dict(part_yz.block_of_x)
-
-
 @dataclass(frozen=True)
 class PDCertificate:
     """Canonical message construction used by the UBI-PD check."""
@@ -159,22 +146,22 @@ def _pd_canonical(ccf: CondCommonFunction) -> tuple[str, PDCertificate]:
     """Run the canonical protocol on a BI distribution with conditional
     common function ``ccf``; returns (yes|inconclusive, certificate).
 
-    x and y share their common-part blocks with z, so on ccf's support the
-    message (ma[x], mb[y]) is a function of z and leaks nothing about the
-    block label beyond z.  The message-extended distribution is then d
+    Each party announces the block of its symbol in its common part with
+    Z, read off ccf's support.  There x, y and z share those blocks, so the
+    message is the pair of blocks that z lies in and leaks nothing about
+    the block label beyond z.  The message-extended distribution is then d
     relabelled, with d's blocks and block-independence gap, which the
     caller has checked.  It is UBI exactly when the cross-z merge of d's
     blocks, restricted to the z that share a message, puts no two blocks
     of one z together.
     """
-    ma, mb = _common_part_maps(ccf)
-    xs, ys, zs = (a.tolist() for a in np.nonzero(ccf.support))
-    message_of_z = {z: (ma[x], mb[y]) for x, y, z in zip(xs, ys, zs)}
+    (part_xz,) = _partitions(ccf.support.any(axis=1)[:, :, None])
+    (part_yz,) = _partitions(ccf.support.any(axis=0)[:, :, None])
+    message_of_z = {z: (m, part_yz.block_of_y[z]) for z, m in part_xz.block_of_y.items()}
     m_index = {pair: i for i, pair in enumerate(sorted(set(message_of_z.values())))}
     group_of_z = {z: m_index[m] for z, m in message_of_z.items()}
-    dx, dy, _ = ccf.support.shape
-    _, ext_ubi = _cross_z_merge(ccf.per_z, group_of_z, dx, dy)
-    cert = PDCertificate(ma, mb, len(m_index), ext_ubi)
+    _, ext_ubi = _cross_z_merge(ccf.per_z, group_of_z, ccf.support)
+    cert = PDCertificate(part_xz.block_of_x, part_yz.block_of_x, len(m_index), ext_ubi)
     return (YES if ext_ubi else INCONCLUSIVE), cert
 
 
@@ -332,8 +319,11 @@ def _block_gaps(
     q[outside] = xq[outside] = 0.0
     rows = q.sum(axis=1)
     cols = q.sum(axis=0)
-    roots = np.arange(dx)[None, :, None, None]
-    masses = ((row_roots[:, None] == roots) * rows[:, None]).sum(axis=0)
+    # each row's mass binned by (root, channel, zbar), x outermost, so every
+    # bin adds in x order and memory stays linear in |X|
+    _, nc, nw = rows.shape
+    bins = (row_roots * nc + np.arange(nc)[:, None]) * nw + np.arange(nw)
+    masses = np.bincount(bins.ravel(), rows.ravel(), rows.size).reshape(rows.shape)
     gap = (xq.sum(axis=(0, 1)) + _xlogx(masses).sum(axis=0)
            - _xlogx(rows).sum(axis=0) - _xlogx(cols).sum(axis=0)).sum(axis=1)
     leak = np.full_like(gap, np.inf)

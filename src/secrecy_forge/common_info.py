@@ -10,7 +10,9 @@ For a tripartite distribution the same construction applies slice-wise
 given each z.  The per-z partitions are then stitched together by merging
 block instances across z that share an x or a y symbol, which yields the
 finest labelling that can be written both as a function of x alone and as
-a function of y alone.
+a function of y alone.  That merge is the connected components of the
+union of the per-z support graphs: each block is connected in its own z's
+graph, and each edge of the union lies in a block of the z it comes from.
 """
 
 from __future__ import annotations
@@ -136,8 +138,8 @@ class CondCommonFunction:
     """Per-z maximal partitions plus a canonical cross-z labelling.
 
     ``global_labels`` maps (z, block index within z) to the label of its
-    cross-z merge component; components are numbered by their smallest
-    (z, block) pair.  ``per_z_injective`` records whether two distinct
+    component in the union of the per-z support graphs, numbered by their
+    smallest (z, block) pair.  ``per_z_injective`` records whether two distinct
     blocks of one z ever share a component, which is exactly the obstacle
     to relabelling the per-z partitions into a single function of x alone
     and of y alone.
@@ -181,50 +183,42 @@ def conditional_common_function(
     d: Dist3, support_eps: float = config.SUPPORT_EPS
 ) -> CondCommonFunction:
     """Per-z maximal common partitions with canonical cross-z merge labels."""
-    dx, dy, _ = d.dims
     z_probs = d.p.sum(axis=(0, 1))
     zs = np.flatnonzero(z_probs > support_eps)
     support = np.zeros(d.p.shape, dtype=bool)
     support[:, :, zs] = d.p[:, :, zs] / z_probs[zs] > support_eps
     per_z = dict(zip(zs.tolist(), _partitions(support[:, :, zs])))
-    labels, injective = _cross_z_merge(per_z, dict.fromkeys(per_z, 0), dx, dy)
+    labels, injective = _cross_z_merge(per_z, dict.fromkeys(per_z, 0), support)
     return CondCommonFunction(per_z, labels, injective, z_probs, support)
 
 
 def _cross_z_merge(
     per_z: Mapping[int, CommonPartition],
     group_of_z: Mapping[int, int],
-    dx: int,
-    dy: int,
+    support: np.ndarray,
 ) -> tuple[dict[tuple[int, int], int], bool]:
     """Merge block instances across the z of one group that share an x or a y.
 
-    Returns the canonical merge labels of the (z, block) nodes and whether
-    no two blocks of one z share a label.  Every z in one group gives the
-    cross-z merge of ``conditional_common_function``; groups only split it.
+    These are the blocks of ``per_z``, the partitions of ``support``, in one
+    component of their group's union support graph: a block is connected
+    in its z's graph, and each union edge lies in a block of its z.  Returns
+    the canonical merge labels of the (z, block) nodes and whether no two
+    blocks of one z share a label.  Every z in one group gives the cross-z
+    merge of ``conditional_common_function``; groups only split it.
     """
-    # the components of the graph joining each (z, block) to its symbols,
-    # each symbol taken once per group
-    width = dx + dy
-    nodes = [(z, b) for z, part in per_z.items() for b in range(len(part))]
-    n_groups = 1 + max(group_of_z.values(), default=0)
-    incidence = np.zeros((len(nodes), n_groups * width), dtype=bool)
-    for i, (z, b) in enumerate(nodes):
-        bxs, bys = per_z[z].blocks[b]
-        offset = group_of_z[z] * width
-        incidence[i, [offset + x for x in bxs]] = True
-        incidence[i, [offset + dx + y for y in bys]] = True
-    node_roots, _ = _component_roots(incidence)
-    # nodes are sorted by (z, block), so numbering the components by their
-    # smallest node makes the labels canonical
-    number: dict[int, int] = {}
-    labels = {
-        node: number.setdefault(root, len(number))
-        for node, root in zip(nodes, node_roots.tolist())
-    }
+    union = np.zeros(support.shape[:2] + (1 + max(group_of_z.values(), default=0),), bool)
+    for z, g in group_of_z.items():
+        union[:, :, g] |= support[:, :, z]
+    x_roots = _component_roots(union)[0].tolist()
+    # per_z is in (z, block) order, so first sight numbers canonically
+    number: dict[tuple[int, int], int] = {}
+    labels: dict[tuple[int, int], int] = {}
+    for z, part in per_z.items():
+        for b, (xs, _) in enumerate(part.blocks):
+            g = group_of_z[z]
+            labels[(z, b)] = number.setdefault((g, x_roots[xs[0]][g]), len(number))
     injective = all(
         len({labels[(z, b)] for b in range(len(part))}) == len(part)
         for z, part in per_z.items()
     )
     return labels, injective
-

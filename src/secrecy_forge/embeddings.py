@@ -75,9 +75,10 @@ class PhaseAssignment:
     def from_entries(
         cls, dims: tuple[int, int, int], entries: list[dict]
     ) -> "PhaseAssignment":
-        """Sparse form: [{"x":..,"y":..,"z":..,"phi":..}] with int indices
+        """Sparse form: [{"x":..,"y":..,"z":..,"phi":..}] with distinct int indices
         inside dims and number phi (bools, strings rejected); absent entries zero."""
         phi = np.zeros(dims)
+        seen: set[tuple[int, int, int]] = set()
         for e in entries:
             try:
                 key = (e["x"], e["y"], e["z"])
@@ -85,6 +86,9 @@ class PhaseAssignment:
                     raise ValueError(f"x, y, z must be integers inside {dims}")
                 if isinstance(e["phi"], bool) or not isinstance(e["phi"], (int, float)):
                     raise ValueError("phi must be a number")
+                if key in seen:
+                    raise ValueError(f"duplicate phase entry at {key}")
+                seen.add(key)
                 phi[key] = e["phi"]
             except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise SecrecyForgeError(f"bad phase entry {e!r} ({exc})") from exc

@@ -38,7 +38,7 @@ from . import config
 from .common_info import _component_roots
 from .distributions import binary_entropy
 from .errors import DimensionCapExceeded, InvalidState, SecrecyForgeError
-from .qlinalg import EIG_CLIP, QState, _spectrum_entropy, cond_mutual_info_q
+from .qlinalg import EIG_CLIP, QState, _spectrum_entropy, mutual_info_q
 
 __all__ = [
     "MeasureResult",
@@ -465,7 +465,7 @@ def _extension_bound(blocks: np.ndarray, dims: tuple[int, int]) -> MeasureResult
         pz = float(np.real(np.trace(block)))
         weights.append(pz)
         if pz > 1e-12:
-            value += 0.5 * pz * cond_mutual_info_q(QState(block / pz, dims), (0,), (1,))
+            value += 0.5 * pz * mutual_info_q(QState(block / pz, dims))
     return MeasureResult(
         name="E_sq",
         value=value,

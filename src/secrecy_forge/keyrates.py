@@ -52,7 +52,7 @@ from .entanglement import (
     rel_ent_upper,
 )
 from .errors import InvalidDistribution, SecrecyForgeError
-from .qlinalg import QState, cond_mutual_info_q, trace_distance
+from .qlinalg import QState, mutual_info_q, trace_distance
 
 __all__ = [
     "ChainCheck",
@@ -624,7 +624,7 @@ def lemma_example_rates() -> dict:
             pz = float(np.real(np.trace(block)))
             weights.append(pz)
             branch = QState(block / pz, (dx, dy))
-            mi = cond_mutual_info_q(branch, (0,), (1,))
+            mi = mutual_info_q(branch)
             v = 0.5 * mi if _is_pure(branch) else mi
             m = _measured_key_value(branch)
             if abs(v - m) > EQ_TOL:

@@ -26,7 +26,7 @@ __all__ = [
     "partial_trace",
     "von_neumann_entropy",
     "trace_distance",
-    "cond_mutual_info_q",
+    "mutual_info_q",
 ]
 
 EIG_CLIP = 1e-12
@@ -157,20 +157,18 @@ def trace_distance(a: QState, b: QState) -> float:
     return float(0.5 * np.abs(w).sum())
 
 
-def cond_mutual_info_q(
-    state: QState,
-    sys_a: Sequence[int],
-    sys_b: Sequence[int],
-    sys_e: Sequence[int] = (),
-) -> float:
-    """I(A:B|E) = S(AE) + S(BE) - S(ABE) - S(E) in bits; E may be empty."""
-    groups = [tuple(sys_a), tuple(sys_b), tuple(sys_e)]
-    flat = [k for g in groups for k in g]
-    if len(set(flat)) != len(flat):
-        raise SecrecyForgeError(f"subsystem groups overlap: {groups}")
-    a, b, e = groups
-    s_ae = von_neumann_entropy(partial_trace(state, a + e))
-    s_be = von_neumann_entropy(partial_trace(state, b + e))
-    s_abe = von_neumann_entropy(partial_trace(state, a + b + e))
-    s_e = von_neumann_entropy(partial_trace(state, e)) if e else 0.0
-    return s_ae + s_be - s_abe - s_e
+def mutual_info_q(state: QState) -> float:
+    """I(A:B) = S(A) + S(B) - S(AB) in bits for a two-party state.
+
+    S(AB) reads the validation spectrum.  A marginal of a validated state
+    is valid too, so each is traced with ``partial_trace``'s einsum and
+    solved without building a state."""
+    if len(state.dims) != 2:
+        raise SecrecyForgeError(
+            f"mutual_info_q expects a bipartite state, got dims {state.dims}"
+        )
+    da, db = state.dims
+    r = state.rho.reshape(da, db, da, db)
+    s_a = _spectrum_entropy(np.linalg.eigvalsh(np.einsum("abcb->ac", r)))
+    s_b = _spectrum_entropy(np.linalg.eigvalsh(np.einsum("abad->bd", r)))
+    return s_a + s_b - von_neumann_entropy(state)

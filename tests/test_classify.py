@@ -5,6 +5,7 @@ from __future__ import annotations
 import importlib
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,14 +19,13 @@ from secrecy_forge.classify import (
     _block_gaps,
     _channel_stack,
     _channel_table,
-    _common_part_maps,
     _pd_down_extra_cmi,
     classify,
     cmi_xy_given_blocks,
     is_ubi_pd_down,
     set_partitions,
 )
-from secrecy_forge.common_info import conditional_common_function
+from secrecy_forge.common_info import _partitions, conditional_common_function
 from secrecy_forge.distributions import (
     Channel,
     Dist3,
@@ -353,7 +353,10 @@ def _built_extension(d, support_eps):
     whether its own cross-z merge is injective per z, and the mass kept.
     """
     ccf = conditional_common_function(d, support_eps)
-    ma, mb = _common_part_maps(ccf)
+    # the common part of X with Z as a map on x, and of Y with Z on y
+    (part_xz,) = _partitions(ccf.support.any(axis=1)[:, :, None])
+    (part_yz,) = _partitions(ccf.support.any(axis=0)[:, :, None])
+    ma, mb = part_xz.block_of_x, part_yz.block_of_x
     dx, dy, dz = d.dims
     message_of_z = {z: (ma[x], mb[y]) for x, y, z in zip(*np.nonzero(ccf.support))}
     pairs = sorted(set(message_of_z.values()))
@@ -578,6 +581,21 @@ def test_channel_table_grows_linearly_in_the_alphabet():
     down = is_ubi_pd_down(d)
     assert down.tested == CHANNEL_BUDGET and down.reason == "budget exhausted"
     assert down.ceiling + (down.tested,) == _channel_loop_ceiling(d)
+
+
+def test_classify_memory_grows_linearly_in_x():
+    # the block masses are binned by component root; a (|X|, |X|, channels,
+    # |Zbar|) root mask would take about 136 MB on this 256x1x5 pmf
+    p = np.random.default_rng(0).random((256, 1, 5))
+    d = Dist3(p / p.sum())
+    tracemalloc.start()
+    try:
+        classify(d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+
 
 def merged_entry_at_support_eps():
     """A 2x2x5 pmf and a support_eps at which, after the all-merge channel,

@@ -437,6 +437,14 @@ class TestExitCodes:
         assert cli.run(["embed", "--dist", files["lemma_dist"],
                         "--phases", files["phases"], "--kind", "ccc"]) == 2
 
+    def test_duplicate_phase_entry(self, capsys, files, tmp_path):
+        path = tmp_path / "phi.json"
+        entry = {"x": 0, "y": 0, "z": 0, "phi": 1.0}
+        dump_json({"entries": [entry, {**entry, "phi": 2.0}]}, path)
+        assert cli.run(["embed", "--dist", files["lemma_dist"],
+                        "--phases", str(path), "--kind", "qqq"]) == 2
+        assert "duplicate phase entry at (0, 0, 0)" in capsys.readouterr().err
+
     def test_unknown_tolerance_name(self, capsys, files):
         assert cli.run(["classify", "--dist", files["dist"],
                         "--tol.bogus", "1e-9"]) == 2

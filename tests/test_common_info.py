@@ -5,8 +5,13 @@ from __future__ import annotations
 from collections import deque
 
 import numpy as np
+from hypothesis import given
+from hypothesis import strategies as st
 
 from secrecy_forge.common_info import (
+    _component_roots,
+    _cross_z_merge,
+    _partitions,
     common_information,
     conditional_common_function,
     maximal_common_partition,
@@ -169,3 +174,54 @@ def test_to_json_shape():
     assert set(doc["per_z"]) == {"0", "1"}
     assert doc["per_z"]["0"]["blocks"][0] == {"x": [0], "y": [0]}
     assert doc["global_labels"] == {"0,0": 0, "0,1": 1, "1,0": 2, "1,1": 3}
+
+
+# ---------------------------------------------------------------------------
+# cross-z merge against the node-symbol incidence graph
+
+
+def incidence_merge(per_z, group_of_z, dx, dy):
+    """Components of the graph joining each (z, block) to its symbols, each
+    symbol taken once per group, numbered by their smallest node."""
+    width = dx + dy
+    nodes = [(z, b) for z, part in per_z.items() for b in range(len(part))]
+    n_groups = 1 + max(group_of_z.values(), default=0)
+    incidence = np.zeros((len(nodes), n_groups * width), dtype=bool)
+    for i, (z, b) in enumerate(nodes):
+        bxs, bys = per_z[z].blocks[b]
+        offset = group_of_z[z] * width
+        incidence[i, [offset + x for x in bxs]] = True
+        incidence[i, [offset + dx + y for y in bys]] = True
+    node_roots, _ = _component_roots(incidence)
+    number: dict[int, int] = {}
+    labels = {
+        node: number.setdefault(root, len(number))
+        for node, root in zip(nodes, node_roots.tolist())
+    }
+    injective = all(
+        len({labels[(z, b)] for b in range(len(part))}) == len(part)
+        for z, part in per_z.items()
+    )
+    return labels, injective
+
+
+@st.composite
+def grouped_supports(draw):
+    dx, dy, dz = (draw(st.integers(1, n)) for n in (4, 4, 5))
+    density = draw(st.sampled_from((0.0, 0.2, 0.5, 1.0)))
+    cells = draw(st.lists(st.floats(0.0, 1.0), min_size=dx * dy * dz,
+                          max_size=dx * dy * dz))
+    support = np.array(cells).reshape(dx, dy, dz) < density
+    groups = draw(st.lists(st.integers(0, dz - 1), min_size=dz, max_size=dz))
+    return support, dict(enumerate(groups))
+
+
+@given(grouped_supports())
+def test_cross_z_merge_matches_the_incidence_graph(case):
+    # empty z slices give partitions without blocks, and one-symbol sides
+    # put every block of a z on one x or one y
+    support, group_of_z = case
+    dx, dy, _ = support.shape
+    per_z = dict(enumerate(_partitions(support)))
+    assert _cross_z_merge(per_z, group_of_z, support) == incidence_merge(
+        per_z, group_of_z, dx, dy)

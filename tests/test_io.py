@@ -128,6 +128,15 @@ class TestPhases:
         with pytest.raises(UsageError):
             load_phases(path, (2, 2, 3))
 
+    def test_rejects_duplicate_entry(self, tmp_path):
+        path = tmp_path / "phi.json"
+        path.write_text(json.dumps({"entries": [
+            {"x": 0, "y": 1, "z": 0, "phi": 1.0},
+            {"x": 0, "y": 1, "z": 0, "phi": 2.0},
+        ]}))
+        with pytest.raises(UsageError, match=r"duplicate phase entry at \(0, 1, 0\)"):
+            load_phases(path, (2, 2, 2))
+
 
 class TestState:
     def test_round_trip_complex(self, tmp_path, make_density):

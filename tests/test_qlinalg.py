@@ -12,16 +12,13 @@ from secrecy_forge.errors import InvalidState, SecrecyForgeError
 from secrecy_forge.qlinalg import (
     PureState,
     QState,
-    cond_mutual_info_q,
+    mutual_info_q,
     partial_trace,
     trace_distance,
     von_neumann_entropy,
 )
 
 BELL = PureState(np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0), (2, 2))
-GHZ = PureState(
-    np.array([1.0, 0, 0, 0, 0, 0, 0, 1.0]) / math.sqrt(2.0), (2, 2, 2)
-)
 
 
 def partial_trace_oracle(
@@ -194,16 +191,32 @@ def test_trace_distance_requires_matching_dims(make_density):
         trace_distance(make_density((2,)), make_density((3,)))
 
 
-def test_ghz_conditional_mutual_information():
-    # pure global state: I(A:B|E) = S(B) + S(A) - S(E) = 1 + 1 - 1
-    assert abs(cond_mutual_info_q(GHZ.density(), (0,), (1,), (2,)) - 1.0) < 1e-9
-
-
 def test_bell_mutual_information():
-    assert abs(cond_mutual_info_q(BELL.density(), (0,), (1,)) - 2.0) < 1e-9
+    assert abs(mutual_info_q(BELL.density()) - 2.0) < 1e-9
 
 
-def test_strong_subadditivity(make_density):
-    for _ in range(8):
-        st = make_density((2, 2, 2))
-        assert cond_mutual_info_q(st, (0,), (1,), (2,)) >= -1e-9
+def test_mutual_information_equals_its_entropies_and_builds_no_state(
+    make_density, monkeypatch
+):
+    # the marginals are the ones partial_trace builds, so every sum agrees
+    # to the bit; states are built before the spy goes in
+    states = [make_density((da, db), rank) for da in range(1, 5)
+              for db in range(1, 5) for rank in (1, da * db)]
+    expected = [von_neumann_entropy(partial_trace(s, (0,)))
+                + von_neumann_entropy(partial_trace(s, (1,)))
+                - von_neumann_entropy(s) for s in states]
+    built = []
+    validate = QState.__post_init__
+
+    def spy(self):
+        built.append(self.dims)
+        validate(self)
+
+    monkeypatch.setattr(QState, "__post_init__", spy)
+    assert [mutual_info_q(s) for s in states] == expected
+    assert built == []
+
+
+def test_mutual_information_needs_two_parties(make_density):
+    with pytest.raises(SecrecyForgeError):
+        mutual_info_q(make_density((2, 2, 2)))
