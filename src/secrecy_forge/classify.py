@@ -168,10 +168,13 @@ def _pd_canonical(ccf: CondCommonFunction) -> tuple[str, PDCertificate]:
 def _ubi_pd_verdict(d: Dist3, ccf: CondCommonFunction, tol: float) -> str:
     """classify's UBI-PD verdict on d, computing only what that needs.
 
-    UBI implies UBI-PD (the nesting ClassReport enforces), so the
-    canonical protocol runs only for a BI distribution that is not UBI.
+    No value is reported, so block independence is decided by
+    ``_block_independent``'s batched gap, not by classify's per-cell walk;
+    the verdict is the same.  UBI implies UBI-PD (the nesting ClassReport
+    enforces), so the canonical protocol runs only for a BI distribution
+    that is not UBI.
     """
-    if cmi_xy_given_blocks(d, ccf) > tol:
+    if not _block_independent(d, ccf, tol):
         return NO
     return YES if ccf.per_z_injective else _pd_canonical(ccf)[0]
 
@@ -269,18 +272,49 @@ def _pd_down_extra_cmi(
 
 
 # The prefilters below reject a channel when its block-independence gap,
-# or its leak, exceeds tol by this margin.  They sum the same terms as
-# cmi_xy_given_blocks and _pd_down_extra_cmi in another order
-# (unnormalized, all slices at once), so each agrees with its exact test
-# to about 1e-14; the margin keeps every rejection one that the exact test
-# would make too.  The ceiling re-decides exactly the channels whose
-# batched I(X:Y|Zbar) is within it of the batched minimum.
+# or its leak, exceeds tol by this margin, and _block_independent decides
+# the BI verdict from the gap where it lies farther than this from tol.
+# They sum the same terms as cmi_xy_given_blocks and _pd_down_extra_cmi
+# in another order (unnormalized, all slices at once), so each agrees with
+# its exact test to about 1e-14; the margin keeps every rejection and
+# verdict one that the exact test would make too.  The ceiling re-decides
+# exactly the channels whose batched I(X:Y|Zbar) is within it of the
+# batched minimum.
 PREFILTER_MARGIN = 1e-10
 
 
 def _xlogx(a: np.ndarray) -> np.ndarray:
     """Elementwise a log2 a, with 0 log 0 = 0."""
     return a * np.log2(np.where(a > 0.0, a, 1.0))
+
+
+def _cell_gap(q: np.ndarray, row_roots: np.ndarray, col_roots: np.ndarray) -> np.ndarray:
+    """Mass-weighted I(X:Y | block label) of each (x, y) slice of q, one per
+    trailing index, from its ``_component_roots``.
+
+    The entries outside every block are zeroed, which leaves the cells; a
+    cell with entries s, row sums r, column sums c and mass m adds
+    -sum r log r - sum c log c + sum s log s + m log m.  Each row's mass is
+    binned by (root, slice), x outermost, so every bin adds in x order and
+    memory stays linear in |X|.
+    """
+    q = np.where(row_roots[:, None] != col_roots[None], 0.0, q)
+    rows, cols = q.sum(axis=1), q.sum(axis=0)
+    k = rows[0].size
+    bins = row_roots.reshape(len(rows), k) * k + np.arange(k)
+    masses = np.bincount(bins.ravel(), rows.ravel(), rows.size).reshape(rows.shape)
+    return (_xlogx(q).sum(axis=(0, 1)) + _xlogx(masses).sum(axis=0)
+            - _xlogx(rows).sum(axis=0) - _xlogx(cols).sum(axis=0))
+
+
+def _block_independent(d: Dist3, ccf: CondCommonFunction, tol: float) -> bool:
+    """Whether I(X:Y | block label, Z) <= tol, from ``_cell_gap`` on d's
+    supported z slices; ``cmi_xy_given_blocks`` decides a gap within
+    ``PREFILTER_MARGIN`` of tol."""
+    gap = _cell_gap(d.p[:, :, list(ccf.per_z)], *ccf._roots).sum()
+    if abs(gap - tol) <= PREFILTER_MARGIN:
+        gap = cmi_xy_given_blocks(d, ccf)
+    return bool(gap <= tol)
 
 
 def _block_gaps(
@@ -293,13 +327,11 @@ def _block_gaps(
     The stack can differ from ``apply_channel_z`` by an ulp, which can move
     a support test: a channel with a Zbar mass or a conditional entry within
     a relative 1e-9 of support_eps has gap and leak -inf, so the exact
-    checks decide it.  All slices are labelled and summed at once: a
-    (zbar, block) cell with in-block entries s, row sums r, column sums c
-    and mass m adds -sum r log r - sum c log c + sum s log s + m log m.
-    I(X:Y|Zbar) sums these over the whole stack, every positive entry
-    counting.  The leak, ``_pd_down_extra_cmi``'s value, is computed only
-    for the channels whose gap passes the prefilter, and is +inf for the
-    rest; each block is named by its component root.
+    checks decide it.  All slices are labelled and summed at once by
+    ``_cell_gap``; I(X:Y|Zbar) sums its terms over the whole stack, every
+    positive entry counting.  The leak, ``_pd_down_extra_cmi``'s value, is
+    computed only for the channels whose gap passes the prefilter, and is
+    +inf for the rest; each block is named by its component root.
     """
     dx, _, dz = d.dims
     channels, _, onehot = _channel_table(dz)
@@ -311,21 +343,9 @@ def _block_gaps(
                | ((lo < cond) & (cond < hi)).any(axis=(0, 1, 3)))
     row_roots, col_roots = _component_roots(cond > support_eps)
     del cond
-    xq = _xlogx(q)
-    cmi = (xq.sum(axis=(0, 1)) + _xlogx(zbar) - _xlogx(q.sum(axis=1)).sum(axis=0)
+    cmi = (_xlogx(q).sum(axis=(0, 1)) + _xlogx(zbar) - _xlogx(q.sum(axis=1)).sum(axis=0)
            - _xlogx(q.sum(axis=0)).sum(axis=0)).sum(axis=1)
-    # zeroing what lies outside every block leaves the cells and their a log a
-    outside = row_roots[:, None] != col_roots[None]
-    q[outside] = xq[outside] = 0.0
-    rows = q.sum(axis=1)
-    cols = q.sum(axis=0)
-    # each row's mass binned by (root, channel, zbar), x outermost, so every
-    # bin adds in x order and memory stays linear in |X|
-    _, nc, nw = rows.shape
-    bins = (row_roots * nc + np.arange(nc)[:, None]) * nw + np.arange(nw)
-    masses = np.bincount(bins.ravel(), rows.ravel(), rows.size).reshape(rows.shape)
-    gap = (xq.sum(axis=(0, 1)) + _xlogx(masses).sum(axis=0)
-           - _xlogx(rows).sum(axis=0) - _xlogx(cols).sum(axis=0)).sum(axis=1)
+    gap = _cell_gap(q, row_roots, col_roots).sum(axis=1)
     leak = np.full_like(gap, np.inf)
     keep = np.flatnonzero(gap <= tol + PREFILTER_MARGIN)
     if keep.size:
@@ -383,7 +403,7 @@ def is_ubi_pd_down(
         else:
             dbar = apply_channel_z(d, ch)
             ccf = conditional_common_function(dbar, support_eps)
-            if cmi_xy_given_blocks(dbar, ccf) > tol:
+            if not _block_independent(dbar, ccf, tol):
                 continue
             status, cert = _pd_canonical(ccf)
         if status != YES:

@@ -85,9 +85,10 @@ class CommonPartition:
         }
 
 
-def _partitions(support: np.ndarray) -> list[CommonPartition]:
-    """Maximal common partition of each (x, y, k) support graph, per k."""
-    row_roots, col_roots = _component_roots(support)
+def _partitions(support: np.ndarray, roots: tuple | None = None) -> list[CommonPartition]:
+    """Maximal common partition of each (x, y, k) support graph, per k;
+    ``roots`` are its ``_component_roots`` when the caller has them."""
+    row_roots, col_roots = _component_roots(support) if roots is None else roots
     out = []
     for rx, ry, has_x, has_y in zip(
         row_roots.T.tolist(),
@@ -147,7 +148,8 @@ class CondCommonFunction:
     ``support`` marks the (x, y, z) with p(z) > support_eps and
     p(x, y | z) > support_eps, the entries the blocks are built from; code
     that pairs entries of the pmf with these blocks must take its entries
-    from this mask.
+    from this mask.  ``_roots`` are the ``_component_roots`` of its
+    supported z slices, in ``per_z`` order; not serialized.
     """
 
     per_z: Mapping[int, CommonPartition]
@@ -155,6 +157,7 @@ class CondCommonFunction:
     per_z_injective: bool
     z_probs: np.ndarray = field(repr=False)
     support: np.ndarray = field(repr=False)
+    _roots: tuple[np.ndarray, np.ndarray] = field(repr=False, compare=False)
 
     @property
     def n_labels(self) -> int:
@@ -165,8 +168,9 @@ class CondCommonFunction:
         total = 0.0
         for z, part in self.per_z.items():
             pz = float(self.z_probs[z])
-            cond = Dist2(d.p[:, :, z] / pz)
-            total += pz * entropy_bits(part.probabilities(cond))
+            cond = d.p[:, :, z] / pz
+            masses = [cond[np.array(xs)[:, None], np.array(ys)].sum() for xs, ys in part.blocks]
+            total += pz * entropy_bits(masses)
         return total
 
     def to_json(self) -> dict:
@@ -187,9 +191,10 @@ def conditional_common_function(
     zs = np.flatnonzero(z_probs > support_eps)
     support = np.zeros(d.p.shape, dtype=bool)
     support[:, :, zs] = d.p[:, :, zs] / z_probs[zs] > support_eps
-    per_z = dict(zip(zs.tolist(), _partitions(support[:, :, zs])))
+    roots = _component_roots(support[:, :, zs])
+    per_z = dict(zip(zs.tolist(), _partitions(support[:, :, zs], roots)))
     labels, injective = _cross_z_merge(per_z, dict.fromkeys(per_z, 0), support)
-    return CondCommonFunction(per_z, labels, injective, z_probs, support)
+    return CondCommonFunction(per_z, labels, injective, z_probs, support, roots)
 
 
 def _cross_z_merge(

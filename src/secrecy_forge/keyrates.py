@@ -162,9 +162,11 @@ def kd_class(
 
     A report (classify's on d) supplies the verdict, conditional common
     function and channel search result.  Without one only what the value
-    needs is computed, along the class chain: UBI, then the canonical
-    protocol, and the channel search only when neither certifies UBI-PD;
-    the result equals that with ``report=classify(d, tol, support_eps)``.
+    needs is computed, along the class chain: block independence from one
+    batched cell gap (classify's exact cell walk only for a gap within
+    ``PREFILTER_MARGIN`` of tol), UBI, then the canonical protocol, and the
+    channel search only when none certifies UBI-PD; the result equals that
+    with ``report=classify(d, tol, support_eps)``.
     The search supplies the degraded rate or, when it certifies nothing,
     the upper bound over the channels it searched and whether its budget
     cut it short.

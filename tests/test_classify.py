@@ -17,6 +17,7 @@ from secrecy_forge.classify import (
     CHANNEL_BUDGET,
     PREFILTER_MARGIN,
     _block_gaps,
+    _cell_gap,
     _channel_stack,
     _channel_table,
     _pd_down_extra_cmi,
@@ -406,6 +407,81 @@ def test_canonical_protocol_matches_the_built_extension(d, tols):
 @given(small_dist3())
 def test_kd_class_without_report_matches_report_path(d):
     assert kd_class(d).to_json() == kd_class(d, classify(d)).to_json()
+
+
+@st.composite
+def gap_dist3(draw):
+    """pmfs for the batched cell gap: the strategies above or the square of
+    a block pmf.  Some draws turn every zero entry light (1e-15 to 1e-11),
+    which puts entries below support_eps inside blocks' rectangles, and a
+    last z slice of mass at most 1e-2 is appended, which support_eps = 1e-2
+    leaves out."""
+    d = draw(st.one_of(small_dist3(), light_dist3(), block_dist3(),
+                       block_dist3(max_z=2).map(lambda b: product_power(b, 2))))
+    p = d.p.copy()
+    if draw(st.booleans()):
+        p[p == 0.0] = draw(st.floats(1e-15, 1e-11))
+    tail = draw(st.floats(0.0, 1e-2))
+    light = np.array(draw(st.lists(st.integers(0, 2), min_size=p[:, :, 0].size,
+                                   max_size=p[:, :, 0].size)), float).reshape(p.shape[:2])
+    if tail and light.any():
+        p = np.concatenate([p / p.sum() * (1 - tail), (tail * light / light.sum())[:, :, None]], axis=2)
+    return Dist3(p / p.sum())
+
+
+def _batched_gap(d, ccf):
+    return _cell_gap(d.p[:, :, list(ccf.per_z)], *ccf._roots).sum()
+
+
+@settings(max_examples=150)
+@given(gap_dist3(), st.sampled_from((1e-12, 1e-2)))
+@example(Dist3(_light_eve_symbol_pmf()), 1e-2)  # z = 1 weighs less than support_eps
+@example(Dist3(_near_independent_block_pmf()), 1e-2)  # (x0, y1) light inside a block
+@example(product_power(two_block_uniform_example(), 2), 1e-12)
+def test_batched_gap_agrees_with_the_cell_walk(d, support_eps):
+    ccf = conditional_common_function(d, support_eps)
+    assert abs(_batched_gap(d, ccf) - cmi_xy_given_blocks(d, ccf)) <= 1e-13
+
+
+@pytest.mark.parametrize("margin", [PREFILTER_MARGIN, 0.0, math.inf])
+def test_bi_verdict_within_the_margin_is_the_exact_one(monkeypatch, margin):
+    # one block per z and not BI; at tol = its exact gap, and one ulp below,
+    # the batched gap lies within the margin of tol, so the exact walk decides
+    p = np.random.default_rng(8).random((3, 3, 3))
+    d = Dist3(p / p.sum())
+    ccf = conditional_common_function(d)
+    exact, batched = cmi_xy_given_blocks(d, ccf), _batched_gap(d, ccf)
+    assert classify(d).bi == "no" and batched != exact
+    monkeypatch.setattr(classify_module, "PREFILTER_MARGIN", margin)
+    for tol in (exact, np.nextafter(exact, 0.0)):
+        got = kd_class(d, tol=tol).to_json()
+        if abs(batched - tol) > margin:
+            # margin 0: only a tie reaches the walk, so the batched gap decides
+            assert (got["diagnostics"]["class"] == "ubi_pd") == (batched <= tol)
+        else:
+            assert got == kd_class(d, classify(d, tol=tol), tol=tol).to_json()
+
+
+def test_only_classify_walks_the_cells(monkeypatch):
+    # a decision needs no cell values: kd_class without a report and the
+    # search decide block independence from the batched gap
+    walks = []
+    walk = classify_module._cell_entropies
+
+    def spy(d, ccf):
+        walks.append(id(d))
+        return walk(d, ccf)
+
+    monkeypatch.setattr(classify_module, "_cell_entropies", spy)
+    p = np.random.default_rng(9).random((3, 3, 3))
+    ubi_square, not_bi = product_power(two_block_uniform_example(), 2), Dist3(p / p.sum())
+    for d in (ubi_square, not_bi):
+        classify(d)
+        assert walks == [id(d)]
+        walks.clear()
+        kd_class(d)
+        is_ubi_pd_down(d)
+        assert walks == []
 
 
 @given(small_dist3())

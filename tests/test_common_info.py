@@ -16,7 +16,7 @@ from secrecy_forge.common_info import (
     conditional_common_function,
     maximal_common_partition,
 )
-from secrecy_forge.distributions import Dist2, Dist3, entropy_bits
+from secrecy_forge.distributions import Dist2, Dist3, entropy_bits, product_power
 from secrecy_forge.keyrates import (
     one_sided_coherence_example,
     two_block_uniform_example,
@@ -165,6 +165,27 @@ def test_null_flags_are_skipped():
     p[0, 0, 0] = p[1, 1, 0] = 0.5
     ccf = conditional_common_function(Dist3(p))
     assert set(ccf.per_z) == {0}
+
+
+def block_entropy_through_dist2(ccf, d: Dist3) -> float:
+    """H(block label | Z) with each z slice divided by p(z) as a validated Dist2."""
+    total = 0.0
+    for z, part in ccf.per_z.items():
+        pz = float(ccf.z_probs[z])
+        total += pz * entropy_bits(part.probabilities(Dist2(d.p[:, :, z] / pz)))
+    return total
+
+
+def test_block_entropy_equals_the_dist2_route_bit_for_bit(make_dist):
+    # d.p is clipped at 0 already, so a Dist2 per z changes no bit
+    dists = [make_dist((3, 3, 3), sparsity=s) for s in (0.0, 0.4, 0.7) for _ in range(10)]
+    dists += [product_power(make_dist((2, 2, 2), sparsity=0.5), 2) for _ in range(10)]
+    dists += [product_power(two_block_uniform_example(), 2),
+              product_power(one_sided_coherence_example()[0], 2)]
+    for d in dists:
+        for eps in (1e-12, 1e-2):
+            ccf = conditional_common_function(d, eps)
+            assert ccf.block_entropy(d) == block_entropy_through_dist2(ccf, d)
 
 
 def test_to_json_shape():
