@@ -148,6 +148,22 @@ def eof_2q(rho: QState) -> MeasureResult:
 def _local_blocks(
     rho: QState,
 ) -> list[tuple[float, np.ndarray, np.ndarray, QState]] | None:
+    """``_split_blocks(rho)``, computed on first use and kept on rho.
+
+    The split reads only rho, so every measure of one state shares it and
+    its validated cell states.  It is kept as an attribute, not a field of
+    ``QState``, so repr, equality and ``dataclasses`` never see it.
+    """
+    try:
+        return rho._blocks
+    except AttributeError:
+        object.__setattr__(rho, "_blocks", _split_blocks(rho))
+        return rho._blocks
+
+
+def _split_blocks(
+    rho: QState,
+) -> list[tuple[float, np.ndarray, np.ndarray, QState]] | None:
     """The finest split A = (+)A_i, B = (+)B_j of the computational levels
     under which rho is block diagonal.
 

@@ -3,11 +3,12 @@
 Every loader raises UsageError on malformed input so the CLI can map the
 whole family to exit code 2; integer fields take JSON integers only and
 number fields JSON numbers that convert to finite floats only, never
-booleans or strings.  ``json_text`` (the CLI's envelopes) rounds floats to
-12 significant digits, which keeps golden files stable across platforms
-without hiding real numeric drift.
-``dump_json`` writes input files and keeps every digit (Python's shortest
-repr), so a pmf reads back bitwise.
+booleans or strings.  ``json_text`` (the CLI's envelopes) and ``dump_json``
+(input files) share one writer, which converts numpy values and rounds
+each float as it writes: ``json_text`` to 12 significant digits, which
+keeps golden files stable across platforms without hiding real numeric
+drift, ``dump_json`` not at all (Python's shortest repr), so a pmf reads
+back bitwise.
 """
 
 from __future__ import annotations
@@ -29,9 +30,7 @@ from .errors import SecrecyForgeError, UsageError
 from .qlinalg import QState
 
 __all__ = [
-    "jsonable",
     "json_text",
-    "load_json",
     "load_dist",
     "dump_dist",
     "load_phases",
@@ -46,84 +45,60 @@ __all__ = [
 SIG_DIGITS = 12
 
 
-def _plain(obj: Any, num: Callable[[float], float]) -> Any:
-    """Convert to plain JSON types, passing each finite float through ``num``.
-
-    Non-finite floats become None: strict JSON has no NaN or infinity.
-    """
-    if isinstance(obj, dict):
-        return {str(k): _plain(v, num) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple, np.ndarray)):
-        items = obj.tolist() if isinstance(obj, np.ndarray) else obj
-        if all(type(v) is float for v in items):
-            # exact zeros, most of a sparse state, pass through: num keeps them
-            return [(num(v) if math.isfinite(v) else None) if v else v for v in items]
-        return [_plain(v, num) for v in items]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        if not math.isfinite(obj):
-            return None
-        return num(float(obj))
-    if obj is None or isinstance(obj, str):
-        return obj
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+def _round(x: float) -> float:
+    return float(f"{x:.{SIG_DIGITS}g}")
 
 
-def jsonable(obj: Any) -> Any:
-    """Convert to plain JSON types, rounding floats to 12 significant digits."""
-    return _plain(obj, lambda x: float(f"{x:.{SIG_DIGITS}g}"))
+def _write(obj: Any, num: Callable[[float], float], nl: str = "\n") -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)`` of obj as plain JSON
+    types, with each finite float passed through ``num`` as it is written.
 
-
-def _render(doc: Any, nl: str) -> str:
-    """``json.dumps(doc, indent=2, sort_keys=True)`` for ``_plain``'s output.
-
-    ``nl`` is a newline plus the indent of the enclosing level.  The
-    stdlib's encoder runs in pure Python whenever it indents; this one
+    Keys become strings, tuples and arrays lists, numpy scalars Python
+    ones; non-finite floats become null, since strict JSON has no NaN or
+    infinity.  ``nl`` is a newline plus the indent of the enclosing level.
+    The stdlib's encoder runs in pure Python whenever it indents; this one
     writes a list of floats in a single join.
     """
-    if isinstance(doc, str):
-        return encode_basestring_ascii(doc)
-    if doc is None:
-        return "null"
-    if doc is True:
-        return "true"
-    if doc is False:
-        return "false"
-    if isinstance(doc, float):
-        return float.__repr__(doc)
-    if isinstance(doc, int):
-        return int.__repr__(doc)
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if isinstance(obj, (float, np.floating)):
+        return float.__repr__(num(float(obj))) if math.isfinite(obj) else "null"
     inner = nl + "  "
-    if isinstance(doc, dict):
+    if isinstance(obj, dict):
+        doc = {str(k): v for k, v in obj.items()}
         if not doc:
             return "{}"
         items = (
-            f"{encode_basestring_ascii(k)}: {_render(doc[k], inner)}" for k in sorted(doc)
+            f"{encode_basestring_ascii(k)}: {_write(doc[k], num, inner)}" for k in sorted(doc)
         )
         return "{" + inner + ("," + inner).join(items) + nl + "}"
-    if isinstance(doc, list):
-        if not doc:
-            return "[]"
-        if all(type(v) is float for v in doc):
-            items = map(float.__repr__, doc)
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        vals = obj.tolist() if isinstance(obj, np.ndarray) else obj
+        if all(type(v) is float for v in vals):
+            # exact zeros, most of a sparse state, pass through: num keeps them
+            items = (
+                float.__repr__(num(v) if v else v) if math.isfinite(v) else "null"
+                for v in vals
+            )
         else:
-            items = (_render(v, inner) for v in doc)
-        return "[" + inner + ("," + inner).join(items) + nl + "]"
-    raise TypeError(f"cannot render {type(doc).__name__}")
-
-
-def _text(doc: Any) -> str:
-    return _render(doc, "\n") + "\n"
+            items = (_write(v, num, inner) for v in vals)
+        body = ("," + inner).join(items)  # no element's text is empty
+        return "[" + inner + body + nl + "]" if body else "[]"
+    if obj is None:
+        return "null"
+    if isinstance(obj, (bool, np.bool_)):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return int.__repr__(int(obj))
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def json_text(obj: Any) -> str:
-    return _text(jsonable(obj))
+    """Envelope text: floats rounded to 12 significant digits."""
+    return _write(obj, _round) + "\n"
 
 
-def load_json(path: str | Path) -> Any:
+def _load_json(path: str | Path) -> Any:
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
@@ -135,7 +110,7 @@ def load_json(path: str | Path) -> Any:
 
 def dump_json(obj: Any, path: str | Path) -> None:
     """Write obj with every float digit kept, so loaders read back the same values."""
-    Path(path).write_text(_text(_plain(obj, float)), encoding="utf-8")
+    Path(path).write_text(_write(obj, float) + "\n", encoding="utf-8")
 
 
 def sha256_file(path: str | Path) -> str:
@@ -190,7 +165,7 @@ def _int_list(doc: Any, path: str | Path, key: str, length: int | None = None) -
 
 def load_dist(path: str | Path) -> Dist3:
     """Dense {"dims", "p"} or sparse {"dims", "entries"}; unlisted entries zero."""
-    doc = load_json(path)
+    doc = _load_json(path)
     _require(isinstance(doc, dict), path, "top level must be an object")
     dims = _int_list(doc, path, "dims", 3)
     if "p" in doc:
@@ -234,7 +209,7 @@ def dump_dist(d: Dist3) -> dict:
 
 def load_phases(path: str | Path, dims: tuple[int, int, int]) -> PhaseAssignment:
     """Sparse {"entries": [{"x","y","z","phi"}]}; dims come from the distribution."""
-    doc = load_json(path)
+    doc = _load_json(path)
     _require(isinstance(doc, dict), path, "top level must be an object")
     if "dims" in doc:
         file_dims = _int_list(doc, path, "dims", 3)
@@ -274,7 +249,7 @@ def _matrix(doc: Any, path: str | Path, where: str) -> np.ndarray:
 
 def load_state(path: str | Path) -> QState:
     """Density matrix as {"dims", "re", "im"}; "im" may be omitted."""
-    doc = load_json(path)
+    doc = _load_json(path)
     _require(isinstance(doc, dict), path, "top level must be an object")
     dims = _int_list(doc, path, "dims")
     rho = _matrix(doc, path, "state")
@@ -322,7 +297,7 @@ def _kraus_list(doc: Any, path: str | Path, where: str) -> tuple[np.ndarray, ...
 
 def load_tree(path: str | Path) -> InstrumentTree:
     """Nodes keyed by comma-joined history strings (root ""), Kraus as re/im."""
-    doc = load_json(path)
+    doc = _load_json(path)
     _require(isinstance(doc, dict), path, "top level must be an object")
     for key in ("rounds", "dim_a", "dim_b"):
         _require(type(doc.get(key)) is int, path, f"'{key}' must be an integer")

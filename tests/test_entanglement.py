@@ -1,5 +1,6 @@
 """Entanglement measures against closed-form oracles."""
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -23,10 +24,12 @@ from secrecy_forge.entanglement import (
 from secrecy_forge.embeddings import pair_state
 from secrecy_forge.errors import InvalidState, SecrecyForgeError
 from secrecy_forge.keyrates import (
+    advantage_report,
     binary_eve_family,
     independent_eve_example,
     one_sided_coherence_example,
     two_block_uniform_example,
+    verify_chain,
 )
 from secrecy_forge.qlinalg import PureState, QState
 
@@ -438,6 +441,38 @@ def test_split_state_is_measured_block_by_block(case):
     eps = 1e-6 * len(cells)
     mixed = (1 - eps) * rho.rho + eps * np.outer(psi, psi) / len(cells)
     assert entanglement._local_blocks(QState(mixed, rho.dims)) is None
+
+
+@pytest.mark.parametrize("report", [verify_chain, advantage_report])
+def test_each_state_is_split_once(report, monkeypatch):
+    # verify_chain measures rho_AB with E_r and E_F, advantage_report with
+    # E_r alone; either way a state, cells included, is split once
+    d, phases = one_sided_coherence_example()
+    split_states = []
+
+    def counting_split(rho):
+        split_states.append(rho)  # kept alive, so no id is reused
+        return split(rho)
+
+    split = entanglement._split_blocks
+    monkeypatch.setattr(entanglement, "_split_blocks", counting_split)
+    report(d, phases)
+    assert split(split_states[0]) is not None  # rho_AB splits
+    assert len(split_states) > 1  # and its cells are split in turn
+    assert len({id(rho) for rho in split_states}) == len(split_states)
+
+
+def test_a_shared_split_carries_nothing_between_measures():
+    d, phases = one_sided_coherence_example()
+    rho, fresh = pair_state(d, phases), pair_state(d, phases)
+    assert entanglement._local_blocks(rho) is not None
+    er, ef = rel_ent_upper(rho), eof_numeric(rho)
+    # the kept split is no field: the measured state looks like the fresh one
+    assert repr(rho) == repr(fresh)
+    assert dataclasses.asdict(rho).keys() == dataclasses.asdict(fresh).keys()
+    ef_fresh, er_fresh = eof_numeric(fresh), rel_ent_upper(fresh)
+    assert repr(er.to_json()) == repr(er_fresh.to_json())
+    assert repr(ef.to_json()) == repr(ef_fresh.to_json())
 
 
 def _objective_fd_errors(rho: QState, seed: int) -> list[float]:

@@ -16,15 +16,12 @@ from secrecy_forge.distributions import Dist3, validate_pmf
 from secrecy_forge.embeddings import PhaseAssignment
 from secrecy_forge.errors import UsageError
 from secrecy_forge.io import (
-    _plain,
-    _text,
     dump_dist,
     dump_json,
     dump_phases,
     dump_state,
     dump_tree,
     json_text,
-    jsonable,
     load_dist,
     load_phases,
     load_state,
@@ -253,8 +250,8 @@ class TestJsonText:
 
 
 def _plain_reference(obj, num):
-    """``io._plain`` as it was before lists of floats got a fast path: one
-    element at a time."""
+    """Plain JSON types for obj, one element at a time: each finite float
+    passed through ``num``, each non-finite one None, keys made strings."""
     if isinstance(obj, dict):
         return {str(k): _plain_reference(v, num) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -274,11 +271,27 @@ def _plain_reference(obj, num):
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _outcome(convert, obj):
-    """repr of the converted document, which tells -0.0 from 0.0 and 1 from
-    1.0 or True, or the exception type raised."""
+def _reference_text(obj, num):
+    """``json.dumps`` of ``_plain_reference(obj, num)`` as the writers lay it out."""
+    doc = _plain_reference(obj, num)
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def _rounded(x):
+    return float(f"{x:.12g}")
+
+
+def _dumped(obj, path):
+    """The text ``dump_json`` writes for obj."""
+    dump_json(obj, path)
+    return path.read_text(encoding="utf-8")
+
+
+def _outcome(write, obj):
+    """The written text, which tells -0.0 from 0.0 and 1 from 1.0 or true,
+    or the exception type raised."""
     try:
-        return repr(convert(obj))
+        return write(obj)
     except TypeError:
         return TypeError
 
@@ -308,15 +321,15 @@ PLAIN_INPUTS = [
 
 
 @pytest.mark.parametrize("obj", PLAIN_INPUTS, ids=lambda obj: type(obj).__name__)
-def test_fast_float_lists_convert_as_one_element_at_a_time(obj):
-    # jsonable rounds for envelopes; dump_json keeps every digit with float
-    rounded = lambda x: float(f"{x:.12g}")  # noqa: E731
-    for new, num in ((jsonable, rounded), (lambda o: _plain(o, float), float)):
-        assert _outcome(new, obj) == _outcome(lambda o: _plain_reference(o, num), obj)
+def test_fast_float_lists_convert_as_one_element_at_a_time(obj, tmp_path):
+    # json_text rounds for envelopes; dump_json keeps every digit with float
+    path = tmp_path / "doc.json"
+    for write, num in ((json_text, _rounded), (lambda o: _dumped(o, path), float)):
+        assert _outcome(write, obj) == _outcome(lambda o: _reference_text(o, num), obj)
 
 
-_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
-    [-0.0, 5e-324, 1e-05, 1e16, 1.7976931348623157e308])
+_FLOATS = st.floats() | st.sampled_from(
+    [-0.0, 5e-324, 1e-05, 1e12, 123456789012345.67, 1e16, 1.7976931348623157e308])
 _STRINGS = st.text() | st.sampled_from(
     ['"', "\\", 'a "quoted" \\ word', "\x00\x1f\x7f\n\t", "é", "ü\u2028😀", ""])
 _LEAVES = (st.none() | st.booleans() | st.integers()
@@ -336,8 +349,24 @@ _DOCS = st.recursive(
 @example(doc=[-0.0, 5e-324, 1e-05, 1e16, 1.7976931348623157e308])
 @example(doc={"10": [], "9": {}, "B": [[]], "a": [{}], "é": "ü\x00\"", "Z": 2**70})
 @example(doc=[True, 1, False, 0, 1.0, 0.0])
-def test_renderer_writes_what_json_dumps_writes(doc):
-    assert _text(doc) == json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+# integer-valued floats, and 1e12 <= |x| < 1e16, where %.12g writes an
+# exponent and repr does not
+@example(doc=[1.0, -2.0, 3e12, 1e15, 2.0**53])
+@example(doc=[1e12, -1e12, 123456789012345.67, 9999999999999998.0, -5.5e15])
+@example(doc=[5e-324, -5e-324, -0.0, 0.0, [-0.0], {"z": -0.0}])
+@example(doc=[float("nan"), 0.5, float("-inf"), [float("inf"), 1]])
+@example(doc={"s": np.float32(0.1), "v": np.array([0.1, -0.0, 1e-45, np.nan], dtype=np.float32),
+              "m": np.array([[0.5, 1e13], [2.0, -0.0]], dtype=np.float32)})
+@example(doc={"b": np.bool_(False), "i": np.int64(-7), "u": np.uint8(200),
+              "f": np.float64(1e14 / 3), "a": np.array([[1, 2]], dtype=np.int32)})
+@example(doc=(1.5, (2, "x", ()), [np.float64(2.5), (None, True)]))
+@example(doc={3: "int", 2.5: [1e13], None: 0, False: 1.0, "3x": {7: -0.0}})
+def test_renderer_writes_what_json_dumps_writes(tmp_path_factory, doc):
+    # json.dumps of the plain document: a drawn doc holds plain types only,
+    # so _plain_reference(doc, float) is doc with null for each non-finite float
+    path = tmp_path_factory.mktemp("writer") / "doc.json"
+    assert _dumped(doc, path) == _reference_text(doc, float)
+    assert json_text(doc) == _reference_text(doc, _rounded)
 
 
 class TestSha256:
