@@ -62,10 +62,8 @@ __all__ = [
     "ClassReport",
     "PDCertificate",
     "PDDownResult",
-    "is_semi_unambiguous",
     "is_ubi_pd_down",
     "classify",
-    "set_partitions",
 ]
 
 YES = "yes"
@@ -100,24 +98,6 @@ def _cell_entropies(d: Dist3, ccf: CondCommonFunction) -> tuple[float, float]:
                 cmi += mass * (entropy_bits(sub.sum(axis=1)) + entropy_bits(sub.sum(axis=0)) - hxy)
                 h_xy += mass * hxy
     return cmi, h_xy
-
-
-def cmi_xy_given_blocks(d: Dist3, ccf: CondCommonFunction) -> float:
-    """I(X:Y | block label, Z) in bits."""
-    return _cell_entropies(d, ccf)[0]
-
-
-# ---------------------------------------------------------------------------
-# elementary class checks
-
-
-def is_semi_unambiguous(
-    d: Dist3, support_eps: float = config.SUPPORT_EPS
-) -> bool:
-    """Every supported (x, y) pair occurs with exactly one z."""
-    counts = (d.p > support_eps).sum(axis=2)
-    pair_supported = d.p.sum(axis=2) > support_eps
-    return bool(np.all(counts[pair_supported] == 1))
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +163,7 @@ def _ubi_pd_verdict(d: Dist3, ccf: CondCommonFunction, tol: float) -> str:
 # search over deterministic channels on Eve's symbol
 
 
-def set_partitions(n: int) -> Iterator[tuple[int, ...]]:
+def _set_partitions(n: int) -> Iterator[tuple[int, ...]]:
     """All set partitions of range(n) as restricted growth strings.
 
     Emitted in ascending lexicographic order: the all-merge string
@@ -208,7 +188,7 @@ def _channel_table(n: int) -> tuple[tuple[tuple[int, ...], ...], bool, np.ndarra
     restricted growth strings, whether the budget cut their enumeration,
     and their read-only one-hot (channel, z, zbar) matrices, zbar below the
     widest output alphabet (at most five symbols), so linear in n."""
-    partitions = set_partitions(n)
+    partitions = _set_partitions(n)
     channels = tuple(itertools.islice(partitions, CHANNEL_BUDGET))
     cut = next(partitions, None) is not None
     onehot = np.zeros((len(channels), n, max(map(max, channels)) + 1))
@@ -274,7 +254,7 @@ def _pd_down_extra_cmi(
 # The prefilters below reject a channel when its block-independence gap,
 # or its leak, exceeds tol by this margin, and _block_independent decides
 # the BI verdict from the gap where it lies farther than this from tol.
-# They sum the same terms as cmi_xy_given_blocks and _pd_down_extra_cmi
+# They sum the same terms as _cell_entropies and _pd_down_extra_cmi
 # in another order (unnormalized, all slices at once), so each agrees with
 # its exact test to about 1e-14; the margin keeps every rejection and
 # verdict one that the exact test would make too.  The ceiling re-decides
@@ -309,11 +289,11 @@ def _cell_gap(q: np.ndarray, row_roots: np.ndarray, col_roots: np.ndarray) -> np
 
 def _block_independent(d: Dist3, ccf: CondCommonFunction, tol: float) -> bool:
     """Whether I(X:Y | block label, Z) <= tol, from ``_cell_gap`` on d's
-    supported z slices; ``cmi_xy_given_blocks`` decides a gap within
+    supported z slices; ``_cell_entropies`` decides a gap within
     ``PREFILTER_MARGIN`` of tol."""
     gap = _cell_gap(d.p[:, :, list(ccf.per_z)], *ccf._roots).sum()
     if abs(gap - tol) <= PREFILTER_MARGIN:
-        gap = cmi_xy_given_blocks(d, ccf)
+        gap = _cell_entropies(d, ccf)[0]
     return bool(gap <= tol)
 
 
@@ -488,7 +468,9 @@ def classify(
     cmi, h_resid = _cell_entropies(d, ccf)
     bi = YES if cmi <= tol else NO
     ubi = YES if (bi == YES and ccf.per_z_injective) else NO
-    semi = YES if is_semi_unambiguous(d, support_eps) else NO
+    # semi-unambiguous: every supported (x, y) pair occurs with exactly one z
+    counts = (d.p > support_eps).sum(axis=2)
+    semi = YES if np.all(counts[d.p.sum(axis=2) > support_eps] == 1) else NO
     unamb = YES if (semi == YES and h_resid <= tol) else NO
 
     certificates: dict = {}

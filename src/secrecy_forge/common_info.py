@@ -28,7 +28,6 @@ from .distributions import Dist2, Dist3, entropy_bits
 __all__ = [
     "CommonPartition",
     "CondCommonFunction",
-    "maximal_common_partition",
     "common_information",
     "conditional_common_function",
 ]
@@ -119,18 +118,12 @@ def _partitions(support: np.ndarray, roots: tuple | None = None) -> list[CommonP
     return out
 
 
-def maximal_common_partition(
-    d2: Dist2, support_eps: float = config.SUPPORT_EPS
-) -> CommonPartition:
-    """Connected components of the bipartite support graph of a Dist2."""
-    return _partitions((d2.p > support_eps)[:, :, None])[0]
-
-
 def common_information(
     d2: Dist2, support_eps: float = config.SUPPORT_EPS
 ) -> float:
-    """Entropy in bits of the maximal common function of X and Y."""
-    part = maximal_common_partition(d2, support_eps)
+    """Entropy in bits of the maximal common function of X and Y: the
+    connected components of the bipartite support graph of d2."""
+    (part,) = _partitions((d2.p > support_eps)[:, :, None])
     return entropy_bits(part.probabilities(d2))
 
 

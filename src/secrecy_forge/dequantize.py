@@ -26,8 +26,6 @@ from .errors import DimensionCapExceeded, InvalidChannel, InvalidProtocol
 __all__ = [
     "History",
     "InstrumentTree",
-    "ClassicalProtocol",
-    "classical_law",
     "verify_equivalence",
     "random_instrument_tree",
 ]
@@ -298,26 +296,24 @@ def _path_maps(
     return traces, fin_a, fin_b
 
 
-def _checked_power(
-    proto: InstrumentTree | ClassicalProtocol, d: Dist3, n: int, what: str
-) -> Dist3:
-    """``d**n`` once it fits the protocol's dims and the size caps."""
+def _checked_power(tree: InstrumentTree, d: Dist3, n: int) -> Dist3:
+    """``d**n`` once it fits the tree's dims and the size caps."""
     caps = config.load_caps()
     pn = product_power(d, n)
-    dims = (proto.dim_a, proto.dim_b)
+    dims = (tree.dim_a, tree.dim_b)
     if pn.dims[:2] != dims:
         raise InvalidProtocol(
-            f"{what} dims ({dims[0]}, {dims[1]}) do not match "
+            f"tree dims ({dims[0]}, {dims[1]}) do not match "
             f"distribution power dims {pn.dims[:2]}"
         )
     dzn = pn.dims[2]
-    n_hist = len(proto.histories())
-    branch_amp = (proto.out_a * proto.out_b * dzn) ** 2
+    n_hist = len(tree.histories())
+    branch_amp = (tree.out_a * tree.out_b * dzn) ** 2
     if branch_amp > caps.product_states:
         raise DimensionCapExceeded(
             f"branch state holds {branch_amp} amplitudes, cap is {caps.product_states}"
         )
-    total_dim = proto.out_a * proto.out_b * dzn * n_hist
+    total_dim = tree.out_a * tree.out_b * dzn * n_hist
     if total_dim > caps.rho_dim:
         raise DimensionCapExceeded(
             f"output density matrix dimension {total_dim}, cap is {caps.rho_dim}"
@@ -383,9 +379,9 @@ def _dequantize(tree: InstrumentTree, maps: tuple) -> ClassicalProtocol:
     )
 
 
-def classical_law(proto: ClassicalProtocol, d: Dist3, n: int = 1) -> np.ndarray:
-    """Forward-chain the protocol on ``d**n``: the law of (A', B', E, M)."""
-    pn = _checked_power(proto, d, n, "protocol")
+def _classical_law(proto: ClassicalProtocol, pn: Dist3) -> np.ndarray:
+    """Forward-chain the protocol on ``pn`` = ``d**n``: the law of
+    (A', B', E, M)."""
     hist = proto.histories()
     joint = np.zeros((proto.out_a, proto.out_b, pn.dims[2], len(hist)))
 
@@ -410,10 +406,10 @@ def verify_equivalence(tree: InstrumentTree, d: Dist3, n: int = 1) -> float:
     That is the trace distance between the tree's output with A' and B'
     dephased and the classical twin's output, both diagonal states.
     """
-    pn = _checked_power(tree, d, n, "tree")
-    maps = _path_maps(tree)  # one walk serves both sides
+    pn = _checked_power(tree, d, n)
+    maps = _path_maps(tree)  # one power and one walk serve both sides
     quantum = _quantum_law(pn, maps)
-    classical = classical_law(_dequantize(tree, maps), d, n)
+    classical = _classical_law(_dequantize(tree, maps), pn)
     return float(0.5 * np.abs(quantum - classical).sum())
 
 

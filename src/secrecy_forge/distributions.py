@@ -24,31 +24,13 @@ __all__ = [
     "Dist2",
     "Dist3",
     "Channel",
-    "validate_pmf",
     "entropy_bits",
     "binary_entropy",
-    "joint_marginal",
     "mutual_information",
     "conditional_mutual_information",
     "product_power",
     "apply_channel_z",
 ]
-
-
-def validate_pmf(p: np.ndarray, tol: float = config.VALIDATION_TOL) -> list[str]:
-    """Return a list of violation descriptions; empty means valid."""
-    violations: list[str] = []
-    arr = np.asarray(p, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        violations.append("non-finite entry")
-        return violations
-    low = arr.min(initial=0.0)
-    if low < -tol:
-        violations.append(f"negative entry {low!r}")
-    total = float(arr.sum())
-    if abs(total - 1.0) > tol:
-        violations.append(f"sum {total!r} differs from 1 by more than tol={tol!r}")
-    return violations
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -63,7 +45,15 @@ def _check(p: np.ndarray, ndim: int, tol: float) -> np.ndarray:
         raise InvalidDistribution(f"expected a rank-{ndim} array, got rank {arr.ndim}")
     if min(arr.shape) < 1:
         raise InvalidDistribution("empty alphabet")
-    violations = validate_pmf(arr, tol)
+    if not np.all(np.isfinite(arr)):
+        raise InvalidDistribution("non-finite entry")
+    violations = []
+    low = arr.min(initial=0.0)
+    if low < -tol:
+        violations.append(f"negative entry {low!r}")
+    total = float(arr.sum())
+    if abs(total - 1.0) > tol:
+        violations.append(f"sum {total!r} differs from 1 by more than tol={tol!r}")
     if violations:
         raise InvalidDistribution("; ".join(violations))
     return _frozen(np.clip(arr, 0.0, None))
@@ -177,26 +167,15 @@ def binary_entropy(x: float) -> float:
     return float(-x * np.log2(x) - (1.0 - x) * np.log2(1.0 - x))
 
 
-def joint_marginal(p: np.ndarray, axes: Sequence[int]) -> np.ndarray:
-    """Marginalize a joint array onto the given axes (kept in listed order)."""
-    arr = np.asarray(p, dtype=float)
-    axes = tuple(axes)
-    drop = tuple(a for a in range(arr.ndim) if a not in axes)
-    out = arr.sum(axis=drop) if drop else arr
-    # arr.sum keeps remaining axes in original order; permute to listed order.
-    kept_sorted = tuple(sorted(axes))
-    if kept_sorted != axes:
-        out = np.transpose(out, [kept_sorted.index(a) for a in axes])
-    return out
-
-
 def _grouped_entropy(p: np.ndarray, groups: Sequence[Sequence[int]]) -> float:
     axes = tuple(a for g in groups for a in g)
     if len(set(axes)) != len(axes):
         raise InvalidDistribution("axis groups overlap")
     if not axes:
         return 0.0
-    return entropy_bits(joint_marginal(p, tuple(sorted(axes))))
+    arr = np.asarray(p, dtype=float)
+    drop = tuple(a for a in range(arr.ndim) if a not in axes)
+    return entropy_bits(arr.sum(axis=drop) if drop else arr)
 
 
 def mutual_information(p: np.ndarray, a_axes: Sequence[int], b_axes: Sequence[int]) -> float:

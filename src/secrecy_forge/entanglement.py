@@ -42,7 +42,6 @@ from .qlinalg import EIG_CLIP, QState, _spectrum_entropy, mutual_info_q
 
 __all__ = [
     "MeasureResult",
-    "concurrence_2q",
     "eof_2q",
     "eof_numeric",
     "esq_classical_extension_bound",
@@ -114,8 +113,10 @@ _PAULI_YY = np.array(
 )
 
 
-def concurrence_2q(rho: QState) -> MeasureResult:
-    """Two-qubit concurrence C = max(0, l1-l2-l3-l4) (exact)."""
+def eof_2q(rho: QState) -> MeasureResult:
+    """Two-qubit entanglement of formation (exact) from the concurrence
+    C = max(0, l1-l2-l3-l4), l the sorted square roots of the eigenvalues
+    of rho (sy x sy) conj(rho) (sy x sy)."""
     if rho.dims != (2, 2):
         raise SecrecyForgeError(f"concurrence needs dims (2,2), got {rho.dims}")
     r = rho.rho
@@ -123,18 +124,7 @@ def concurrence_2q(rho: QState) -> MeasureResult:
     w = np.linalg.eigvals(m)
     lam = np.sqrt(np.clip(np.real(w), 0.0, None))
     lam.sort()
-    c = lam[3] - lam[2] - lam[1] - lam[0]
-    return MeasureResult(
-        name="concurrence",
-        value=max(0.0, float(c)),
-        kind="exact",
-        method="wootters-spectrum",
-    )
-
-
-def eof_2q(rho: QState) -> MeasureResult:
-    """Two-qubit entanglement of formation from the concurrence (exact)."""
-    c = concurrence_2q(rho).value
+    c = max(0.0, float(lam[3] - lam[2] - lam[1] - lam[0]))
     val = binary_entropy((1.0 + math.sqrt(max(0.0, 1.0 - c * c))) / 2.0)
     return MeasureResult(
         name="E_F",

@@ -24,7 +24,6 @@ __all__ = [
     "QState",
     "PureState",
     "partial_trace",
-    "von_neumann_entropy",
     "trace_distance",
     "mutual_info_q",
 ]
@@ -144,11 +143,6 @@ def _spectrum_entropy(w: np.ndarray) -> float:
     return float(-(w * np.log2(w)).sum())
 
 
-def von_neumann_entropy(state: QState) -> float:
-    """S(rho) in bits; eigenvalues below 1e-12 count as zero."""
-    return _spectrum_entropy(state.spectrum)
-
-
 def trace_distance(a: QState, b: QState) -> float:
     """Half the trace norm of the difference."""
     if a.dims != b.dims:
@@ -171,4 +165,4 @@ def mutual_info_q(state: QState) -> float:
     r = state.rho.reshape(da, db, da, db)
     s_a = _spectrum_entropy(np.linalg.eigvalsh(np.einsum("abcb->ac", r)))
     s_b = _spectrum_entropy(np.linalg.eigvalsh(np.einsum("abad->bd", r)))
-    return s_a + s_b - von_neumann_entropy(state)
+    return s_a + s_b - _spectrum_entropy(state.spectrum)

@@ -1,5 +1,5 @@
 """Shared fixtures: seeded factories for distributions and density matrices,
-and the reference dephasing map."""
+the reference dephasing map, and a reference von Neumann entropy."""
 
 from __future__ import annotations
 
@@ -54,6 +54,20 @@ def _dephase(state: QState, subsystem: int) -> QState:
 def dephase():
     """Reference dephasing map: what the embedding chain must reproduce."""
     return _dephase
+
+
+def _vn_entropy(state: QState) -> float:
+    """S(rho) in bits from numpy's eigvalsh alone; eigenvalues below 1e-12
+    count as zero, as in the library."""
+    w = np.linalg.eigvalsh(state.rho)
+    w = w[w > 1e-12]
+    return float(-(w * np.log2(w)).sum())
+
+
+@pytest.fixture(scope="session")
+def vn_entropy():
+    """Reference von Neumann entropy, independent of the library's."""
+    return _vn_entropy
 
 
 @pytest.fixture

@@ -17,14 +17,14 @@ from secrecy_forge.classify import (
     CHANNEL_BUDGET,
     PREFILTER_MARGIN,
     _block_gaps,
+    _cell_entropies,
     _cell_gap,
     _channel_stack,
     _channel_table,
     _pd_down_extra_cmi,
+    _set_partitions,
     classify,
-    cmi_xy_given_blocks,
     is_ubi_pd_down,
-    set_partitions,
 )
 from secrecy_forge.common_info import _partitions, conditional_common_function
 from secrecy_forge.distributions import (
@@ -345,6 +345,11 @@ def block_dist3(draw, max_z=5):
     return Dist3(p / p.sum())
 
 
+def cmi_xy_given_blocks(d, ccf):
+    """I(X:Y | block label, Z) by the exact per-cell walk classify reports."""
+    return _cell_entropies(d, ccf)[0]
+
+
 def _built_extension(d, support_eps):
     """The message-extended pmf built as a Dist3 of its own.
 
@@ -487,7 +492,7 @@ def test_only_classify_walks_the_cells(monkeypatch):
 @given(small_dist3())
 def test_prefilter_rejects_only_channels_the_exact_test_rejects(d):
     tol = config.ENTROPY_TOL
-    channels = list(set_partitions(d.dims[2]))
+    channels = list(_set_partitions(d.dims[2]))
     gaps, _, cmis = _block_gaps(d, tol, config.SUPPORT_EPS)
     assert len(gaps) == len(channels)
     for rgs, gap, cmi in zip(channels, gaps, cmis):
@@ -504,7 +509,7 @@ def test_prefilter_rejects_only_channels_the_exact_test_rejects(d):
 @given(st.one_of(small_dist3(), block_dist3()), st.sampled_from(TOLERANCE_PAIRS))
 def test_leak_prefilter_skips_only_channels_the_exact_leak_test_fails(d, tols):
     tol, eps = tols["tol"], tols["support_eps"]
-    channels = list(set_partitions(d.dims[2]))
+    channels = list(_set_partitions(d.dims[2]))
     gaps, leaks, _ = _block_gaps(d, tol, eps)
     for rgs, gap, leak in zip(channels, gaps, leaks):
         if gap > tol + PREFILTER_MARGIN:
@@ -538,7 +543,7 @@ def _channel_loop_ceiling(d):
     """I(X:Y|Zbar) through each budgeted channel via apply_channel_z; the
     first minimum, clamped at 0, its channel and the channel count."""
     best, best_rgs = math.inf, ()
-    channels = list(itertools.islice(set_partitions(d.dims[2]), CHANNEL_BUDGET))
+    channels = list(itertools.islice(_set_partitions(d.dims[2]), CHANNEL_BUDGET))
     for rgs in channels:
         dbar = apply_channel_z(d, Channel.deterministic(rgs))
         val = conditional_mutual_information(dbar.p, (0,), (1,), (2,))
@@ -610,13 +615,13 @@ def test_unresolved_kd_class_degrades_only_near_the_minimum(monkeypatch):
 
 def test_set_partitions_runs_once_per_alphabet(monkeypatch):
     calls = []
-    enumerate_ = classify_module.set_partitions
+    enumerate_ = classify_module._set_partitions
 
     def spy(n):
         calls.append(n)
         return enumerate_(n)
 
-    monkeypatch.setattr(classify_module, "set_partitions", spy)
+    monkeypatch.setattr(classify_module, "_set_partitions", spy)
     _channel_table.cache_clear()
     rng = np.random.default_rng(6)
     for dz in (5, 6, 5, 6):

@@ -14,7 +14,6 @@ from secrecy_forge.common_info import (
     _partitions,
     common_information,
     conditional_common_function,
-    maximal_common_partition,
 )
 from secrecy_forge.distributions import Dist2, Dist3, entropy_bits, product_power
 from secrecy_forge.keyrates import (
@@ -44,6 +43,12 @@ def bfs_blocks(p: np.ndarray, eps: float = 1e-12) -> set[frozenset[tuple[int, in
     return blocks
 
 
+def partition_of(p: np.ndarray):
+    """Maximal common partition of a 2-d pmf's support: the one per-z
+    partition of its conditional common function."""
+    return conditional_common_function(Dist3(p[:, :, None])).per_z[0]
+
+
 def partition_cells(part, p: np.ndarray) -> set[frozenset[tuple[int, int]]]:
     out = set()
     for xs, ys in part.blocks:
@@ -63,13 +68,13 @@ def test_partition_matches_bfs_oracle(make_dist):
         for _ in range(10):
             d = make_dist((4, 4, 1), sparsity=sparsity)
             p = d.p[:, :, 0]
-            part = maximal_common_partition(Dist2(p))
+            part = partition_of(p)
             assert partition_cells(part, p) == bfs_blocks(p)
 
 
 def test_partition_blocks_are_disjoint(make_dist):
     d = make_dist((5, 4, 1), sparsity=0.5)
-    part = maximal_common_partition(Dist2(d.p[:, :, 0]))
+    part = conditional_common_function(d).per_z[0]
     seen_x: set[int] = set()
     seen_y: set[int] = set()
     for xs, ys in part.blocks:
@@ -83,14 +88,14 @@ def test_partition_order_is_canonical():
     p = np.zeros((4, 4))
     p[3, 3] = 0.5
     p[0, 0] = 0.5
-    part = maximal_common_partition(Dist2(p))
+    part = partition_of(p)
     assert part.blocks[0] == ((0,), (0,))
     assert part.blocks[1] == ((3,), (3,))
 
 
 def test_full_support_is_one_block(make_dist):
     d = make_dist((3, 3, 1))
-    part = maximal_common_partition(Dist2(d.p[:, :, 0]))
+    part = conditional_common_function(d).per_z[0]
     assert len(part) == 1
     assert abs(common_information(Dist2(d.p[:, :, 0]))) < 1e-12
 
@@ -98,7 +103,7 @@ def test_full_support_is_one_block(make_dist):
 def test_diagonal_support_common_information():
     p = np.diag([0.25, 0.25, 0.5])
     d2 = Dist2(p)
-    part = maximal_common_partition(d2)
+    part = partition_of(p)
     assert len(part) == 3
     assert abs(common_information(d2) - entropy_bits([0.25, 0.25, 0.5])) < 1e-12
 

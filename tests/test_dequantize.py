@@ -8,11 +8,10 @@ import pytest
 
 from secrecy_forge.dequantize import (
     InstrumentTree,
-    classical_law,
     random_instrument_tree,
     verify_equivalence,
 )
-from secrecy_forge.distributions import Dist3
+from secrecy_forge.distributions import Dist3, product_power
 from secrecy_forge.errors import (
     DimensionCapExceeded,
     InvalidChannel,
@@ -25,13 +24,18 @@ dequantize_module = importlib.import_module("secrecy_forge.dequantize")
 
 def quantum_law(tree: InstrumentTree, d: Dist3, n: int = 1) -> np.ndarray:
     """The tree's output law on d**n, one side of ``verify_equivalence``."""
-    pn = dequantize_module._checked_power(tree, d, n, "tree")
+    pn = dequantize_module._checked_power(tree, d, n)
     return dequantize_module._quantum_law(pn, dequantize_module._path_maps(tree))
 
 
 def dequantize(tree: InstrumentTree):
     """The tree's classical twin, the other side of ``verify_equivalence``."""
     return dequantize_module._dequantize(tree, dequantize_module._path_maps(tree))
+
+
+def classical_law(proto, d: Dist3, n: int = 1) -> np.ndarray:
+    """The twin's output law on d**n, which ``verify_equivalence`` compares."""
+    return dequantize_module._classical_law(proto, product_power(d, n))
 
 
 EYE = np.eye(2, dtype=complex)
@@ -208,6 +212,24 @@ class TestEquivalence:
         monkeypatch.setattr(dequantize_module, "_path_maps", counted)
         assert verify_equivalence(tree, d, n=n) <= 1e-9
         assert len(walks) == 1
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_powers_the_distribution_once(self, rng, make_dist, monkeypatch, n):
+        # the twin runs on the tree's own d**n: its dims, outcomes and rounds
+        # are the tree's, so a second power and cap check could never fail
+        powers = []
+        real = dequantize_module.product_power
+
+        def counted(d, n):
+            powers.append(n)
+            return real(d, n)
+
+        d = make_dist((2, 2, 2))
+        tree = random_instrument_tree(2**n, 2**n, rounds=2, outcomes=2,
+                                      kraus_each=2, rng=rng)
+        monkeypatch.setattr(dequantize_module, "product_power", counted)
+        assert verify_equivalence(tree, d, n=n) <= 1e-9
+        assert powers == [n]
 
 
 class TestValidation:

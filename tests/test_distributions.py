@@ -16,7 +16,6 @@ from secrecy_forge.distributions import (
     binary_entropy,
     conditional_mutual_information,
     entropy_bits,
-    joint_marginal,
     mutual_information,
     product_power,
 )
@@ -163,8 +162,13 @@ def test_entropy_bounds(p):
 
 
 def test_joint_marginal_groups(make_dist):
+    # I(X:Z) groups axes 0 and 2, in either order: its joint term is the
+    # entropy of the (x, z) marginal
     d = make_dist((2, 3, 2))
-    np.testing.assert_allclose(joint_marginal(d.p, (0, 2)), d.p.sum(axis=1))
+    want = (entropy_bits(d.p.sum(axis=(1, 2))) + entropy_bits(d.p.sum(axis=(0, 1)))
+            - entropy_bits(d.p.sum(axis=1)))
+    for a, b in (((0,), (2,)), ((2,), (0,))):
+        assert mutual_information(d.p, a, b) == pytest.approx(want, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

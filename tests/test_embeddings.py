@@ -24,7 +24,7 @@ from secrecy_forge.embeddings import (
 from secrecy_forge.entanglement import esq_classical_extension_bound
 from secrecy_forge.errors import SecrecyForgeError
 from secrecy_forge.keyrates import _esq
-from secrecy_forge.qlinalg import QState, partial_trace, von_neumann_entropy
+from secrecy_forge.qlinalg import QState, partial_trace
 
 
 def random_phases(rng, dims) -> PhaseAssignment:
@@ -146,7 +146,7 @@ def test_pair_state_is_the_traced_coherent_embedding(case):
 
 
 @given(dist_with_phases(), st.integers(0, 2**32 - 1))
-def test_block_sum_matches_the_dense_extension_route(case, seed):
+def test_block_sum_matches_the_dense_extension_route(vn_entropy, case, seed):
     # reference: (1/2) I(A:B|Zbar) of the dense extension, from the entropies
     # of its partial traces; the block route never builds that state
     d, ph = case
@@ -154,7 +154,7 @@ def test_block_sum_matches_the_dense_extension_route(case, seed):
     dz = d.dims[2]
     for ch in (None, Channel(rng.dirichlet(np.ones(int(rng.integers(1, 4))), size=dz))):
         sigma = dense_extension(d, ph, ch or Channel.identity(dz))
-        s_ab, s_a, s_b, s_z = (von_neumann_entropy(partial_trace(sigma, keep))
+        s_ab, s_a, s_b, s_z = (vn_entropy(partial_trace(sigma, keep))
                                for keep in ((0, 1, 2), (0, 2), (1, 2), (2,)))
         want = 0.5 * (s_a + s_b - s_ab - s_z)
         got = _esq(d, ch, ph, config.SUPPORT_EPS)

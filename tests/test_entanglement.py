@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from secrecy_forge import entanglement
 from secrecy_forge.entanglement import (
-    concurrence_2q,
     eof_2q,
     eof_numeric,
     esq_classical_extension_bound,
@@ -88,11 +87,11 @@ EOF_PINS = [
 class TestTwoQubitFormation:
     def test_bell_is_one_ebit(self):
         assert eof_2q(BELL).value == pytest.approx(1.0, abs=1e-12)
-        assert concurrence_2q(BELL).value == pytest.approx(1.0, abs=1e-12)
+        assert eof_2q(BELL).diagnostics["concurrence"] == pytest.approx(1.0, abs=1e-12)
 
     def test_product_is_zero(self):
         assert eof_2q(PRODUCT).value == 0.0
-        assert concurrence_2q(PRODUCT).value == 0.0
+        assert eof_2q(PRODUCT).diagnostics["concurrence"] == 0.0
 
     @pytest.mark.parametrize("p", [0.0, 0.2, 1 / 3, 0.5, 0.75, 0.9, 1.0])
     def test_werner_matches_concurrence_formula(self, p):

@@ -134,7 +134,7 @@ def correlated_pair_noisy_eve(draw):
 
 def loop_ceiling(d: Dist3) -> float:
     """min I(X:Y|Zbar) over the searched channels, each via apply_channel_z."""
-    channels = itertools.islice(classify_module.set_partitions(d.dims[2]),
+    channels = itertools.islice(classify_module._set_partitions(d.dims[2]),
                                 classify_module.CHANNEL_BUDGET)
     return max(0.0, min(
         conditional_mutual_information(

@@ -15,7 +15,6 @@ from secrecy_forge.qlinalg import (
     mutual_info_q,
     partial_trace,
     trace_distance,
-    von_neumann_entropy,
 )
 
 BELL = PureState(np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0), (2, 2))
@@ -155,28 +154,33 @@ def test_dephase_preserves_diagonal(make_density, dephase):
 # entropies, distances, conditional mutual information
 
 
-def test_entropy_of_pure_state_is_zero(make_density):
+def test_entropy_of_pure_state_is_zero(make_density, vn_entropy):
+    # mutual_info_q's S(AB) term is the library's entropy of the whole state
     st = make_density((2, 2), rank=1)
-    assert abs(von_neumann_entropy(st)) < 1e-9
+    s_a, s_b = (vn_entropy(partial_trace(st, (k,))) for k in (0, 1))
+    assert abs(s_a + s_b - mutual_info_q(st)) < 1e-9
 
 
-def test_entropy_reads_the_kept_spectrum(make_density, monkeypatch):
-    st = make_density((2, 2))
-    want = -sum(w * math.log2(w) for w in np.linalg.eigvalsh(st.rho) if w > 1e-12)
+def test_entropy_reads_the_kept_spectrum(make_density, monkeypatch, vn_entropy):
+    # only the two marginals are solved; S(AB) reads the spectrum that
+    # validation kept
+    st = make_density((2, 3))
+    s_ab = -sum(w * math.log2(w) for w in np.linalg.eigvalsh(st.rho) if w > 1e-12)
+    want = vn_entropy(partial_trace(st, (0,))) + vn_entropy(partial_trace(st, (1,))) - s_ab
     calls = []
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return np.linalg.eigh(*args, **kwargs)[0]
+    def counting(a, *args, **kwargs):
+        calls.append(a.shape)
+        return np.linalg.eigh(a, *args, **kwargs)[0]
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
-    assert von_neumann_entropy(st) == pytest.approx(want, abs=1e-12)
-    assert calls == []
+    assert mutual_info_q(st) == pytest.approx(want, abs=1e-12)
+    assert calls == [(2, 2), (3, 3)]
 
 
-def test_bell_reduced_entropy_is_one():
+def test_bell_reduced_entropy_is_one(vn_entropy):
     red = partial_trace(BELL.density(), (0,))
-    assert abs(von_neumann_entropy(red) - 1.0) < 1e-12
+    assert abs(vn_entropy(red) - 1.0) < 1e-12
 
 
 def test_trace_distance_extremes():
@@ -196,15 +200,16 @@ def test_bell_mutual_information():
 
 
 def test_mutual_information_equals_its_entropies_and_builds_no_state(
-    make_density, monkeypatch
+    make_density, monkeypatch, vn_entropy
 ):
-    # the marginals are the ones partial_trace builds, so every sum agrees
-    # to the bit; states are built before the spy goes in
+    # the marginals are the ones partial_trace builds and the entropies
+    # sum the same terms, so every sum agrees to the bit; states are built
+    # before the spy goes in
     states = [make_density((da, db), rank) for da in range(1, 5)
               for db in range(1, 5) for rank in (1, da * db)]
-    expected = [von_neumann_entropy(partial_trace(s, (0,)))
-                + von_neumann_entropy(partial_trace(s, (1,)))
-                - von_neumann_entropy(s) for s in states]
+    expected = [vn_entropy(partial_trace(s, (0,)))
+                + vn_entropy(partial_trace(s, (1,)))
+                - vn_entropy(s) for s in states]
     built = []
     validate = QState.__post_init__
 
