@@ -32,6 +32,12 @@ CHAIN_TOL = 2e-2
 # Hermiticity / positivity slack accepted by state constructors.
 STATE_TOL = 1e-10
 
+# Two key rates count as equal within this gap.  It is the default of
+# --tol.equality, which reaches dequantize-check and the reproduce items;
+# advantage labels, the lemma's agreement checks and the extension-bound
+# check in verify_chain read it fixed.
+EQUALITY_TOL = 1e-9
+
 ENV_CAPS = "SECRECY_FORGE_CAPS"
 
 
@@ -74,5 +80,5 @@ def default_tolerances() -> dict[str, float]:
         "support": SUPPORT_EPS,
         "entropy": ENTROPY_TOL,
         "chain": CHAIN_TOL,
-        "equality": 1e-9,
+        "equality": EQUALITY_TOL,
     }

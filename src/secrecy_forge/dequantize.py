@@ -35,9 +35,6 @@ History = tuple[int, ...]
 # Trace preservation required of every node and leaf channel.
 NODE_TOL = 1e-10
 
-# Row-stochasticity required of classical kernels.
-KERNEL_TOL = 1e-12
-
 
 def _as_kraus(ops, din: int, where: str) -> tuple[np.ndarray, ...]:
     """Normalize one CP map to a tuple of frozen complex (dout, din) arrays."""
@@ -173,81 +170,6 @@ class InstrumentTree:
         return self._histories
 
 
-@dataclass(frozen=True)
-class ClassicalProtocol:
-    """Broadcast kernels and final local channels extracted from a tree.
-
-    ``kernels`` maps each transcript prefix to a row-stochastic table
-    Pr[i_k | transcript, s] whose rows range over the acting party's
-    original symbol.  ``final_a`` / ``final_b`` map full transcripts to the
-    output laws Pr[x' | transcript, x] and Pr[y' | transcript, y].
-    """
-
-    rounds: int
-    dim_a: int
-    dim_b: int
-    out_a: int
-    out_b: int
-    kernels: dict[History, np.ndarray] = field(default_factory=dict)
-    final_a: dict[History, np.ndarray] = field(default_factory=dict)
-    final_b: dict[History, np.ndarray] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.rounds < 0 or self.rounds % 2 != 0:
-            raise InvalidProtocol(f"rounds must be even and >= 0, got {self.rounds}")
-        kernels = dict(self.kernels)
-
-        def expand(h: History, _) -> list[None]:
-            if h not in kernels:
-                raise InvalidProtocol(f"missing kernel for transcript {h}")
-            rows = self.dim_a if len(h) % 2 == 0 else self.dim_b
-            kernels[h] = _check_stochastic(kernels[h], rows, None, f"kernel{h}")
-            return [None] * kernels[h].shape[1]
-
-        hist = tuple(h for h, _ in _walk(self.rounds, None, expand))
-        for reg, given, rows, cols in (
-            ("a", self.final_a, self.dim_a, self.out_a),
-            ("b", self.final_b, self.dim_b, self.out_b),
-        ):
-            tables = dict(given)
-            for h in hist:
-                if h not in tables:
-                    raise InvalidProtocol(f"missing final_{reg} for transcript {h}")
-                tables[h] = _check_stochastic(
-                    tables[h], rows, cols, f"final_{reg}{h}"
-                )
-            object.__setattr__(self, f"final_{reg}", tables)
-        object.__setattr__(self, "kernels", kernels)
-        object.__setattr__(self, "_histories", hist)
-
-    def histories(self) -> tuple[History, ...]:
-        """All full transcripts in lexicographic (broadcast) order."""
-        return self._histories
-
-
-def _check_stochastic(
-    table: np.ndarray, rows: int, cols: int | None, where: str
-) -> np.ndarray:
-    arr = np.array(table, dtype=float, copy=True)
-    bad_shape = arr.ndim != 2 or arr.shape[0] != rows
-    if cols is not None:
-        bad_shape = bad_shape or arr.shape[1] != cols
-    if bad_shape:
-        raise InvalidProtocol(
-            f"{where}: shape {arr.shape}, expected ({rows}, {cols or '*'})"
-        )
-    if not np.all(np.isfinite(arr)):
-        raise InvalidProtocol(f"{where}: non-finite entry")
-    if arr.min() < -KERNEL_TOL:
-        raise InvalidProtocol(f"{where}: negative entry {arr.min()!r}")
-    defect = float(np.abs(arr.sum(axis=1) - 1.0).max())
-    if defect > KERNEL_TOL:
-        raise InvalidProtocol(f"{where}: rows sum away from 1 by {defect:.2e}")
-    arr = np.clip(arr, 0.0, None)
-    arr.setflags(write=False)
-    return arr
-
-
 # ---------------------------------------------------------------------------
 # exact simulation
 
@@ -351,14 +273,16 @@ def _ratio_rows(table: np.ndarray) -> np.ndarray:
     return out
 
 
-def _dequantize(tree: InstrumentTree, maps: tuple) -> ClassicalProtocol:
-    """The classical protocol with the same output law as ``tree`` on every
-    incoherent input, from the tree's ``_path_maps``.
+def _dequantize(tree: InstrumentTree, maps: tuple) -> tuple[dict, dict, dict]:
+    """The classical twin of ``tree``, from the tree's ``_path_maps``: the
+    tables ``(kernels, final_a, final_b)``, each keyed by transcript.
 
-    Broadcast kernels are the trace ratios of the acting party's
-    accumulated CP map on basis inputs; final channels are the normalized
-    diagonals of the leaf states.  Rows conditioned on unreachable
-    transcripts are set uniform; they never influence the output law.
+    ``kernels[h]`` is Pr[i_k | h, s], rows over the acting party's original
+    symbol: the trace ratios of its accumulated CP map on basis inputs.
+    ``final_a[h]`` / ``final_b[h]`` are Pr[x' | h, x] and Pr[y' | h, y], the
+    normalized diagonals of the leaf states.  Rows conditioned on
+    unreachable transcripts are set uniform; they never influence the
+    output law.  Every row is a probability vector by construction.
     """
     traces, fin_a, fin_b = maps
     hist = tree.histories()
@@ -367,35 +291,27 @@ def _dequantize(tree: InstrumentTree, maps: tuple) -> ClassicalProtocol:
         {h: _ratio_rows(np.einsum("xii->xi", fin).real) for h, fin in zip(hist, fins)}
         for fins in (fin_a, fin_b)
     )
-    return ClassicalProtocol(
-        rounds=tree.rounds,
-        dim_a=tree.dim_a,
-        dim_b=tree.dim_b,
-        out_a=tree.out_a,
-        out_b=tree.out_b,
-        kernels=kernels,
-        final_a=final_a,
-        final_b=final_b,
-    )
+    return kernels, final_a, final_b
 
 
-def _classical_law(proto: ClassicalProtocol, pn: Dist3) -> np.ndarray:
-    """Forward-chain the protocol on ``pn`` = ``d**n``: the law of
-    (A', B', E, M)."""
-    hist = proto.histories()
-    joint = np.zeros((proto.out_a, proto.out_b, pn.dims[2], len(hist)))
+def _classical_law(tree: InstrumentTree, twin: tuple, pn: Dist3) -> np.ndarray:
+    """Forward-chain the twin ``_dequantize(tree, ...)`` on ``pn`` = ``d**n``:
+    the law of (A', B', E, M)."""
+    kernels, final_a, final_b = twin
+    hist = tree.histories()
+    joint = np.zeros((tree.out_a, tree.out_b, pn.dims[2], len(hist)))
 
     def expand(h: History, w: tuple[np.ndarray, np.ndarray]) -> list:
         wa, wb = w
-        table = proto.kernels[h]
+        table = kernels[h]
         if len(h) % 2 == 0:
             return [(wa * table[:, m], wb) for m in range(table.shape[1])]
         return [(wa, wb * table[:, m]) for m in range(table.shape[1])]
 
-    root = (np.ones(proto.dim_a), np.ones(proto.dim_b))
-    for i, (h, (wa, wb)) in enumerate(_walk(proto.rounds, root, expand)):
-        ta = wa[:, None] * proto.final_a[h]
-        tb = wb[:, None] * proto.final_b[h]
+    root = (np.ones(tree.dim_a), np.ones(tree.dim_b))
+    for i, (h, (wa, wb)) in enumerate(_walk(tree.rounds, root, expand)):
+        ta = wa[:, None] * final_a[h]
+        tb = wb[:, None] * final_b[h]
         joint[:, :, :, i] = np.einsum("xyz,xa,yb->abz", pn.p, ta, tb)
     return joint
 
@@ -409,7 +325,7 @@ def verify_equivalence(tree: InstrumentTree, d: Dist3, n: int = 1) -> float:
     pn = _checked_power(tree, d, n)
     maps = _path_maps(tree)  # one power and one walk serve both sides
     quantum = _quantum_law(pn, maps)
-    classical = _classical_law(_dequantize(tree, maps), pn)
+    classical = _classical_law(tree, _dequantize(tree, maps), pn)
     return float(0.5 * np.abs(quantum - classical).sum())
 
 

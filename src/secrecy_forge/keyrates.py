@@ -68,8 +68,6 @@ __all__ = [
     "lemma_example_rates",
 ]
 
-EQ_TOL = 1e-9
-
 
 # ---------------------------------------------------------------------------
 # bundled example distributions
@@ -376,7 +374,7 @@ def verify_chain(
                     "key_rate_vs_extension_bound",
                     "K_D_class_formula", kd.value,
                     "E_sq_bound", esq.value,
-                    EQ_TOL,
+                    config.EQUALITY_TOL,
                 )
             )
         if report.ubi_pd == YES:
@@ -461,9 +459,9 @@ def advantage_report(
     (reversible + semi-unambiguous, block-compatible phases).  Otherwise
     it is bracketed by E_r's floor and the smallest certified upper
     bound, and taken as the bracket's top once the bracket has closed
-    within ``EQ_TOL``; the label only fires when the brackets separate
-    strictly.  The classical rate and the certificate channel come from
-    one ``classify(d, tol, support_eps)``.
+    within ``config.EQUALITY_TOL``; the label only fires when the brackets
+    separate strictly.  The classical rate and the certificate channel
+    come from one ``classify(d, tol, support_eps)``.
     """
     report, kd, compatible, rho_ab, measures = _quantum_side(
         d, phases, seed, tol, support_eps
@@ -498,21 +496,21 @@ def advantage_report(
         # Winter 2005)
         q_hi = min(m.value for name, m in measures.items() if name != "K_D_classical")
         q_lo = er.diagnostics["lower_bound"]
-        if q_hi - q_lo <= EQ_TOL:
+        if q_hi - q_lo <= config.EQUALITY_TOL:
             q_value = q_hi
 
     gap: float | None = None
     if kd.kind == "exact" and q_value is not None:
         gap = kd.value - q_value
-        if abs(gap) <= EQ_TOL:
+        if abs(gap) <= config.EQUALITY_TOL:
             label = "balanced"
         elif gap > 0:
             label = "eve_advantage"
         else:
             label = "ab_advantage"
-    elif c_lo > q_hi + EQ_TOL:
+    elif c_lo > q_hi + config.EQUALITY_TOL:
         label = "eve_advantage"
-    elif q_lo > c_hi + EQ_TOL:
+    elif q_lo > c_hi + config.EQUALITY_TOL:
         label = "ab_advantage"
     else:
         label = "indeterminate"
@@ -629,7 +627,7 @@ def lemma_example_rates() -> dict:
             mi = mutual_info_q(branch)
             v = 0.5 * mi if _is_pure(branch) else mi
             m = _measured_key_value(branch)
-            if abs(v - m) > EQ_TOL:
+            if abs(v - m) > config.EQUALITY_TOL:
                 raise SecrecyForgeError(
                     f"{name} branch z={z}: key value {v} != measured value {m}"
                 )
@@ -645,8 +643,9 @@ def lemma_example_rates() -> dict:
             "half_cmi_extension_bound": half_cmi,
             "literal_dephasing_distance": trace_distance(st, literal[name]),
         }
+    tol = config.EQUALITY_TOL
     out["ordering"] = {
-        "qqq_gt_cqq": out["qqq"]["value"] > out["cqq"]["value"] + EQ_TOL,
-        "cqq_gt_ccq": out["cqq"]["value"] > out["ccq"]["value"] + EQ_TOL,
+        "qqq_gt_cqq": out["qqq"]["value"] > out["cqq"]["value"] + tol,
+        "cqq_gt_ccq": out["cqq"]["value"] > out["ccq"]["value"] + tol,
     }
     return out

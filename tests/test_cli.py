@@ -632,6 +632,36 @@ def test_every_import_is_read():
         assert not imported - read, (path.name, sorted(imported - read))
 
 
+def test_every_module_constant_is_read():
+    # an UPPER_CASE name assigned at module level must be loaded somewhere
+    # in the package, as a name or as an attribute; a threshold that
+    # nothing reads any more is dead policy
+    src = Path(secrecy_forge.__file__).parent
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(src.glob("*.py"))}
+    defined = {
+        (name, target.id)
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+        if isinstance(target, ast.Name)
+        and re.fullmatch(r"[A-Z][A-Z0-9_]*", target.id)
+    }
+    read = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+        and isinstance(node.ctx, ast.Load)
+    }
+    assert defined
+    unread = sorted(f"{name}:{const}" for name, const in defined
+                    if const not in read)
+    assert not unread, unread
+
+
 def test_every_exported_name_has_a_caller():
     # a name in __all__ must be read by another module of the package, by
     # the benchmark or by the scripts, or be written in backticks in README;

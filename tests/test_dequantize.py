@@ -29,13 +29,14 @@ def quantum_law(tree: InstrumentTree, d: Dist3, n: int = 1) -> np.ndarray:
 
 
 def dequantize(tree: InstrumentTree):
-    """The tree's classical twin, the other side of ``verify_equivalence``."""
+    """The tree's classical twin ``(kernels, final_a, final_b)``, the other
+    side of ``verify_equivalence``."""
     return dequantize_module._dequantize(tree, dequantize_module._path_maps(tree))
 
 
-def classical_law(proto, d: Dist3, n: int = 1) -> np.ndarray:
+def classical_law(tree: InstrumentTree, twin, d: Dist3, n: int = 1) -> np.ndarray:
     """The twin's output law on d**n, which ``verify_equivalence`` compares."""
-    return dequantize_module._classical_law(proto, product_power(d, n))
+    return dequantize_module._classical_law(tree, twin, product_power(d, n))
 
 
 EYE = np.eye(2, dtype=complex)
@@ -91,11 +92,44 @@ def computational_announce_tree(dim_a: int, dim_b: int) -> InstrumentTree:
     )
 
 
+def _seeded_dist(dims: tuple[int, int, int], seed: int) -> Dist3:
+    p = np.random.default_rng(seed).random(dims)
+    return Dist3(p / p.sum())
+
+
+def _seeded_tree(dim_a, dim_b, rounds, outcomes, kraus_each, seed):
+    return random_instrument_tree(dim_a, dim_b, rounds, outcomes, kraus_each,
+                                  np.random.default_rng(seed))
+
+
+# (tree, distribution, copies) per case
+PIN_CASES = {
+    "random-r0-o2-k1": lambda: (_seeded_tree(2, 2, 0, 2, 1, 1),
+                                _seeded_dist((2, 2, 2), 11), 1),
+    "random-r2-o2-k1": lambda: (_seeded_tree(2, 2, 2, 2, 1, 2),
+                                _seeded_dist((2, 2, 2), 12), 1),
+    "random-r2-o3-k2": lambda: (_seeded_tree(2, 3, 2, 3, 2, 3),
+                                _seeded_dist((2, 3, 2), 13), 1),
+    "random-r4-o2-k2": lambda: (_seeded_tree(2, 2, 4, 2, 2, 4),
+                                _seeded_dist((2, 2, 3), 14), 1),
+    "random-r4-o2-k1": lambda: (_seeded_tree(3, 2, 4, 2, 1, 5),
+                                _seeded_dist((3, 2, 1), 15), 1),
+    "random-r2-o3-k1": lambda: (_seeded_tree(3, 3, 2, 3, 1, 7),
+                                _seeded_dist((3, 3, 2), 19), 1),
+    "random-n2": lambda: (_seeded_tree(4, 4, 2, 2, 1, 6),
+                          _seeded_dist((2, 2, 2), 16), 2),
+    "announce-3x3": lambda: (computational_announce_tree(3, 3),
+                             _seeded_dist((3, 3, 2), 17), 1),
+    "trivial-2x2": lambda: (trivial_tree(2, 2), _seeded_dist((2, 2, 2), 18), 1),
+}
+
+
 class TestCannedTrees:
     def test_trivial_tree_reproduces_distribution(self, make_dist):
         d = make_dist((2, 3, 2))
         tree = trivial_tree(2, 3)
-        for law in (quantum_law(tree, d), classical_law(dequantize(tree), d)):
+        for law in (quantum_law(tree, d),
+                    classical_law(tree, dequantize(tree), d)):
             assert law.shape == (2, 3, 2, 1)
             np.testing.assert_allclose(law[..., 0], d.p, atol=1e-15)
 
@@ -107,7 +141,8 @@ class TestCannedTrees:
         for x in range(2):
             for z in range(2):
                 expected[x, x, z, x] = d.p[x, :, z].sum()
-        for law in (quantum_law(tree, d), classical_law(dequantize(tree), d)):
+        for law in (quantum_law(tree, d),
+                    classical_law(tree, dequantize(tree), d)):
             np.testing.assert_allclose(law, expected, atol=1e-15)
 
     def test_coherence_between_node_and_leaf_is_kept(self, make_dist):
@@ -119,7 +154,8 @@ class TestCannedTrees:
             instruments={(): ((HADAMARD,),), (0,): ((EYE,),)},
             leaf_a={(0, 0): (HADAMARD,)}, leaf_b={(0, 0): (EYE,)},
         )
-        for law in (quantum_law(tree, d), classical_law(dequantize(tree), d)):
+        for law in (quantum_law(tree, d),
+                    classical_law(tree, dequantize(tree), d)):
             assert law.shape == (2, 2, 3, 1)
             np.testing.assert_allclose(law[..., 0], d.p, atol=1e-15)
 
@@ -129,24 +165,37 @@ class TestCannedTrees:
 
 
 class TestDequantize:
-    def test_kernels_and_finals_are_stochastic(self, rng):
-        tree = random_instrument_tree(2, 2, rounds=2, outcomes=2,
-                                      kraus_each=2, rng=rng)
-        proto = dequantize(tree)
-        for table in (*proto.kernels.values(), *proto.final_a.values(),
-                      *proto.final_b.values()):
+    @pytest.mark.parametrize("case", sorted(PIN_CASES))
+    def test_kernels_and_finals_are_stochastic(self, case):
+        # the twin's tables are row-stochastic by construction, so nothing
+        # checks them at run time: kernel rows range over the acting party's
+        # symbol and columns over its outcomes, final tables are (dim, out)
+        tree = PIN_CASES[case]()[0]
+        kernels, final_a, final_b = dequantize(tree)
+        assert kernels.keys() == tree.instruments.keys()
+        for h, table in kernels.items():
+            rows = tree.dim_a if len(h) % 2 == 0 else tree.dim_b
+            assert table.shape == (rows, len(tree.instruments[h]))
+        hist = tree.histories()
+        assert final_a.keys() == final_b.keys() == set(hist)
+        for h in hist:
+            assert final_a[h].shape == (tree.dim_a, tree.out_a)
+            assert final_b[h].shape == (tree.dim_b, tree.out_b)
+        for table in (*kernels.values(), *final_a.values(), *final_b.values()):
+            assert np.all(np.isfinite(table))
             assert table.min() >= 0.0
-            np.testing.assert_allclose(table.sum(axis=1), 1.0, atol=1e-12)
+            np.testing.assert_allclose(table.sum(axis=1), 1.0, rtol=0.0,
+                                       atol=1e-12)
 
     def test_unreachable_rows_become_uniform(self):
-        proto = dequantize(projective_announce_tree())
-        np.testing.assert_allclose(proto.kernels[()], np.eye(2), atol=1e-15)
+        kernels, final_a, _ = dequantize(projective_announce_tree())
+        np.testing.assert_allclose(kernels[()], np.eye(2), atol=1e-15)
         # after Alice projects onto m, the opposite input row carries no mass
         np.testing.assert_allclose(
-            proto.final_a[(0, 0)], [[1.0, 0.0], [0.5, 0.5]], atol=1e-15
+            final_a[(0, 0)], [[1.0, 0.0], [0.5, 0.5]], atol=1e-15
         )
         np.testing.assert_allclose(
-            proto.final_a[(1, 0)], [[0.5, 0.5], [0.0, 1.0]], atol=1e-15
+            final_a[(1, 0)], [[0.5, 0.5], [0.0, 1.0]], atol=1e-15
         )
 
     def test_uniform_rows_never_reach_the_output(self):
@@ -178,7 +227,7 @@ class TestEquivalence:
         tree = random_instrument_tree(2, 2, rounds=2, outcomes=2,
                                       kraus_each=2, rng=rng)
         quantum = quantum_law(tree, d)
-        classical = classical_law(dequantize(tree), d)
+        classical = classical_law(tree, dequantize(tree), d)
         for axes in ((0, 1, 2), (0, 1, 3)):
             np.testing.assert_allclose(quantum.sum(axis=axes),
                                        classical.sum(axis=axes), atol=1e-10)
@@ -212,6 +261,25 @@ class TestEquivalence:
         monkeypatch.setattr(dequantize_module, "_path_maps", counted)
         assert verify_equivalence(tree, d, n=n) <= 1e-9
         assert len(walks) == 1
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_walks_the_tree_once_per_side(self, rng, make_dist, monkeypatch,
+                                          n):
+        # one walk applies the tree's CP maps, one forward-chains the twin;
+        # the twin's tables are not walked again to be validated
+        walks = []
+        real = dequantize_module._walk
+
+        def counted(rounds, root, expand):
+            walks.append(rounds)
+            return real(rounds, root, expand)
+
+        d = make_dist((2, 2, 2))
+        tree = random_instrument_tree(2**n, 2**n, rounds=2, outcomes=2,
+                                      kraus_each=2, rng=rng)
+        monkeypatch.setattr(dequantize_module, "_walk", counted)
+        assert verify_equivalence(tree, d, n=n) <= 1e-9
+        assert walks == [2, 2]
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_powers_the_distribution_once(self, rng, make_dist, monkeypatch, n):
@@ -291,37 +359,6 @@ def _digest(*arrays: np.ndarray) -> str:
     return h.hexdigest()
 
 
-def _seeded_dist(dims: tuple[int, int, int], seed: int) -> Dist3:
-    p = np.random.default_rng(seed).random(dims)
-    return Dist3(p / p.sum())
-
-
-def _seeded_tree(dim_a, dim_b, rounds, outcomes, kraus_each, seed):
-    return random_instrument_tree(dim_a, dim_b, rounds, outcomes, kraus_each,
-                                  np.random.default_rng(seed))
-
-
-# (tree, distribution, copies) per case
-PIN_CASES = {
-    "random-r0-o2-k1": lambda: (_seeded_tree(2, 2, 0, 2, 1, 1),
-                                _seeded_dist((2, 2, 2), 11), 1),
-    "random-r2-o2-k1": lambda: (_seeded_tree(2, 2, 2, 2, 1, 2),
-                                _seeded_dist((2, 2, 2), 12), 1),
-    "random-r2-o3-k2": lambda: (_seeded_tree(2, 3, 2, 3, 2, 3),
-                                _seeded_dist((2, 3, 2), 13), 1),
-    "random-r4-o2-k2": lambda: (_seeded_tree(2, 2, 4, 2, 2, 4),
-                                _seeded_dist((2, 2, 3), 14), 1),
-    "random-r4-o2-k1": lambda: (_seeded_tree(3, 2, 4, 2, 1, 5),
-                                _seeded_dist((3, 2, 1), 15), 1),
-    "random-r2-o3-k1": lambda: (_seeded_tree(3, 3, 2, 3, 1, 7),
-                                _seeded_dist((3, 3, 2), 19), 1),
-    "random-n2": lambda: (_seeded_tree(4, 4, 2, 2, 1, 6),
-                          _seeded_dist((2, 2, 2), 16), 2),
-    "announce-3x3": lambda: (computational_announce_tree(3, 3),
-                             _seeded_dist((3, 3, 2), 17), 1),
-    "trivial-2x2": lambda: (trivial_tree(2, 2), _seeded_dist((2, 2, 2), 18), 1),
-}
-
 # sha256 of quantum_law(...), of classical_law(...) and
 # of the dequantized tables (kernels in transcript order, then final_a and
 # final_b in histories() order), and verify_equivalence as float.hex
@@ -388,13 +425,12 @@ def test_dequantization_is_bitwise_pinned(case):
     tree, d, n = PIN_CASES[case]()
     hist = tree.histories()
     assert list(hist) == sorted(hist)
-    proto = dequantize(tree)
-    assert proto.histories() == hist
-    tables = [proto.kernels[h] for h in sorted(proto.kernels)]
-    tables += [proto.final_a[h] for h in hist] + [proto.final_b[h] for h in hist]
+    twin = kernels, final_a, final_b = dequantize(tree)
+    tables = [kernels[h] for h in sorted(kernels)]
+    tables += [final_a[h] for h in hist] + [final_b[h] for h in hist]
     got = (
         _digest(quantum_law(tree, d, n)),
-        _digest(classical_law(proto, d, n)),
+        _digest(classical_law(tree, twin, d, n)),
         _digest(*tables),
         verify_equivalence(tree, d, n).hex(),
     )
