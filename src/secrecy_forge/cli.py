@@ -129,17 +129,14 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("classify", help="class membership report for a distribution")
-    sp.add_argument("--dist", required=True)
-    _add_common(sp)
-
-    sp = sub.add_parser("commoninfo", help="per-flag common partitions and entropy")
-    sp.add_argument("--dist", required=True)
-    _add_common(sp)
-
-    sp = sub.add_parser("keyrate", help="classical key rate (exact where the class allows)")
-    sp.add_argument("--dist", required=True)
-    _add_common(sp)
+    for command, text in (
+        ("classify", "class membership report for a distribution"),
+        ("commoninfo", "per-flag common partitions and entropy"),
+        ("keyrate", "classical key rate (exact where the class allows)"),
+    ):
+        sp = sub.add_parser(command, help=text)
+        sp.add_argument("--dist", required=True)
+        _add_common(sp)
 
     sp = sub.add_parser("embed", help="quantum embedding of a distribution")
     sp.add_argument("--dist", required=True)
@@ -182,12 +179,8 @@ def _parser() -> argparse.ArgumentParser:
 # report plumbing
 
 
-def _emit(
-    args: argparse.Namespace,
-    tols: dict[str, float],
-    inputs: dict[str, str],
-    result: Any,
-) -> None:
+def _emit(args: argparse.Namespace, tols: dict[str, float], result: Any) -> None:
+    """Print or write the envelope; ``inputs`` digests every file argument given."""
     envelope = {
         "version": __version__,
         "command": args.command,
@@ -195,7 +188,8 @@ def _emit(
         "tolerances": tols,
         "inputs": {
             name: {"path": str(path), "sha256": io.sha256_file(path)}
-            for name, path in inputs.items()
+            for name in ("dist", "phases", "state", "tree")
+            if (path := getattr(args, name, None))
         },
         "result": result,
     }
@@ -222,8 +216,14 @@ def _item(
     }
 
 
-def _items_exit(items: list[dict]) -> int:
-    return 0 if all(it["passed"] for it in items) else 1
+def _same(name: str, value: Any, expected: Any) -> dict:
+    return _item(name, value, expected, value == expected)
+
+
+def _near(name: str, value: Any, expected: float, tol: float, ok: bool = True) -> dict:
+    """Passes when ``ok`` and value is within tol of expected; None fails."""
+    passed = ok and value is not None and abs(value - expected) <= tol
+    return _item(name, value, expected, passed, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +233,7 @@ def _items_exit(items: list[dict]) -> int:
 def _cmd_classify(args, tols) -> int:
     d = io.load_dist(args.dist)
     report = classify(d, tol=tols["entropy"], support_eps=tols["support"])
-    _emit(args, tols, {"dist": args.dist}, report.to_json())
+    _emit(args, tols, report.to_json())
     return 0
 
 
@@ -247,14 +247,14 @@ def _cmd_commoninfo(args, tols) -> int:
             Dist2(d.p.sum(axis=2)), support_eps=tols["support"]
         ),
     }
-    _emit(args, tols, {"dist": args.dist}, result)
+    _emit(args, tols, result)
     return 0
 
 
 def _cmd_keyrate(args, tols) -> int:
     d = io.load_dist(args.dist)
     rate = kd_class(d, tol=tols["entropy"], support_eps=tols["support"])
-    _emit(args, tols, {"dist": args.dist}, rate.to_json())
+    _emit(args, tols, rate.to_json())
     return 0
 
 
@@ -263,48 +263,37 @@ def _cmd_embed(args, tols) -> int:
     phases = io.load_phases(args.phases, d.dims) if args.phases else None
     if args.kind == "ccc" and phases is not None:
         raise UsageError("the ccc embedding carries no phases; drop --phases")
-    if args.kind == "qqq":
-        state = embed_qqq(d, phases).density()
-    elif args.kind == "cqq":
-        state = embed_cqq(d, phases)
-    elif args.kind == "ccq":
-        state = embed_ccq(d, phases)
-    else:
-        state = embed_ccc(d)
-    inputs = {"dist": args.dist}
-    if args.phases:
-        inputs["phases"] = args.phases
-    _emit(args, tols, inputs, {"kind": args.kind, "state": io.dump_state(state)})
+    state = {
+        "qqq": lambda: embed_qqq(d, phases).density(),
+        "cqq": lambda: embed_cqq(d, phases),
+        "ccq": lambda: embed_ccq(d, phases),
+        "ccc": lambda: embed_ccc(d),
+    }[args.kind]()
+    _emit(args, tols, {"kind": args.kind, "state": io.dump_state(state)})
     return 0
 
 
 def _cmd_measures(args, tols) -> int:
     state = io.load_state(args.state)
-    which: list[str] = []
-    for name in args.which.split(","):
-        name = name.strip()
-        if name not in ("ef", "esq", "er", "neg"):
+    measure = {
+        "ef": lambda: (
+            eof_2q(state) if state.dims == (2, 2) else eof_numeric(state, seed=args.seed)
+        ),
+        "esq": lambda: esq_classical_extension_bound(state),
+        "er": lambda: rel_ent_upper(state, seed=args.seed, tol=tols["entropy"]),
+        "neg": lambda: negativity_log(state),
+    }
+    which = dict.fromkeys(name.strip() for name in args.which.split(","))
+    for name in which:
+        if name not in measure:
             raise UsageError(f"unknown measure {name!r}; pick from ef,esq,er,neg")
-        if name not in which:
-            which.append(name)
     results = []
     for name in which:
         try:
-            if name == "ef":
-                if state.dims == (2, 2):
-                    m = eof_2q(state)
-                else:
-                    m = eof_numeric(state, seed=args.seed)
-            elif name == "esq":
-                m = esq_classical_extension_bound(state)
-            elif name == "er":
-                m = rel_ent_upper(state, seed=args.seed, tol=tols["entropy"])
-            else:
-                m = negativity_log(state)
+            results.append(measure[name]().to_json())
         except SecrecyForgeError as exc:
             raise UsageError(f"{name}: {exc}") from exc
-        results.append(m.to_json())
-    _emit(args, tols, {"state": args.state}, results)
+    _emit(args, tols, results)
     return 0
 
 
@@ -319,10 +308,7 @@ def _cmd_chain(args, tols) -> int:
         chain_tol=tols["chain"],
         support_eps=tols["support"],
     )
-    inputs = {"dist": args.dist}
-    if args.phases:
-        inputs["phases"] = args.phases
-    _emit(args, tols, inputs, report.to_json())
+    _emit(args, tols, report.to_json())
     return 0 if report.all_passed else 1
 
 
@@ -344,7 +330,7 @@ def _cmd_dequantize_check(args, tols) -> int:
         "tolerance": tol,
         "passed": passed,
     }
-    _emit(args, tols, {"tree": args.tree, "dist": args.dist}, result)
+    _emit(args, tols, result)
     return 0 if passed else 1
 
 
@@ -352,7 +338,7 @@ def _cmd_dequantize_check(args, tols) -> int:
 # bundled examples
 
 
-def _thm6a_result(lam: float, seed: int, tols: dict[str, float]) -> dict:
+def _thm6a_result(lam: float, tols: dict[str, float]) -> dict:
     if not 0.0 <= lam <= 0.5:
         raise UsageError("--lambda must lie in [0, 0.5]")
     d = binary_eve_family(lam)
@@ -361,17 +347,11 @@ def _thm6a_result(lam: float, seed: int, tols: dict[str, float]) -> dict:
     ef = eof_2q(pair_state(d))
     gap = rate.value - ef.value
     items = [
-        _item("kd_exact", rate.kind, "exact", rate.kind == "exact"),
-        _item(
-            "kd_matches_formula",
-            rate.value,
-            formula,
-            abs(rate.value - formula) <= tols["equality"],
-            tols["equality"],
-        ),
+        _same("kd_exact", rate.kind, "exact"),
+        _near("kd_matches_formula", rate.value, formula, tols["equality"]),
     ]
     if abs(lam - 0.5) <= 1e-12:
-        items.append(_item("kd_equals_formation", gap, 0.0, abs(gap) <= 1e-6, 1e-6))
+        items.append(_near("kd_equals_formation", gap, 0.0, 1e-6))
     elif lam > 0.0:
         items.append(
             _item("kd_exceeds_formation", gap, "> 0", gap > tols["equality"])
@@ -397,22 +377,10 @@ def _thm6b_result(seed: int, tols: dict[str, float]) -> dict:
     quantum = adv.quantum_value
     gap = None if quantum is None else quantum - classical
     items = [
-        _item(
-            "classical_rate",
-            classical,
-            0.311278124459,
-            abs(classical - 0.311278124459) <= 1e-3,
-            1e-3,
-        ),
-        _item(
-            "quantum_rate",
-            quantum,
-            0.600876,
-            quantum is not None and abs(quantum - 0.600876) <= 1e-3,
-            1e-3,
-        ),
+        _near("classical_rate", classical, 0.311278124459, 1e-3),
+        _near("quantum_rate", quantum, 0.600876, 1e-3),
         _item("gap_positive", gap, "> 0", gap is not None and gap > 0),
-        _item("label", adv.label, "ab_advantage", adv.label == "ab_advantage"),
+        _same("label", adv.label, "ab_advantage"),
     ]
     return {
         "advantage": adv.to_json(),
@@ -423,24 +391,16 @@ def _thm6b_result(seed: int, tols: dict[str, float]) -> dict:
 
 def _lemma_result(tols: dict[str, float]) -> dict:
     rates = lemma_example_rates()
-    tol = tols["equality"]
     expected = {"qqq": 1.0, "cqq": 2.0 / 3.0, "ccq": 1.0 / 3.0}
     items = [
-        _item(
-            f"{name}_rate",
-            rates[name]["value"],
-            expected[name],
-            abs(rates[name]["value"] - expected[name]) <= tol,
-            tol,
-        )
-        for name in ("qqq", "cqq", "ccq")
+        _near(f"{name}_rate", rates[name]["value"], value, tols["equality"])
+        for name, value in expected.items()
     ]
     items.append(
-        _item(
+        _same(
             "strict_ordering",
             rates["ordering"],
             {"qqq_gt_cqq": True, "cqq_gt_ccq": True},
-            rates["ordering"]["qqq_gt_cqq"] and rates["ordering"]["cqq_gt_ccq"],
         )
     )
     return {"rates": rates, "items": items, "notes": []}
@@ -467,20 +427,9 @@ def _thm7d_result(seed: int, tols: dict[str, float]) -> dict:
     report = chain.classification
     rate = chain.measures["K_D_class"]
     items = [
-        _item("ubi", report.ubi, "yes", report.ubi == "yes"),
-        _item(
-            "semi_unambiguous",
-            report.semi_unambiguous,
-            "yes",
-            report.semi_unambiguous == "yes",
-        ),
-        _item(
-            "kd",
-            rate.value,
-            1.0,
-            rate.kind == "exact" and abs(rate.value - 1.0) <= tols["equality"],
-            tols["equality"],
-        ),
+        _same("ubi", report.ubi, "yes"),
+        _same("semi_unambiguous", report.semi_unambiguous, "yes"),
+        _near("kd", rate.value, 1.0, tols["equality"], ok=rate.kind == "exact"),
     ] + chain_items
     return {
         "classification": report.to_json(),
@@ -500,25 +449,10 @@ def _table1_result(seed: int, tols: dict[str, float]) -> dict:
     adv_b = advantage_report(independent_eve_example(), seed=seed, tol=tol, support_eps=eps)
     rates = lemma_example_rates()
     items = [
-        _item(
-            "dequantize_deviation",
-            deviation,
-            0.0,
-            deviation <= tols["equality"],
-            tols["equality"],
-        ),
-        _item(
-            "classical_side_advantage",
-            adv_a.label,
-            "eve_advantage",
-            adv_a.label == "eve_advantage",
-        ),
-        _item(
-            "quantum_side_advantage",
-            adv_b.label,
-            "ab_advantage",
-            adv_b.label == "ab_advantage",
-        ),
+        # a sum of absolute differences, so never below 0
+        _near("dequantize_deviation", deviation, 0.0, tols["equality"]),
+        _same("classical_side_advantage", adv_a.label, "eve_advantage"),
+        _same("quantum_side_advantage", adv_b.label, "ab_advantage"),
         _item(
             "dephasing_ladder",
             [rates["qqq"]["value"], rates["cqq"]["value"], rates["ccq"]["value"]],
@@ -533,7 +467,7 @@ def _table2_result(seed: int, tols: dict[str, float]) -> dict:
     chain, items = _two_block_chain(seed, tols)
     rows = []
     for lam in (0.0, 0.1, 0.25, 0.4, 0.5):
-        sub = _thm6a_result(lam, seed, tols)
+        sub = _thm6a_result(lam, tols)
         rows.append({"lambda": lam, "kd": sub["kd"], "eof_ab": sub["eof_ab"]})
         items += [
             {**it, "name": f"lam_{lam:g}_{it['name']}"} for it in sub["items"]
@@ -550,21 +484,19 @@ def _cmd_reproduce(args, tols) -> int:
     if args.lam is not None and args.example != "thm6a":
         raise UsageError("--lambda only applies to thm6a")
     if args.example == "thm6a":
-        lam = 0.25 if args.lam is None else args.lam
-        result = _thm6a_result(lam, args.seed, tols)
-    elif args.example == "thm6b":
-        result = _thm6b_result(args.seed, tols)
+        result = _thm6a_result(0.25 if args.lam is None else args.lam, tols)
     elif args.example == "lemma":
         result = _lemma_result(tols)
-    elif args.example == "thm7d":
-        result = _thm7d_result(args.seed, tols)
-    elif args.example == "table1":
-        result = _table1_result(args.seed, tols)
     else:
-        result = _table2_result(args.seed, tols)
+        result = {
+            "thm6b": _thm6b_result,
+            "thm7d": _thm7d_result,
+            "table1": _table1_result,
+            "table2": _table2_result,
+        }[args.example](args.seed, tols)
     result["example"] = args.example
-    _emit(args, tols, {}, result)
-    return _items_exit(result["items"])
+    _emit(args, tols, result)
+    return 0 if all(it["passed"] for it in result["items"]) else 1
 
 
 _HANDLERS = {

@@ -221,6 +221,15 @@ def _path_maps(
 def _checked_power(tree: InstrumentTree, d: Dist3, n: int) -> Dist3:
     """``d**n`` once it fits the tree's dims and the size caps."""
     caps = config.load_caps()
+    # _path_maps builds density matrices of each party's and each node output's size
+    widest = max(
+        [tree.dim_a, tree.dim_b]
+        + [cp[0].shape[0] for node in tree.instruments.values() for cp in node]
+    )
+    if widest > caps.rho_dim:
+        raise DimensionCapExceeded(
+            f"tree density matrix dimension {widest}, cap is {caps.rho_dim}"
+        )
     pn = product_power(d, n)
     dims = (tree.dim_a, tree.dim_b)
     if pn.dims[:2] != dims:

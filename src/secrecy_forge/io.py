@@ -141,9 +141,14 @@ def _number(val: Any) -> bool:
 
 def _only_numbers(val: Any) -> bool:
     """True for a ``_number`` or nested lists of them."""
-    if isinstance(val, list):
-        return all(_only_numbers(v) for v in val)
-    return _number(val)
+    if not isinstance(val, list):
+        return _number(val)
+    if set(map(type, val)) <= {int, float}:  # a flat row: no call per element
+        try:
+            return all(map(math.isfinite, val))
+        except OverflowError:  # an integer too large for a float
+            return False
+    return all(_only_numbers(v) for v in val)
 
 
 def _int_list(doc: Any, path: str | Path, key: str, length: int | None = None) -> list[int]:

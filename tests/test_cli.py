@@ -539,6 +539,27 @@ class TestExitCodes:
                         "--dist", files["small_dist"]]) == 2
         assert "cap is 16" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("dim_a, nodes, hist", [
+        # eight 1x8 leaf rows on an 8-dim Alice
+        (8, {}, ""),
+        # a 2-dim Alice whose node is the isometry C^2 -> C^8
+        (2, {"": [[{"re": np.eye(8)[:, :2]}]], "0": [[{"re": [[1.0]]}]]}, "0,0"),
+    ], ids=["party", "node-output"])
+    def test_tree_density_matrices_past_rho_dim_are_usage(
+            self, capsys, tmp_path, monkeypatch, dim_a, nodes, hist):
+        # every output law is 1-dim, so only the party or node dimension
+        # says how large a density matrix the simulation builds
+        tree, dist = tmp_path / "tree.json", tmp_path / "dist.json"
+        dump_json({"rounds": len(nodes), "dim_a": dim_a, "dim_b": 1, "nodes": nodes,
+                   "leaf_a": {hist: [{"re": row[None]} for row in np.eye(8)]},
+                   "leaf_b": {hist: [{"re": [[1.0]]}]}}, tree)
+        dump_json({"dims": [dim_a, 1, 1], "p": np.full((dim_a, 1, 1), 1 / dim_a)}, dist)
+        argv = ["dequantize-check", "--tree", str(tree), "--dist", str(dist)]
+        assert cli.run(argv + ["--out", str(tmp_path / "out.json")]) == 0
+        monkeypatch.setenv("SECRECY_FORGE_CAPS", '{"rho_dim": 4}')
+        assert cli.run(argv) == 2
+        assert "tree density matrix dimension 8, cap is 4" in capsys.readouterr().err
+
     def test_unknown_command_exits_two(self, capsys):
         with pytest.raises(SystemExit) as info:
             cli.run(["frobnicate"])

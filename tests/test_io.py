@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
-from secrecy_forge import cli
+from secrecy_forge import cli, io
 from secrecy_forge.dequantize import random_instrument_tree, verify_equivalence
 from secrecy_forge.distributions import Dist3
 from secrecy_forge.embeddings import PhaseAssignment
@@ -472,12 +472,33 @@ def test_integer_fields_reject_non_integers(tmp_path, kind, where, value):
     ("state", ("im",), [[0, 10**400], [-(10**400), 0]]),
     ("tree", ("leaf_a", "", 0, "re", 0, 0), 10**400),
     ("tree", ("leaf_a", "", 0, "re", 0, 0), math.nan),
+    ("dist", ("p", 0, 0, 0), None),
+    ("dist", ("p", 0, 0, 0), math.inf),
+    ("dist", ("p", 0, 1), [0.5, -math.inf]),
+    ("dist", ("p", 0, 1), [0.5, [0.5]]),
+    ("state", ("re", 0, 0), None),
+    ("state", ("im",), [[0.0, 0.0], [0.0]]),
 ], ids=lambda v: "huge" if type(v) is int and v > 2**1024 else None)
 def test_number_fields_reject_non_numbers(tmp_path, kind, where, value):
     # float() would read the strings and booleans as valid numbers; the
     # rest do not convert to a finite float (json writes NaN and Infinity)
     with pytest.raises(UsageError):
         _load_with(tmp_path, kind, where, value)
+
+
+@pytest.mark.parametrize("value, verdict", [
+    (0.5, True), (3, True), ([], True), ([[]], True), ([1, 0.5, -2], True),
+    ([[0.5], [1, 2.0, 3]], True),  # ragged
+    ([0.5, [0.25, [1]]], True),  # nested to different depths
+    (True, False), ([0.5, True], False), ([[1.0], [False]], False),
+    ("0.5", False), (["0.5"], False), (None, False), ([0.5, None], False),
+    ([math.nan], False), ([[0.5, math.inf]], False), ([-math.inf, 0.5], False),
+    (10**400, False), ([0.5, 10**400], False), ([[1], [-(10**400)]], False),
+    ({"p": 0.5}, False), ([0.5, {"p": 0.5}], False),
+], ids=lambda v: "huge" if type(v) is int and v > 2**1024 else None)
+def test_only_numbers_accepts_finite_numbers_in_nested_lists(value, verdict):
+    # a number is an int or float, not a bool, that converts to a finite float
+    assert io._only_numbers(value) is verdict
 
 
 def _two_round_tree(nodes: tuple[str, ...], leaf_a: str, leaf_b: str) -> dict:

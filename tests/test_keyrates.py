@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from secrecy_forge import cli, common_info, keyrates
+from secrecy_forge import cli, common_info, config, keyrates
 from secrecy_forge.classify import classify
 from secrecy_forge.distributions import (
     Channel,
@@ -475,6 +475,17 @@ class TestVerifyChain:
         assert "E_F_2q" not in report.measures
         assert report.measures["E_F_numeric"].method == "local-blocks"
 
+    def test_pure_pair_reports_its_entanglement_entropy(self, vn_entropy):
+        # |Z| = 1 leaves rho_AB = |psi><psi| with psi[x, y] = sqrt(p(x, y)),
+        # so E_entropy is S(M M^T) for that amplitude matrix M
+        d = independent_eve_example()
+        assert d.dims[2] == 1
+        m = np.sqrt(d.p[:, :, 0])
+        values = verify_chain(d, seed=0).values
+        assert values["E_entropy"] == pytest.approx(
+            vn_entropy(QState(m @ m.T, (d.dims[0],))), abs=1e-9)
+        assert "E_entropy" not in verify_chain(two_block_uniform_example()).values
+
     def test_json_shape(self, chain_report):
         doc = chain_report.to_json()
         assert set(doc) == {"values", "checks", "all_passed",
@@ -541,6 +552,32 @@ class TestAdvantageReport:
         lo, hi = adv.quantum_interval
         assert lo == pytest.approx(1.0, abs=1e-12)
         assert hi == pytest.approx(1.0, abs=1e-12)
+
+    def test_unresolved_classical_side_labels_from_the_intervals(self):
+        # random 2x2x2 pmfs, skewed by a power in the last two: no class
+        # formula applies, so K_D is only the interval [one-way floor,
+        # searched ceiling], and a label fires only when that interval and
+        # the quantum one separate by more than the equality tolerance
+        labels = []
+        for seed, power in [(0, 1), (1, 1), (2, 1), (3, 1), (4, 1), (1, 4), (2, 4)]:
+            p = np.random.default_rng(seed).random((2, 2, 2)) ** power
+            adv = advantage_report(Dist3(p / p.sum()), seed=0)
+            kd = adv.classical
+            assert kd.kind == "inconclusive"
+            (c_lo, c_hi), (q_lo, q_hi) = adv.classical_interval, adv.quantum_interval
+            assert (c_lo, c_hi) == (kd.diagnostics["lower_bound"],
+                                    kd.diagnostics["upper_bound"])
+            assert c_lo < c_hi and q_lo <= q_hi
+            if c_lo > q_hi + config.EQUALITY_TOL:
+                expected = "eve_advantage"
+            elif q_lo > c_hi + config.EQUALITY_TOL:
+                expected = "ab_advantage"
+            else:
+                expected = "indeterminate"
+            assert adv.label == expected
+            assert adv.gap is None
+            labels.append(adv.label)
+        assert set(labels) == {"eve_advantage", "ab_advantage", "indeterminate"}
 
     def test_json_shape(self):
         doc = advantage_report(binary_eve_family(0.5), seed=0).to_json()

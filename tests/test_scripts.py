@@ -82,6 +82,23 @@ def test_reproduce_lemma_envelope_is_pinned(tmp_path):
     assert sha256_file(target) == LEMMA_SHA256
 
 
+# sha256 of the other reproduce envelopes at --seed 0, so that a change to the
+# command line's report plumbing is checked byte for byte
+REPRODUCE_SHA256 = {
+    "thm6a": "f79ff884ea32a719373971f55f1619ec885ea399b49d3e9bd4bf709d229557b4",
+    "thm6b": "b9914bdac9ecd446fba89484683feb0c4b1069fae37e91f588a7cc349e24eb42",
+    "thm7d": "d2da67aa7511b81101596381dd1a85813a6982a7fc51d188ef550f309c5a367c",
+    "table2": "408585f5ed4f912a8b91e01f046a341f2044dae7004322e9d67baeddf675644f",
+}
+
+
+@pytest.mark.parametrize("example", sorted(REPRODUCE_SHA256))
+def test_reproduce_envelopes_are_pinned(tmp_path, example):
+    target = tmp_path / f"{example}.json"
+    assert run(["reproduce", example, "--seed", "0", "--out", str(target)]) == 0
+    assert sha256_file(target) == REPRODUCE_SHA256[example]
+
+
 def test_reproduce_all_is_byte_identical_across_runs(tmp_path):
     # two fresh interpreters at one seed: every envelope and input file the
     # script writes must match byte for byte
