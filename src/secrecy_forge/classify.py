@@ -135,8 +135,12 @@ def _pd_canonical(ccf: CondCommonFunction) -> tuple[str, PDCertificate]:
     blocks, restricted to the z that share a message, puts no two blocks
     of one z together.
     """
-    (part_xz,) = _partitions(ccf.support.any(axis=1)[:, :, None])
-    (part_yz,) = _partitions(ccf.support.any(axis=0)[:, :, None])
+    # one labelling of both graphs; the shorter side's padding rows have no
+    # edges, so they join no block
+    xz, yz = ccf.support.any(axis=1), ccf.support.any(axis=0)
+    graphs = np.zeros((max(len(xz), len(yz)), xz.shape[1], 2), bool)
+    graphs[:len(xz), :, 0], graphs[:len(yz), :, 1] = xz, yz
+    part_xz, part_yz = _partitions(graphs)
     message_of_z = {z: (m, part_yz.block_of_y[z]) for z, m in part_xz.block_of_y.items()}
     m_index = {pair: i for i, pair in enumerate(sorted(set(message_of_z.values())))}
     group_of_z = {z: m_index[m] for z, m in message_of_z.items()}
@@ -345,6 +349,13 @@ def _block_gaps(
     return gap, leak, cmi
 
 
+def _degraded_cmi(d: Dist3, k: np.ndarray) -> float:
+    """I(X:Y|Zbar) of d pushed through the row-stochastic table k[z, zbar],
+    the einsum and clip at 0 of ``apply_channel_z`` without its checks."""
+    q = np.clip(np.einsum("xyz,zw->xyw", d.p, np.ascontiguousarray(k)), 0.0, None)
+    return conditional_mutual_information(q, (0,), (1,), (2,))
+
+
 def is_ubi_pd_down(
     d: Dist3,
     tol: float = config.ENTROPY_TOL,
@@ -372,15 +383,15 @@ def is_ubi_pd_down(
     identity channel leaves d's pmf as it is, bit for bit, so these decide
     that channel without a second build.
     """
-    channels, cut, _ = _channel_table(d.dims[2])
+    channels, cut, onehot = _channel_table(d.dims[2])
     _, leaks, cmis = _block_gaps(d, tol, support_eps)
     for tested, (rgs, leak) in enumerate(zip(channels, leaks), start=1):
         if leak > tol + PREFILTER_MARGIN:  # +inf where the gap fails
             continue
-        ch = Channel.deterministic(rgs)
-        if _identity is not None and ch.out_dim == d.dims[2]:
-            dbar, (ccf, status, cert) = d, _identity
+        if _identity is not None and max(rgs) + 1 == d.dims[2]:
+            ch, dbar, (ccf, status, cert) = None, d, _identity
         else:
+            ch = Channel.deterministic(rgs)
             dbar = apply_channel_z(d, ch)
             ccf = conditional_common_function(dbar, support_eps)
             if not _block_independent(dbar, ccf, tol):
@@ -388,6 +399,7 @@ def is_ubi_pd_down(
             status, cert = _pd_canonical(ccf)
         if status != YES:
             continue
+        ch = ch or Channel.deterministic(rgs)
         extra = _pd_down_extra_cmi(d, ch, ccf, support_eps)
         if extra <= tol:
             rate = ccf.block_entropy(dbar)
@@ -396,9 +408,7 @@ def is_ubi_pd_down(
     # exact one, so the exact first minimum is among these; the clamp at 0
     # absorbs rounding below the interval's lower bound
     near = np.flatnonzero(cmis <= cmis.min() + PREFILTER_MARGIN)
-    exact = [conditional_mutual_information(
-        apply_channel_z(d, Channel.deterministic(channels[i])).p, (0,), (1,), (2,))
-        for i in near]
+    exact = [_degraded_cmi(d, onehot[i, :, :max(channels[i]) + 1]) for i in near]
     best = int(np.argmin(exact))  # the first minimum
     ceiling = (max(exact[best], 0.0), channels[near[best]])
     reason = "budget exhausted" if cut else "search space exhausted"

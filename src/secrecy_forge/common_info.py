@@ -157,13 +157,28 @@ class CondCommonFunction:
         return 1 + max(self.global_labels.values(), default=-1)
 
     def block_entropy(self, d: Dist3) -> float:
-        """H(block label | Z) under d, the pmf this function was built from."""
-        total = 0.0
+        """H(block label | Z) under d, the pmf this function was built from.
+
+        One bincount sums the conditional masses of every (z, block) cell,
+        x then y ascending, in sequence, which is ``.sum()``'s order below
+        8 entries.  The cells of each larger size are gathered into one
+        array, and numpy sums each row in the same pairwise order as that
+        cell's own ``.sum()``.
+        """
+        row_roots, col_roots = self._roots
+        k, x, y = np.nonzero(row_roots.T[:, :, None] == col_roots.T[:, None])
+        z = np.array(list(self.per_z), dtype=int)[k]
+        cond = d.p[x, y, z] / self.z_probs[z]
+        cell = k * len(row_roots) + row_roots[x, k]  # in (z, block) order
+        sizes = np.bincount(cell)
+        masses, sizes = np.bincount(cell, cond)[sizes > 0], sizes[sizes > 0]
+        order, starts = np.argsort(cell, kind="stable"), np.cumsum(sizes) - sizes
+        for size in set(sizes[sizes >= 8].tolist()):
+            pick = sizes == size
+            masses[pick] = cond[order[starts[pick][:, None] + np.arange(size)]].sum(axis=1)
+        masses, total = iter(masses.tolist()), 0.0
         for z, part in self.per_z.items():
-            pz = float(self.z_probs[z])
-            cond = d.p[:, :, z] / pz
-            masses = [cond[np.array(xs)[:, None], np.array(ys)].sum() for xs, ys in part.blocks]
-            total += pz * entropy_bits(masses)
+            total += float(self.z_probs[z]) * entropy_bits([next(masses) for _ in part.blocks])
         return total
 
     def to_json(self) -> dict:
@@ -184,9 +199,11 @@ def conditional_common_function(
     zs = np.flatnonzero(z_probs > support_eps)
     support = np.zeros(d.p.shape, dtype=bool)
     support[:, :, zs] = d.p[:, :, zs] / z_probs[zs] > support_eps
-    roots = _component_roots(support[:, :, zs])
+    # one labelling: the supported slices and, trailing, their union
+    row_roots, col_roots = _component_roots(np.dstack([support[:, :, zs], support.any(axis=2)]))
+    roots = row_roots[:, :-1], col_roots[:, :-1]
     per_z = dict(zip(zs.tolist(), _partitions(support[:, :, zs], roots)))
-    labels, injective = _cross_z_merge(per_z, dict.fromkeys(per_z, 0), support)
+    labels, injective = _cross_z_merge(per_z, dict.fromkeys(per_z, 0), support, row_roots[:, -1:])
     return CondCommonFunction(per_z, labels, injective, z_probs, support, roots)
 
 
@@ -194,6 +211,7 @@ def _cross_z_merge(
     per_z: Mapping[int, CommonPartition],
     group_of_z: Mapping[int, int],
     support: np.ndarray,
+    x_roots: np.ndarray | None = None,
 ) -> tuple[dict[tuple[int, int], int], bool]:
     """Merge block instances across the z of one group that share an x or a y.
 
@@ -203,11 +221,14 @@ def _cross_z_merge(
     the canonical merge labels of the (z, block) nodes and whether no two
     blocks of one z share a label.  Every z in one group gives the cross-z
     merge of ``conditional_common_function``; groups only split it.
+    ``x_roots`` are the union graphs' row roots when the caller has them.
     """
-    union = np.zeros(support.shape[:2] + (1 + max(group_of_z.values(), default=0),), bool)
-    for z, g in group_of_z.items():
-        union[:, :, g] |= support[:, :, z]
-    x_roots = _component_roots(union)[0].tolist()
+    if x_roots is None:
+        union = np.zeros(support.shape[:2] + (1 + max(group_of_z.values(), default=0),), bool)
+        for z, g in group_of_z.items():
+            union[:, :, g] |= support[:, :, z]
+        x_roots = _component_roots(union)[0]
+    x_roots = x_roots.tolist()
     # per_z is in (z, block) order, so first sight numbers canonically
     number: dict[tuple[int, int], int] = {}
     labels: dict[tuple[int, int], int] = {}

@@ -194,7 +194,8 @@ def _blockwise(name: str, rho: QState, whole, bounds: bool = False) -> MeasureRe
     This is E(rho) for E_F and E_r (see the module docstring).  A block
     with a side of dimension 1 is a product state, exactly 0.  The result
     is exact iff every block's is; its ``iterations`` are the blocks'
-    summed.  With ``bounds``, so are the blocks' ``lower_bound`` and
+    summed, and so are their ``restarts_at_max_iter`` where any reports
+    it.  With ``bounds``, so are the blocks' ``lower_bound`` and
     ``upper_bound``; the summed floor stays a lower bound on the
     distillable entanglement, since Alice and Bob can read the cell label
     without disturbing rho and then hash in each cell.
@@ -218,6 +219,10 @@ def _blockwise(name: str, rho: QState, whole, bounds: bool = False) -> MeasureRe
         ],
         "iterations": sum(m.diagnostics.get("iterations", 0) for _, m in parts if m),
     }
+    capped = [m.diagnostics["restarts_at_max_iter"] for _, m in parts
+              if m and "restarts_at_max_iter" in m.diagnostics]
+    if capped:
+        diagnostics["restarts_at_max_iter"] = sum(capped)
     if bounds:
         for key in ("lower_bound", "upper_bound"):
             diagnostics[key] = sum(p * m.diagnostics[key] for p, m in parts if m)
@@ -559,7 +564,7 @@ def _rel_ent_objective(
     return value, grad
 
 
-def _lbfgs(x: np.ndarray, args: tuple) -> tuple[np.ndarray, np.ndarray]:
+def _lbfgs(x: np.ndarray, args: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Stacked L-BFGS on ``_rel_ent_objective``, one restart per row of x.
 
     Each restart keeps its last ``REL_ENT_MEMORY`` curvature pairs (a pair
@@ -571,7 +576,8 @@ def _lbfgs(x: np.ndarray, args: tuple) -> tuple[np.ndarray, np.ndarray]:
     halvings find no sufficient decrease,
     or after ``REL_ENT_MAX_ITER`` steps.  Only the restarts still
     backtracking are evaluated again.  Returns the final values and the
-    iteration counts, both of shape (n,).
+    iteration counts, both of shape (n,), and the restarts still live
+    when the step cap ran out.
     """
     n, dim = x.shape
     val, grad = _rel_ent_objective(x, *args)
@@ -643,7 +649,7 @@ def _lbfgs(x: np.ndarray, args: tuple) -> tuple[np.ndarray, np.ndarray]:
         s_hist[upd, 0], y_hist[upd, 0] = s_new[curved], y_new[curved]
         rho_hist[upd, 0] = 1.0 / sy[curved]
         live = live[gain > 1e-12 * scale]
-    return val, iters
+    return val, iters, live
 
 
 def _rel_ent_bracket(
@@ -695,7 +701,8 @@ def rel_ent_upper(
     smaller of the best value and the ceiling is reported.  Deterministic
     for a fixed seed.  The diagnostics carry the bracket as ``lower_bound``
     and ``upper_bound`` and the optimizer's ``iterations``, the steps
-    summed over restarts (0 when it did not run).
+    summed over restarts (0 when it did not run); a run of the optimizer
+    adds ``restarts_at_max_iter``, the restarts that its step cap cut.
 
     A rho that splits into local blocks is measured block by block
     (``_blockwise``), each block with the same seed and ``tol``.  A closed
@@ -767,7 +774,7 @@ def _rel_ent_whole(rho: QState, seed: int, tol: float) -> MeasureResult:
         )
 
     x0 = np.stack([basis_start()] + [random_start() for _ in range(REL_ENT_RESTARTS - 1)])
-    values, iters = _lbfgs(x0, (rho.rho, -s_ab, k, da, db))
+    values, iters, capped = _lbfgs(x0, (rho.rho, -s_ab, k, da, db))
     best_restart = int(np.argmin(values))
     best = float(values[best_restart])
     value = max(0.0, min(best, ceiling))
@@ -783,6 +790,7 @@ def _rel_ent_whole(rho: QState, seed: int, tol: float) -> MeasureResult:
             "mixing": REL_ENT_MIX,
             "best_restart": best_restart,
             "iterations": int(iters.sum()),
+            "restarts_at_max_iter": int(capped.size),
             "optimizer_value": best,
             "lower_bound": floor,
             "upper_bound": value,

@@ -21,6 +21,7 @@ from secrecy_forge.classify import (
     _cell_gap,
     _channel_stack,
     _channel_table,
+    _pd_canonical,
     _pd_down_extra_cmi,
     _set_partitions,
     classify,
@@ -44,6 +45,7 @@ from secrecy_forge.keyrates import (
 
 # the package's top level binds "classify" to the function, not the module
 classify_module = importlib.import_module("secrecy_forge.classify")
+common_info_module = importlib.import_module("secrecy_forge.common_info")
 
 REPORT_KEYS = {
     "bi",
@@ -489,6 +491,29 @@ def test_only_classify_walks_the_cells(monkeypatch):
         assert walks == []
 
 
+def test_each_support_graph_family_is_labelled_once(monkeypatch):
+    # conditional_common_function labels its z slices and their union in one
+    # call; _pd_canonical labels its x-z and y-z graphs in one and the union
+    # of each message's z in one more
+    calls = []
+    label = common_info_module._component_roots
+
+    def spy(adj):
+        calls.append(adj.shape)
+        return label(adj)
+
+    monkeypatch.setattr(common_info_module, "_component_roots", spy)
+    p = np.random.default_rng(10).random((4, 2, 3))
+    for d in (product_power(two_block_uniform_example(), 2),
+              one_sided_coherence_example()[0], Dist3(p / p.sum())):
+        ccf = conditional_common_function(d)
+        assert len(calls) == 1
+        calls.clear()
+        _pd_canonical(ccf)
+        assert len(calls) == 2
+        calls.clear()
+
+
 @given(small_dist3())
 def test_prefilter_rejects_only_channels_the_exact_test_rejects(d):
     tol = config.ENTROPY_TOL
@@ -594,13 +619,19 @@ def test_unresolved_kd_class_degrades_only_near_the_minimum(monkeypatch):
     p = rng.random((3, 3, 6))
     d = Dist3(p / p.sum())
     degraded = []
-    degrade = classify_module.apply_channel_z
+    degrade, ceiling_cmi = classify_module.apply_channel_z, classify_module._degraded_cmi
 
     def spy(dist, ch):
         degraded.append(tuple(ch.assignment()))
         return degrade(dist, ch)
 
+    def ceiling_spy(dist, k):
+        # the ceiling reads each channel's one-hot table, not a Channel
+        degraded.append(tuple(k.argmax(axis=1).tolist()))
+        return ceiling_cmi(dist, k)
+
     monkeypatch.setattr(classify_module, "apply_channel_z", spy)
+    monkeypatch.setattr(classify_module, "_degraded_cmi", ceiling_spy)
     assert kd_class(d).diagnostics["class"] == "unresolved"
     channels = _channel_table(6)[0]
     gaps, leaks, cmis = _block_gaps(d, config.ENTROPY_TOL, config.SUPPORT_EPS)

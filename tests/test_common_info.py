@@ -5,9 +5,10 @@ from __future__ import annotations
 from collections import deque
 
 import numpy as np
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+from secrecy_forge.classify import _pd_canonical
 from secrecy_forge.common_info import (
     _component_roots,
     _cross_z_merge,
@@ -182,11 +183,23 @@ def block_entropy_through_dist2(ccf, d: Dist3) -> float:
 
 
 def test_block_entropy_equals_the_dist2_route_bit_for_bit(make_dist):
+    # 3x3, 2x2 and 1x1 diagonal blocks
+    block_mask = np.zeros((6, 6, 1))
+    for lo, hi in ((0, 3), (3, 5), (5, 6)):
+        block_mask[lo:hi, lo:hi] = 1.0
     # d.p is clipped at 0 already, so a Dist2 per z changes no bit
     dists = [make_dist((3, 3, 3), sparsity=s) for s in (0.0, 0.4, 0.7) for _ in range(10)]
     dists += [product_power(make_dist((2, 2, 2), sparsity=0.5), 2) for _ in range(10)]
     dists += [product_power(two_block_uniform_example(), 2),
               product_power(one_sided_coherence_example()[0], 2)]
+    # cells of 8 to 81 entries, where numpy's pairwise sum can differ from a
+    # sequential one: 2x4 slices, and squares of 3x3 blocks, alone and
+    # beside smaller ones
+    dists += [make_dist((2, 4, 3)) for _ in range(10)]
+    dists += [product_power(make_dist((3, 3, 2)), 2) for _ in range(5)]
+    for _ in range(5):
+        d = make_dist((6, 6, 1))
+        dists.append(product_power(Dist3(d.p * block_mask / (d.p * block_mask).sum()), 2))
     for d in dists:
         for eps in (1e-12, 1e-2):
             ccf = conditional_common_function(d, eps)
@@ -238,16 +251,47 @@ def grouped_supports(draw):
     cells = draw(st.lists(st.floats(0.0, 1.0), min_size=dx * dy * dz,
                           max_size=dx * dy * dz))
     support = np.array(cells).reshape(dx, dy, dz) < density
+    # empty z slices among supported ones, at any density
+    support[:, :, draw(st.lists(st.booleans(), min_size=dz, max_size=dz))] = False
     groups = draw(st.lists(st.integers(0, dz - 1), min_size=dz, max_size=dz))
     return support, dict(enumerate(groups))
 
 
+def diagonal_support(dx: int, dy: int, dz: int, empty: tuple[int, ...] = ()) -> np.ndarray:
+    """(x, y, z) with x + y + z even, slices ``empty`` cleared."""
+    x, y, z = np.indices((dx, dy, dz))
+    support = (x + y + z) % 2 == 0
+    support[:, :, list(empty)] = False
+    return support
+
+
 @given(grouped_supports())
+@example((diagonal_support(4, 2, 3), {0: 0, 1: 1, 2: 0}))  # |X| != |Y|
+@example((diagonal_support(2, 4, 4, empty=(0, 2)), {0: 0, 1: 0, 2: 1, 3: 1}))  # empty z slices
+@example((diagonal_support(1, 3, 3), {0: 0, 1: 0, 2: 0}))  # one-symbol sides
+@example((diagonal_support(3, 1, 2, empty=(1,)), {0: 0, 1: 0}))
 def test_cross_z_merge_matches_the_incidence_graph(case):
     # empty z slices give partitions without blocks, and one-symbol sides
     # put every block of a z on one x or one y
     support, group_of_z = case
-    dx, dy, _ = support.shape
+    dx, dy, dz = support.shape
     per_z = dict(enumerate(_partitions(support)))
     assert _cross_z_merge(per_z, group_of_z, support) == incidence_merge(
         per_z, group_of_z, dx, dy)
+    if not support.any():
+        return
+    # one labelling call gives what separate ones give: the supported slices
+    # with their union as a trailing slice, and the x-z and y-z common-part
+    # graphs with the shorter side padded
+    zs = [z for z in range(dz) if support[:, :, z].any()]
+    ccf = conditional_common_function(Dist3(support / support.sum()))
+    alone = [_component_roots(support[:, :, [z]]) for z in zs]
+    for got, want in zip(ccf._roots, zip(*alone)):
+        np.testing.assert_array_equal(got, np.hstack(want))
+    assert ccf.per_z == {z: per_z[z] for z in zs}
+    merged = _cross_z_merge(ccf.per_z, dict.fromkeys(zs, 0), support)
+    assert (ccf.global_labels, ccf.per_z_injective) == merged
+    cert = _pd_canonical(ccf)[1]
+    (part_xz,) = _partitions(support.any(axis=1)[:, :, None])
+    (part_yz,) = _partitions(support.any(axis=0)[:, :, None])
+    assert (cert.message_of_x, cert.message_of_y) == (part_xz.block_of_x, part_yz.block_of_x)

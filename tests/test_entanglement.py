@@ -20,7 +20,8 @@ from secrecy_forge.entanglement import (
     negativity_log,
     rel_ent_upper,
 )
-from secrecy_forge.embeddings import pair_state
+from secrecy_forge.distributions import Dist3
+from secrecy_forge.embeddings import PhaseAssignment, pair_state
 from secrecy_forge.errors import InvalidState, SecrecyForgeError
 from secrecy_forge.keyrates import (
     advantage_report,
@@ -326,7 +327,8 @@ class TestRelativeEntropyUpper:
         monkeypatch.setattr(
             entanglement,
             "_lbfgs",
-            lambda x, args: (np.full(len(x), ceiling + 0.5), np.ones(len(x), dtype=int)),
+            lambda x, args: (np.full(len(x), ceiling + 0.5), np.ones(len(x), dtype=int),
+                             np.arange(0)),
         )
         res = rel_ent_upper(rho)
         assert res.kind == "upper_bound"
@@ -339,6 +341,33 @@ class TestRelativeEntropyUpper:
         assert res.kind == "exact"
         assert res.diagnostics["iterations"] == 0
         assert res.value == res.diagnostics["upper_bound"]
+
+    def test_restarts_cut_by_max_iter_are_counted(self):
+        # the pair state of a random pmf with random phases: every restart
+        # still gains when the step cap runs out
+        rng = np.random.default_rng(0)
+        p = rng.random((2, 3, 2))
+        phases = PhaseAssignment(rng.random((2, 3, 2)) * 2 * math.pi)
+        rho = pair_state(Dist3(p / p.sum()), phases)
+        diag = rel_ent_upper(rho).diagnostics
+        cap = entanglement.REL_ENT_MAX_ITER
+        assert diag["restarts_at_max_iter"] == diag["restarts"] == 4
+        assert diag["iterations"] == 4 * cap
+        # two copies on disjoint local levels are measured block by block,
+        # and the blocks' counts add up
+        both = np.zeros((4, 6, 4, 6), dtype=complex)
+        both[:2, :3, :2, :3] = both[2:, 3:, 2:, 3:] = rho.rho.reshape(2, 3, 2, 3) / 2
+        diag = rel_ent_upper(QState(both.reshape(24, 24), (4, 6))).diagnostics
+        assert [b["dims"] for b in diag["blocks"]] == [[2, 3], [2, 3]]
+        assert diag["restarts_at_max_iter"] == 8
+        assert diag["iterations"] == 8 * cap
+        # a closed bracket runs no optimizer and reports no cap, split or not
+        assert "restarts_at_max_iter" not in rel_ent_upper(BELL).diagnostics
+        two_bells = np.zeros((4, 4, 4, 4), dtype=complex)
+        two_bells[:2, :2, :2, :2] = two_bells[2:, 2:, 2:, 2:] = BELL.rho.reshape(2, 2, 2, 2) / 2
+        split = rel_ent_upper(QState(two_bells.reshape(16, 16), (4, 4)))
+        assert split.method == "local-blocks"
+        assert "restarts_at_max_iter" not in split.diagnostics
 
 
 @settings(max_examples=30)
