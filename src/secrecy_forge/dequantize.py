@@ -366,11 +366,10 @@ def random_instrument_tree(
     rounds: int = 2,
     outcomes: int = 2,
     kraus_each: int = 1,
-    rng: np.random.Generator | None = None,
+    *,
+    rng: np.random.Generator,
 ) -> InstrumentTree:
     """Random tree with the given branching; trace preserving by construction."""
-    if rng is None:
-        rng = np.random.default_rng()
     if rounds < 0 or rounds % 2 != 0:
         raise InvalidProtocol(f"rounds must be even and >= 0, got {rounds}")
     instruments: dict[History, tuple[tuple[np.ndarray, ...], ...]] = {}

@@ -72,9 +72,6 @@ class Dist2:
     def dims(self) -> tuple[int, int]:
         return self.p.shape  # type: ignore[return-value]
 
-    def entropy(self) -> float:
-        return entropy_bits(self.p)
-
 
 @dataclass(frozen=True)
 class Dist3:
@@ -88,9 +85,6 @@ class Dist3:
     @property
     def dims(self) -> tuple[int, int, int]:
         return self.p.shape  # type: ignore[return-value]
-
-    def entropy(self) -> float:
-        return entropy_bits(self.p)
 
 
 @dataclass(frozen=True)
@@ -136,11 +130,8 @@ class Channel:
             k[z, zbar] = 1.0
         return cls(k)
 
-    def is_deterministic(self) -> bool:
-        return bool(np.all((self.k == 0.0) | (self.k == 1.0)))
-
     def assignment(self) -> list[int]:
-        if not self.is_deterministic():
+        if not np.all((self.k == 0.0) | (self.k == 1.0)):
             raise InvalidChannel("channel is not deterministic")
         return [int(np.argmax(row)) for row in self.k]
 

@@ -119,30 +119,33 @@ def embed_qqq(d: Dist3, phases: PhaseAssignment | None = None) -> PureState:
     return PureState(_amplitudes(d, phases).ravel(), d.dims)
 
 
+def _dephasing_mask(dims: tuple[int, ...], parties: tuple[int, ...]) -> np.ndarray:
+    """Entries of a state on ``dims`` that are diagonal in every listed party."""
+    idx = np.indices(dims).reshape(len(dims), -1)
+    keep = np.ones((idx.shape[1], idx.shape[1]), dtype=bool)
+    for party in parties:
+        keep &= idx[party][:, None] == idx[party][None, :]
+    return keep
+
+
+def _dephased(
+    d: Dist3, phases: PhaseAssignment | None, parties: tuple[int, ...]
+) -> QState:
+    """The coherent embedding dephased in the listed parties.  The dropped
+    entries are set, not multiplied, to 0, so none of them becomes -0."""
+    v = _amplitudes(d, phases).ravel()
+    keep = _dephasing_mask(d.dims, parties)
+    return QState(np.where(keep, np.outer(v, v.conj()), 0), d.dims)
+
+
 def embed_cqq(d: Dist3, phases: PhaseAssignment | None = None) -> QState:
     """Alice-classical embedding: sum_x p(x) |x><x| (x) |psi_x><psi_x|."""
-    amp = _amplitudes(d, phases)
-    dx, dy, dz = d.dims
-    n = dy * dz
-    rho = np.zeros((dx * n, dx * n), dtype=complex)
-    for x in range(dx):
-        # p(x) |psi_x><psi_x| has entries amp[x,y,z] amp*[x,y',z']
-        v = amp[x].ravel()
-        rho[x * n : (x + 1) * n, x * n : (x + 1) * n] = np.outer(v, v.conj())
-    return QState(rho, d.dims)
+    return _dephased(d, phases, (0,))
 
 
 def embed_ccq(d: Dist3, phases: PhaseAssignment | None = None) -> QState:
     """Alice-and-Bob-classical embedding: Eve keeps |psi_xy> coherent."""
-    amp = _amplitudes(d, phases)
-    dx, dy, dz = d.dims
-    rho = np.zeros((dx * dy * dz, dx * dy * dz), dtype=complex)
-    for x in range(dx):
-        for y in range(dy):
-            v = amp[x, y]
-            base = (x * dy + y) * dz
-            rho[base : base + dz, base : base + dz] = np.outer(v, v.conj())
-    return QState(rho, d.dims)
+    return _dephased(d, phases, (0, 1))
 
 
 def embed_ccc(d: Dist3) -> QState:

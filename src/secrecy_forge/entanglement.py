@@ -424,15 +424,10 @@ def _eof_whole(rho: QState, seed: int) -> MeasureResult:
             continue
         u = np.stack([starts[i] for i in ids])
         values[ids], iters[ids], stops[ids] = _descend(u, w, da, db)
-    best = math.inf
-    best_restart = -1
-    for restart, val in enumerate(values):
-        if val < best:
-            best = float(val)
-            best_restart = restart
+    best_restart = int(np.argmin(values))
     return MeasureResult(
         name="E_F",
-        value=best,
+        value=float(values[best_restart]),
         kind="upper_bound",
         method="isometry-ensemble-descent",
         diagnostics={

@@ -37,6 +37,7 @@ from .distributions import Channel, Dist3, entropy_bits, mutual_information
 from .embeddings import (
     PhaseAssignment,
     _amplitudes,
+    _dephasing_mask,
     embed_ccq,
     embed_cqq,
     embed_qqq,
@@ -593,14 +594,11 @@ def lemma_example_rates() -> dict:
 
     def flag_diagonal(state: QState, level_flags: tuple[int, ...]) -> QState:
         """Flag-block-diagonal part, with the listed branches fully dephased."""
-        r = state.rho.reshape(dx, dy, dz, dx, dy, dz)
-        out = np.zeros_like(r)
-        for z in range(dz):
-            block = r[:, :, z, :, :, z].reshape(n, n)
-            if z in level_flags:
-                block = np.diag(np.diag(block))
-            out[:, :, z, :, :, z] = block.reshape(dx, dy, dx, dy)
-        return QState(out.reshape(dim, dim), (dx, dy, dz))
+        keep = _dephasing_mask(d.dims, (2,))
+        for z in level_flags:
+            # z is the minor index, so rows z::dz are flag z's
+            keep[z::dz] = np.eye(dim, dtype=bool)[z::dz]
+        return QState(np.where(keep, state.rho, 0), d.dims)
 
     literal = {
         "qqq": embed_qqq(d, phases).density(),

@@ -99,7 +99,7 @@ def _seeded_dist(dims: tuple[int, int, int], seed: int) -> Dist3:
 
 def _seeded_tree(dim_a, dim_b, rounds, outcomes, kraus_each, seed):
     return random_instrument_tree(dim_a, dim_b, rounds, outcomes, kraus_each,
-                                  np.random.default_rng(seed))
+                                  rng=np.random.default_rng(seed))
 
 
 # (tree, distribution, copies) per case

@@ -81,9 +81,14 @@ def test_channel_rejects_non_stochastic():
 
 def test_deterministic_channel_assignment_round_trip():
     ch = Channel.deterministic([1, 0, 1])
-    assert ch.is_deterministic()
     assert ch.assignment() == [1, 0, 1]
     assert ch.out_dim == 2
+
+
+def test_stochastic_channel_has_no_assignment():
+    ch = Channel(np.array([[1.0, 0.0], [0.5, 0.5]]))
+    with pytest.raises(InvalidChannel, match="not deterministic"):
+        ch.assignment()
 
 
 def test_deterministic_channel_rejects_negative_symbol():
@@ -112,7 +117,7 @@ def test_entropy_uniform():
 def test_entropy_matches_oracle(make_dist):
     for _ in range(5):
         d = make_dist((3, 2, 4), sparsity=0.3)
-        assert abs(d.entropy() - entropy_oracle(d.p)) < 1e-12
+        assert abs(entropy_bits(d.p) - entropy_oracle(d.p)) < 1e-12
 
 
 def test_mutual_information_independent_is_zero():
