@@ -187,25 +187,27 @@ def _set_partitions(n: int) -> Iterator[tuple[int, ...]]:
 
 
 @functools.cache
-def _channel_table(n: int) -> tuple[tuple[tuple[int, ...], ...], bool, np.ndarray]:
+def _channel_table(
+    n: int,
+) -> tuple[tuple[tuple[int, ...], ...], bool, np.ndarray, np.ndarray]:
     """The search's channels on n symbols: the first ``CHANNEL_BUDGET``
     restricted growth strings, whether the budget cut their enumeration,
-    and their read-only one-hot (channel, z, zbar) matrices, zbar below the
-    widest output alphabet (at most five symbols), so linear in n."""
+    the read-only 0/1 (subset, z) mask of the distinct subsets of Z that
+    their outputs are, and each channel's subset per output, below the
+    widest output alphabet (at most five symbols).  Unused outputs point
+    at the empty subset.  The batched work scales with the subsets (at most
+    44) times |X||Y|, not with channels times outputs (up to 320)."""
     partitions = _set_partitions(n)
     channels = tuple(itertools.islice(partitions, CHANNEL_BUDGET))
     cut = next(partitions, None) is not None
-    onehot = np.zeros((len(channels), n, max(map(max, channels)) + 1))
-    onehot[np.arange(len(channels))[:, None], np.arange(n), channels] = 1.0
-    onehot.setflags(write=False)
-    return channels, cut, onehot
-
-
-def _channel_stack(d: Dist3) -> np.ndarray:
-    """d's pmf after every channel of the search, axes (x, y, channel, zbar);
-    zero beyond each output alphabet, and ``apply_channel_z``'s to within a
-    few ulps, as einsum may sum in another order."""
-    return np.einsum("xyz,czw->xycw", d.p, _channel_table(d.dims[2])[2])
+    width = max(map(max, channels)) + 1
+    # outputs[c, j, z]: channel c sends z to j
+    outputs = np.array(channels)[:, None] == np.arange(width)[:, None]
+    subsets, slots = np.unique(outputs.reshape(-1, n), axis=0, return_inverse=True)
+    subsets, slots = subsets.astype(float), slots.reshape(len(channels), width)
+    subsets.setflags(write=False)
+    slots.setflags(write=False)
+    return channels, cut, subsets, slots
 
 
 @dataclass(frozen=True)
@@ -305,46 +307,50 @@ def _block_gaps(
     d: Dist3, tol: float, support_eps: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """I(X:Y | block label, Zbar), I(Z : block label | Zbar) and
-    I(X:Y | Zbar) in bits after each channel of the search, all read off
-    ``_channel_stack``.
+    I(X:Y | Zbar) in bits after each channel of the search.
 
-    The stack can differ from ``apply_channel_z`` by an ulp, which can move
-    a support test: a channel with a Zbar mass or a conditional entry within
-    a relative 1e-9 of support_eps has gap and leak -inf, so the exact
-    checks decide it.  All slices are labelled and summed at once by
-    ``_cell_gap``; I(X:Y|Zbar) sums its terms over the whole stack, every
-    positive entry counting.  The leak, ``_pd_down_extra_cmi``'s value, is
-    computed only for the channels whose gap passes the prefilter, and is
-    +inf for the rest; each block is named by its component root.
+    Each output of a channel is a subset of Z, and its slice of the
+    degraded pmf depends only on that subset, so every term is computed
+    once per distinct subset of ``_channel_table`` and summed over each
+    channel's outputs: the work scales with the subsets (at most 44), not
+    with channels times outputs.  A slice can differ from
+    ``apply_channel_z``'s by an ulp, which can move a support test: a
+    channel with a Zbar mass or a conditional entry within a relative 1e-9
+    of support_eps has gap and leak -inf, so the exact checks decide it.
+    All slices are labelled and summed at once by ``_cell_gap``;
+    I(X:Y|Zbar) sums its terms over every positive entry.  The leak,
+    ``_pd_down_extra_cmi``'s value, is computed only when some channel's
+    gap passes the prefilter, and is +inf for the channels whose gap
+    fails; each block is named by its component root.
     """
     dx, _, dz = d.dims
-    channels, _, onehot = _channel_table(dz)
-    q = _channel_stack(d)
+    _, _, subsets, slots = _channel_table(dz)
+    q = np.einsum("xyz,sz->xys", d.p, subsets)
     zbar = q.sum(axis=(0, 1))
     cond = np.divide(q, zbar, out=np.zeros_like(q), where=zbar > support_eps)
     lo, hi = support_eps * (1 - 1e-9), support_eps * (1 + 1e-9)
-    fragile = (((lo < zbar) & (zbar < hi)).any(axis=1)
-               | ((lo < cond) & (cond < hi)).any(axis=(0, 1, 3)))
+    fragile = ((lo < zbar) & (zbar < hi)) | ((lo < cond) & (cond < hi)).any(axis=(0, 1))
     row_roots, col_roots = _component_roots(cond > support_eps)
     del cond
     cmi = (_xlogx(q).sum(axis=(0, 1)) + _xlogx(zbar) - _xlogx(q.sum(axis=1)).sum(axis=0)
-           - _xlogx(q.sum(axis=0)).sum(axis=0)).sum(axis=1)
-    gap = _cell_gap(q, row_roots, col_roots).sum(axis=1)
+           - _xlogx(q.sum(axis=0)).sum(axis=0))[slots].sum(axis=1)
+    gap = _cell_gap(q, row_roots, col_roots)[slots].sum(axis=1)
     leak = np.full_like(gap, np.inf)
-    keep = np.flatnonzero(gap <= tol + PREFILTER_MARGIN)
-    if keep.size:
-        # joint[k, z, r]: the mass of p(x, y, z) > support_eps whose x has
-        # root r in slice zbar(z) of kept channel k, binned so that memory
-        # stays linear in |Z|; H(Z, Zbar) is H(Z)
+    keep = gap <= tol + PREFILTER_MARGIN
+    if keep.any():
+        # joint[s, z, r]: the mass of p(x, y, z) > support_eps, z in subset
+        # s, whose x has root r in slice s, binned so that memory stays
+        # linear in |Z|; H(Z, Zbar) is H(Z)
         px = np.where(d.p > support_eps, d.p, 0.0).sum(axis=1)
-        x_roots = row_roots[:, keep[:, None], np.array(channels)[keep]]
-        cells = (np.arange(keep.size)[:, None] * dz + np.arange(dz)) * dx + x_roots
-        joint = np.bincount(cells.ravel(), np.broadcast_to(px[:, None], cells.shape).ravel(),
-                            keep.size * dz * dx).reshape(keep.size, dz, dx)
-        pz, kept = px.sum(axis=0), onehot[keep]
-        leak[keep] = (_xlogx(joint).sum(axis=(1, 2)) + _xlogx(pz @ kept).sum(axis=1)
-                      - _xlogx(pz).sum()
-                      - _xlogx(np.einsum("kzr,kzw->kwr", joint, kept)).sum(axis=(1, 2)))
+        n = len(subsets)
+        cells = (np.arange(n)[:, None] * dz + np.arange(dz)) * dx + row_roots[:, :, None]
+        joint = np.bincount(cells.ravel(), (px[:, None] * subsets).ravel(),
+                            n * dz * dx).reshape(n, dz, dx)
+        pz, merged = px.sum(axis=0), joint.sum(axis=1)
+        per_subset = (_xlogx(joint).sum(axis=(1, 2)) + _xlogx(subsets @ pz)
+                      - subsets @ _xlogx(pz) - _xlogx(merged).sum(axis=1))
+        leak[keep] = per_subset[slots[keep]].sum(axis=1)
+    fragile = fragile[slots].any(axis=1)
     gap[fragile] = leak[fragile] = -np.inf
     return gap, leak, cmi
 
@@ -383,12 +389,13 @@ def is_ubi_pd_down(
     identity channel leaves d's pmf as it is, bit for bit, so these decide
     that channel without a second build.
     """
-    channels, cut, onehot = _channel_table(d.dims[2])
+    channels, cut, subsets, slots = _channel_table(d.dims[2])
     _, leaks, cmis = _block_gaps(d, tol, support_eps)
     for tested, (rgs, leak) in enumerate(zip(channels, leaks), start=1):
         if leak > tol + PREFILTER_MARGIN:  # +inf where the gap fails
             continue
-        if _identity is not None and max(rgs) + 1 == d.dims[2]:
+        identity = max(rgs) + 1 == d.dims[2]
+        if _identity is not None and identity:
             ch, dbar, (ccf, status, cert) = None, d, _identity
         else:
             ch = Channel.deterministic(rgs)
@@ -400,7 +407,8 @@ def is_ubi_pd_down(
         if status != YES:
             continue
         ch = ch or Channel.deterministic(rgs)
-        extra = _pd_down_extra_cmi(d, ch, ccf, support_eps)
+        # through the identity Zbar is Z, so the leak is 0 by construction
+        extra = 0.0 if identity else _pd_down_extra_cmi(d, ch, ccf, support_eps)
         if extra <= tol:
             rate = ccf.block_entropy(dbar)
             return PDDownResult(YES, ch, tested, "channel found", cert, extra, rate)
@@ -408,7 +416,7 @@ def is_ubi_pd_down(
     # exact one, so the exact first minimum is among these; the clamp at 0
     # absorbs rounding below the interval's lower bound
     near = np.flatnonzero(cmis <= cmis.min() + PREFILTER_MARGIN)
-    exact = [_degraded_cmi(d, onehot[i, :, :max(channels[i]) + 1]) for i in near]
+    exact = [_degraded_cmi(d, subsets[slots[i, :max(channels[i]) + 1]].T) for i in near]
     best = int(np.argmin(exact))  # the first minimum
     ceiling = (max(exact[best], 0.0), channels[near[best]])
     reason = "budget exhausted" if cut else "search space exhausted"

@@ -208,8 +208,11 @@ NESTING_IMPLICATIONS = (
 # one pass; a change that moves any verdict, certificate, search count or
 # reported float by one bit changes them.  The classify hash was re-derived
 # when the UBI-PD certificate lost its cmi_message_blocks_given_z key: the
-# earlier reports with that key dropped hash to the value below.
-GOLDEN_CLASSIFY = "c6dfcdf8de225d482015781b497c41e7acd94427b8b50942367ff22e6f339480"
+# earlier reports with that key dropped hash to the value before this one.
+# It was re-derived again when the identity channel's residual_leak_cmi
+# became 0.0, as Zbar = Z makes it: 118 of the 1000 reports had carried a
+# rounding residue there (62 positive, 56 negative), and no other field moved.
+GOLDEN_CLASSIFY = "d53cf71609a239a63dbc58c45e638b1dc6fe0dab485ece3097b6d8af274c5b35"
 GOLDEN_KD = "84370f44f621ceb887cf70856fc615519890d905450c862657444128e0d484bc"
 
 

@@ -19,7 +19,6 @@ from secrecy_forge.classify import (
     _block_gaps,
     _cell_entropies,
     _cell_gap,
-    _channel_stack,
     _channel_table,
     _pd_canonical,
     _pd_down_extra_cmi,
@@ -118,6 +117,14 @@ def test_one_sided_example_is_pd_but_not_ubi():
     down = r.to_json()["certificates"]["ubi_pd_down"]
     assert down["channel"] == [0, 1, 2]
     assert down["residual_leak_cmi"] <= 1e-9
+
+
+def test_identity_channel_reports_no_leak():
+    # through the identity Zbar = Z, so I(Z : J | Zbar) is 0 by construction;
+    # computed, it came out as a rounding residue of 2.2e-16 here
+    d, _ = one_sided_coherence_example()
+    for down in (classify(d).down, is_ubi_pd_down(d)):
+        assert down.channel.assignment() == [0, 1, 2] and down.extra_cmi == 0.0
 
 
 def test_independent_eve_example_statuses():
@@ -514,10 +521,11 @@ def test_each_support_graph_family_is_labelled_once(monkeypatch):
         calls.clear()
 
 
-@given(small_dist3())
+# |Z| = 6 has 203 partitions, so the budget-cut table is checked too
+@given(small_dist3(max_z=6))
 def test_prefilter_rejects_only_channels_the_exact_test_rejects(d):
     tol = config.ENTROPY_TOL
-    channels = list(_set_partitions(d.dims[2]))
+    channels = _channel_table(d.dims[2])[0]
     gaps, _, cmis = _block_gaps(d, tol, config.SUPPORT_EPS)
     assert len(gaps) == len(channels)
     for rgs, gap, cmi in zip(channels, gaps, cmis):
@@ -531,11 +539,12 @@ def test_prefilter_rejects_only_channels_the_exact_test_rejects(d):
 
 
 @settings(max_examples=80)
-@given(st.one_of(small_dist3(), block_dist3()), st.sampled_from(TOLERANCE_PAIRS))
+@given(st.one_of(small_dist3(max_z=6), block_dist3(max_z=6)), st.sampled_from(TOLERANCE_PAIRS))
 def test_leak_prefilter_skips_only_channels_the_exact_leak_test_fails(d, tols):
     tol, eps = tols["tol"], tols["support_eps"]
-    channels = list(_set_partitions(d.dims[2]))
+    channels = _channel_table(d.dims[2])[0]
     gaps, leaks, _ = _block_gaps(d, tol, eps)
+    assert len(leaks) == len(channels)
     for rgs, gap, leak in zip(channels, gaps, leaks):
         if gap > tol + PREFILTER_MARGIN:
             assert leak == math.inf  # never computed: the gap already rejects
@@ -626,7 +635,7 @@ def test_unresolved_kd_class_degrades_only_near_the_minimum(monkeypatch):
         return degrade(dist, ch)
 
     def ceiling_spy(dist, k):
-        # the ceiling reads each channel's one-hot table, not a Channel
+        # the ceiling reads each channel's 0/1 (z, zbar) table, not a Channel
         degraded.append(tuple(k.argmax(axis=1).tolist()))
         return ceiling_cmi(dist, k)
 
@@ -666,33 +675,52 @@ def test_set_partitions_runs_once_per_alphabet(monkeypatch):
 @settings(max_examples=60)
 @given(st.one_of(small_dist3(max_z=6), light_dist3()))
 def test_channel_stack_slices_are_the_degraded_pmfs(d):
-    channels, _, onehot = _channel_table(d.dims[2])
-    assert not onehot.flags.writeable
-    stack = _channel_stack(d)
+    # each channel's outputs, gathered from the distinct subsets' slices,
+    # are its degraded pmf; the outputs past its alphabet are the empty subset
+    channels, _, subsets, slots = _channel_table(d.dims[2])
+    assert not subsets.flags.writeable and not slots.flags.writeable
     width = max(map(max, channels)) + 1
-    assert onehot.shape == (len(channels), d.dims[2], width)
-    assert stack.shape == d.dims[:2] + (len(channels), width)
-    for i, rgs in enumerate(channels):
+    assert subsets.shape[1] == d.dims[2] and slots.shape == (len(channels), width)
+    slices = np.einsum("xyz,sz->xys", d.p, subsets)
+    for rgs, slot in zip(channels, slots):
         want = apply_channel_z(d, Channel.deterministic(rgs)).p
         out_dim = want.shape[2]
-        np.testing.assert_array_max_ulp(stack[:, :, i, :out_dim], want, maxulp=4)
-        assert not stack[:, :, i, out_dim:].any()
+        np.testing.assert_array_max_ulp(slices[:, :, slot[:out_dim]], want, maxulp=4)
+        assert not subsets[slot[out_dim:]].any()
 
 
 def test_channel_table_grows_linearly_in_the_alphabet():
-    # the budgeted channels merge into at most five symbols, so the table
-    # is (C, |Z|, 5) and the stack (x, y, C, 5) however wide Z is
+    # the budgeted channels' outputs are 43 distinct subsets of Z, plus the
+    # empty one their unused outputs point at, so the mask is (44, |Z|)
+    # however many channels and outputs there are
     rng = np.random.default_rng(7)
     p = rng.random((2, 2, 1024))
     d = Dist3(p / p.sum())
-    channels, cut, onehot = _channel_table(1024)
+    channels, cut, subsets, slots = _channel_table(1024)
     assert cut and len(channels) == CHANNEL_BUDGET
-    assert onehot.shape == (CHANNEL_BUDGET, 1024, 5)
-    assert onehot.nbytes <= CHANNEL_BUDGET * 1024 * 5 * 8
-    assert _channel_stack(d).shape == (2, 2, CHANNEL_BUDGET, 5)
+    assert subsets.shape == (44, 1024) and slots.shape == (CHANNEL_BUDGET, 5)
+    assert len(np.unique(subsets, axis=0)) == 44 and not subsets[slots[0, 1:]].any()
     down = is_ubi_pd_down(d)
     assert down.tested == CHANNEL_BUDGET and down.reason == "budget exhausted"
     assert down.ceiling + (down.tested,) == _channel_loop_ceiling(d)
+
+
+def test_block_gaps_labels_each_distinct_subset_once(monkeypatch):
+    # one graph per distinct output subset, the empty one included; one
+    # per (channel, output) would be 4, 15, 60, 260 and 320
+    graphs = []
+    label = classify_module._component_roots
+
+    def spy(adj):
+        graphs.append(math.prod(adj.shape[2:]))
+        return label(adj)
+
+    monkeypatch.setattr(classify_module, "_component_roots", spy)
+    rng = np.random.default_rng(11)
+    for dz in range(2, 7):
+        p = rng.random((3, 3, dz))
+        _block_gaps(Dist3(p / p.sum()), config.ENTROPY_TOL, config.SUPPORT_EPS)
+    assert graphs == [4, 8, 16, 32, 44]
 
 
 def test_classify_memory_grows_linearly_in_x():

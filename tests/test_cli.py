@@ -619,8 +619,7 @@ def test_only_classify_reads_the_channel_set():
     # the channels Eve's symbol is degraded through are enumerated, and d
     # degraded through them, in one place, which both the UBI-PD-down
     # search and the key-rate ceiling use
-    names = {"_set_partitions", "CHANNEL_BUDGET", "_channel_table",
-             "_channel_stack"}
+    names = {"_set_partitions", "CHANNEL_BUDGET", "_channel_table"}
     src = Path(secrecy_forge.__file__).parent
     readers = sorted(
         path.name
