@@ -165,8 +165,11 @@ def _split_blocks(
     """
     da, db = rho.dims
     linked = np.abs(rho.rho.reshape(da, db, da, db)) > 1e-14
-    roots_a, _ = _component_roots(linked.any(axis=(1, 3)))
-    roots_b, _ = _component_roots(linked.any(axis=(0, 2)))
+    # one labelling of both level graphs; the shorter side's padding has no edges
+    graphs = np.zeros((max(da, db),) * 2 + (2,), bool)
+    graphs[:da, :da, 0], graphs[:db, :db, 1] = linked.any(axis=(1, 3)), linked.any(axis=(0, 2))
+    roots = _component_roots(graphs)[0]
+    roots_a, roots_b = roots[:da, 0], roots[:db, 1]
     diag = np.real(np.diagonal(rho.rho)).reshape(da, db)
     cells = []
     # a component's root is its smallest level, the one that is its own root

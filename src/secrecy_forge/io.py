@@ -8,7 +8,8 @@ booleans or strings.  ``json_text`` (the CLI's envelopes) and ``dump_json``
 each float as it writes: ``json_text`` to 12 significant digits, which
 keeps golden files stable across platforms without hiding real numeric
 drift, ``dump_json`` not at all (Python's shortest repr), so a pmf reads
-back bitwise.
+back bitwise.  The writer dispatches on exact built-in types first, and
+formats each distinct value of a float64 array once.
 """
 
 from __future__ import annotations
@@ -43,6 +44,11 @@ __all__ = [
 ]
 
 SIG_DIGITS = 12
+# writers of the non-float JSON scalars, by exact type
+_SCALARS: dict[type, Callable[[Any], str]] = {
+    str: encode_basestring_ascii, int: int.__repr__, type(None): lambda v: "null",
+    bool: lambda v: "true" if v else "false",
+}
 
 
 def _round(x: float) -> float:
@@ -56,34 +62,36 @@ def _write(obj: Any, num: Callable[[float], float], nl: str = "\n") -> str:
     Keys become strings, tuples and arrays lists, numpy scalars Python
     ones; non-finite floats become null, since strict JSON has no NaN or
     infinity.  ``nl`` is a newline plus the indent of the enclosing level.
-    The stdlib's encoder runs in pure Python whenever it indents; this one
-    writes a list of floats in a single join.
+    It dispatches on the exact type: a dict with str keys, then a list or
+    tuple, each written in one ``_items`` loop, then a float64 array of one
+    or more dimensions, which formats each distinct bit pattern once (a
+    state or pmf repeats few values, mostly 0.0; bits keep 0.0 apart from
+    -0.0).  The ``isinstance`` chain takes numpy scalars, other keys,
+    other arrays and subclasses.
     """
+    kind = type(obj)
+    inner = nl + "  "
+    if kind is dict and all(type(k) is str for k in obj):
+        keys = sorted(obj)
+        items = zip(map(encode_basestring_ascii, keys), _items([obj[k] for k in keys], num, inner))
+        body = ("," + inner).join(f"{key}: {text}" for key, text in items)
+        return "{" + inner + body + nl + "}" if body else "{}"
+    if kind is list or kind is tuple:
+        return _rows(_items(obj, num, inner), 1, nl)
+    if kind is np.ndarray and obj.ndim and obj.dtype == np.float64:
+        bits = obj.view(np.int64)
+        distinct = list(set(bits.ravel().tolist()))
+        values = np.array(distinct, dtype=np.int64).view(np.float64).tolist()
+        return _rows(bits.tolist(), obj.ndim, nl, dict(zip(distinct, _items(values, num, nl))))
     if isinstance(obj, str):
         return encode_basestring_ascii(obj)
     if isinstance(obj, (float, np.floating)):
-        return float.__repr__(num(float(obj))) if math.isfinite(obj) else "null"
-    inner = nl + "  "
+        return _items([float(obj)], num, nl)[0]
     if isinstance(obj, dict):
-        doc = {str(k): v for k, v in obj.items()}
-        if not doc:
-            return "{}"
-        items = (
-            f"{encode_basestring_ascii(k)}: {_write(doc[k], num, inner)}" for k in sorted(doc)
-        )
-        return "{" + inner + ("," + inner).join(items) + nl + "}"
+        return _write({str(k): v for k, v in obj.items()}, num, nl)
     if isinstance(obj, (list, tuple, np.ndarray)):
-        vals = obj.tolist() if isinstance(obj, np.ndarray) else obj
-        if all(type(v) is float for v in vals):
-            # exact zeros, most of a sparse state, pass through: num keeps them
-            items = (
-                float.__repr__(num(v) if v else v) if math.isfinite(v) else "null"
-                for v in vals
-            )
-        else:
-            items = (_write(v, num, inner) for v in vals)
-        body = ("," + inner).join(items)  # no element's text is empty
-        return "[" + inner + body + nl + "]" if body else "[]"
+        # a 0-d array's tolist() is a scalar, which list() refuses
+        return _write(list(obj.tolist() if isinstance(obj, np.ndarray) else obj), num, nl)
     if obj is None:
         return "null"
     if isinstance(obj, (bool, np.bool_)):
@@ -91,6 +99,30 @@ def _write(obj: Any, num: Callable[[float], float], nl: str = "\n") -> str:
     if isinstance(obj, (int, np.integer)):
         return int.__repr__(int(obj))
     raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def _items(vals: Any, num: Callable[[float], float], nl: str) -> list[str]:
+    """The text of each of vals; a value of no built-in scalar type is ``_write``'s."""
+    out = []
+    for v in vals:
+        kind = type(v)
+        if kind is float:
+            # exact zeros, most of a sparse state, pass through: num keeps them
+            out.append(float.__repr__(num(v) if v else v) if math.isfinite(v) else "null")
+        else:
+            out.append(_SCALARS[kind](v) if kind in _SCALARS else _write(v, num, nl))
+    return out
+
+
+def _rows(texts: list, ndim: int, nl: str, text: dict | None = None) -> str:
+    """A JSON list of ``ndim`` levels of nested lists of texts, or of ``text``'s keys."""
+    inner = nl + "  "
+    if ndim > 1:
+        texts = [_rows(row, ndim - 1, inner, text) for row in texts]
+    elif text is not None:
+        texts = map(text.__getitem__, texts)
+    body = ("," + inner).join(texts)  # no element's text is empty
+    return "[" + inner + body + nl + "]" if body else "[]"
 
 
 def json_text(obj: Any) -> str:
@@ -271,11 +303,7 @@ def load_state(path: str | Path) -> QState:
 
 
 def dump_state(state: QState) -> dict:
-    return {
-        "dims": list(state.dims),
-        "re": np.real(state.rho),
-        "im": np.imag(state.rho),
-    }
+    return {"dims": list(state.dims), **_dump_matrix(state.rho)}
 
 
 # ---------------------------------------------------------------------------
@@ -350,12 +378,8 @@ def dump_tree(tree: InstrumentTree) -> dict:
             _history_key(h): [[_dump_matrix(k) for k in outcome] for outcome in node]
             for h, node in tree.instruments.items()
         },
-        "leaf_a": {
-            _history_key(h): [_dump_matrix(k) for k in ops]
-            for h, ops in tree.leaf_a.items()
-        },
-        "leaf_b": {
-            _history_key(h): [_dump_matrix(k) for k in ops]
-            for h, ops in tree.leaf_b.items()
+        **{
+            key: {_history_key(h): [_dump_matrix(k) for k in ops] for h, ops in leaves.items()}
+            for key, leaves in (("leaf_a", tree.leaf_a), ("leaf_b", tree.leaf_b))
         },
     }

@@ -556,7 +556,7 @@ def _measured_key_value(sigma: QState) -> float:
     ua = _PM if low_a and not low_b else np.eye(4)
     ub = _PM if low_b and not low_a else np.eye(4)
     # row a * db + b of u is the product vector ua[a] (x) ub[b]; both are real
-    u = np.kron(ua, ub)
+    u = (ua[:, None, :, None] * ub[None, :, None, :]).reshape(len(ua) * len(ub), -1)
     joint = np.einsum("ik,kl,il->i", u, sigma.rho, u).real.clip(0.0, None)
     joint = joint.reshape(da, db)
     total = joint.sum()

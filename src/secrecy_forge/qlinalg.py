@@ -144,9 +144,11 @@ def _spectrum_entropy(w: np.ndarray) -> float:
 
 
 def trace_distance(a: QState, b: QState) -> float:
-    """Half the trace norm of the difference."""
+    """Half the trace norm of the difference; no solve for equal operators."""
     if a.dims != b.dims:
         raise SecrecyForgeError(f"dimension mismatch: {a.dims} vs {b.dims}")
+    if np.array_equal(a.rho, b.rho):
+        return 0.0
     w = np.linalg.eigvalsh(a.rho - b.rho)
     return float(0.5 * np.abs(w).sum())
 

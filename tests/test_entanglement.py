@@ -490,6 +490,38 @@ def test_each_state_is_split_once(report, monkeypatch):
     assert len({id(rho) for rho in split_states}) == len(split_states)
 
 
+def _two_by_three_split_state() -> QState:
+    """|0><0| (x) a mixed qubit on B levels {0, 1}, plus |1><1| (x) |2><2|."""
+    rho = np.zeros((2, 3, 2, 3))
+    rho[0, :2, 0, :2] = 0.6 * np.array([[0.5, 0.25], [0.25, 0.5]])
+    rho[1, 2, 1, 2] = 0.4
+    return QState(rho.reshape(6, 6), (2, 3))
+
+
+def test_a_split_labels_both_sides_at_once(monkeypatch):
+    pair = pair_state(*one_sided_coherence_example())
+    cell = entanglement._split_blocks(pair)[0][3]
+    calls = []
+
+    def counting_roots(adj):
+        calls.append(adj.shape)
+        return roots(adj)
+
+    roots = entanglement._component_roots
+    monkeypatch.setattr(entanglement, "_component_roots", counting_roots)
+    cases = [
+        (pair, [([0, 1], [0, 1]), ([0, 1], [2, 3]), ([2, 3], [0, 1])]),
+        (cell, None),
+        (_two_by_three_split_state(), [([0], [0, 1]), ([1], [2])]),
+    ]
+    for rho, want in cases:
+        calls.clear()
+        cells = entanglement._split_blocks(rho)
+        assert len(calls) == 1
+        got = cells and [(a.tolist(), b.tolist()) for _, a, b, _ in cells]
+        assert got == want
+
+
 def test_a_shared_split_carries_nothing_between_measures():
     d, phases = one_sided_coherence_example()
     rho, fresh = pair_state(d, phases), pair_state(d, phases)

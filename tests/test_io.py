@@ -9,11 +9,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from secrecy_forge import cli, io
 from secrecy_forge.dequantize import random_instrument_tree, verify_equivalence
 from secrecy_forge.distributions import Dist3
-from secrecy_forge.embeddings import PhaseAssignment
+from secrecy_forge.embeddings import PhaseAssignment, embed_cqq
 from secrecy_forge.errors import InvalidDistribution, UsageError
 from secrecy_forge.io import (
     dump_dist,
@@ -28,6 +29,7 @@ from secrecy_forge.io import (
     load_tree,
     sha256_file,
 )
+from secrecy_forge.keyrates import one_sided_coherence_example
 from secrecy_forge.qlinalg import QState
 
 
@@ -317,6 +319,8 @@ PLAIN_INPUTS = [
     (1, 2.0, True, None),
     tuple(np.float64(v) for v in SPECIAL_F64),
     {"a": (np.float32(0.1), 1.0), "b": [np.array([-0.0, 2.5]), ()], 3: np.bool_(True)},
+    # the 48x48 state of the embed envelope: 34 nonzero entries
+    pytest.param(dump_state(embed_cqq(*one_sided_coherence_example())), id="embed_cqq_state"),
 ]
 
 
@@ -326,6 +330,46 @@ def test_fast_float_lists_convert_as_one_element_at_a_time(obj, tmp_path):
     path = tmp_path / "doc.json"
     for write, num in ((json_text, _rounded), (lambda o: _dumped(o, path), float)):
         assert _outcome(write, obj) == _outcome(lambda o: _reference_text(o, num), obj)
+
+
+# NaNs with other payloads than np.nan's, which each must still read null:
+# the smallest signalling NaN and the all-ones bit pattern
+_NANS = [float(np.array(bits, dtype=np.int64).view(np.float64))
+         for bits in (0x7FF0000000000001, -1)]
+_ARRAY_FLOATS = st.sampled_from(SPECIAL_F64 + _NANS + [-5e-324, -1e-310, 2.5, -2.5]) | st.floats()
+_SHAPES = hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=5)
+
+
+@st.composite
+def _float64_arrays(draw):
+    """Float64 arrays of 1 to 3 dimensions, empty axes included, that
+    repeat a few drawn values and both zeros; some are strided views: the
+    real or the imaginary part of a complex array, or a transpose."""
+    shape = draw(_SHAPES)
+    values = st.sampled_from([0.0, -0.0] + draw(st.lists(_ARRAY_FLOATS, min_size=1, max_size=4)))
+    parts = [draw(hnp.arrays(np.float64, shape, elements=values)) for _ in range(2)]
+    view = draw(st.sampled_from(["plain", "real", "imag", "transpose"]))
+    if view in ("real", "imag"):
+        z = np.empty(shape, dtype=complex)
+        z.real, z.imag = parts
+        return np.real(z) if view == "real" else np.imag(z)
+    return parts[0].T if view == "transpose" else parts[0]
+
+
+_SIGNED_ZEROS = np.array([[complex(0.0, -0.0), complex(-0.0, 0.0)], [1j, complex(-0.0, 5e-324)]])
+
+
+@settings(max_examples=200)
+@given(arr=_float64_arrays())
+@example(arr=np.real(_SIGNED_ZEROS))
+@example(arr=np.imag(_SIGNED_ZEROS))
+@example(arr=np.array(_NANS + [np.nan, -np.inf, np.inf]))
+@example(arr=np.zeros((2, 0, 3)))
+def test_float_arrays_write_what_json_dumps_writes(tmp_path_factory, arr):
+    path = tmp_path_factory.mktemp("arrays") / "doc.json"
+    doc = {"a": arr, "b": [arr]}
+    assert _dumped(doc, path) == _reference_text(doc, float)
+    assert json_text(doc) == _reference_text(doc, _rounded)
 
 
 _FLOATS = st.floats() | st.sampled_from(

@@ -190,6 +190,26 @@ def test_trace_distance_extremes():
     assert trace_distance(zero, zero) < 1e-14
 
 
+def test_trace_distance_solves_only_a_nonzero_difference(make_density, monkeypatch):
+    rho, sigma = make_density((2, 3)), make_density((2, 3))
+    copy = QState(rho.rho.copy(), rho.dims)
+    diff = rho.rho - sigma.rho
+    solved = float(0.5 * np.abs(np.linalg.eigvalsh(diff)).sum())
+    solves = []
+
+    def counting_eigvalsh(a):
+        solves.append(a.shape)
+        return eigvalsh(a)
+
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    assert trace_distance(rho, rho) == 0.0
+    assert trace_distance(rho, copy) == 0.0
+    assert solves == []
+    assert trace_distance(rho, sigma) == solved
+    assert solves == [diff.shape]
+
+
 def test_trace_distance_requires_matching_dims(make_density):
     with pytest.raises(SecrecyForgeError):
         trace_distance(make_density((2,)), make_density((3,)))
