@@ -144,7 +144,8 @@ def _pd_canonical(ccf: CondCommonFunction) -> tuple[str, PDCertificate]:
     message_of_z = {z: (m, part_yz.block_of_y[z]) for z, m in part_xz.block_of_y.items()}
     m_index = {pair: i for i, pair in enumerate(sorted(set(message_of_z.values())))}
     group_of_z = {z: m_index[m] for z, m in message_of_z.items()}
-    _, ext_ubi = _cross_z_merge(ccf.per_z, group_of_z, ccf.support)
+    # a finer merge of a per-z injective function stays injective
+    ext_ubi = ccf.per_z_injective or _cross_z_merge(ccf.per_z, group_of_z, ccf.support)[1]
     cert = PDCertificate(part_xz.block_of_x, part_yz.block_of_x, len(m_index), ext_ubi)
     return (YES if ext_ubi else INCONCLUSIVE), cert
 
@@ -297,7 +298,7 @@ def _block_independent(d: Dist3, ccf: CondCommonFunction, tol: float) -> bool:
     """Whether I(X:Y | block label, Z) <= tol, from ``_cell_gap`` on d's
     supported z slices; ``_cell_entropies`` decides a gap within
     ``PREFILTER_MARGIN`` of tol."""
-    gap = _cell_gap(d.p[:, :, list(ccf.per_z)], *ccf._roots).sum()
+    gap = _cell_gap(d.p[:, :, ccf.zs], *ccf._roots).sum()
     if abs(gap - tol) <= PREFILTER_MARGIN:
         gap = _cell_entropies(d, ccf)[0]
     return bool(gap <= tol)

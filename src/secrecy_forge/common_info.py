@@ -17,6 +17,7 @@ graph, and each edge of the union lies in a block of the z it comes from.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -129,32 +130,71 @@ def common_information(
 
 @dataclass(frozen=True)
 class CondCommonFunction:
-    """Per-z maximal partitions plus a canonical cross-z labelling.
+    """Per-z maximal partitions plus a canonical cross-z labelling, kept as
+    the component roots they are read from.
 
-    ``global_labels`` maps (z, block index within z) to the label of its
-    component in the union of the per-z support graphs, numbered by their
-    smallest (z, block) pair.  ``per_z_injective`` records whether two distinct
-    blocks of one z ever share a component, which is exactly the obstacle
-    to relabelling the per-z partitions into a single function of x alone
-    and of y alone.
+    The fields are arrays: ``zs``, the supported z in ascending order;
+    ``z_probs``, p(z) for every z; ``support``, the (x, y, z) with
+    p(z) > support_eps and p(x, y | z) > support_eps, the entries the
+    blocks are built from (code that pairs entries of the pmf with these
+    blocks must take its entries from this mask); ``_roots``, the
+    ``_component_roots`` of the supported slices, in ``zs`` order; and
+    ``_union_roots``, those of the union of the slices, one trailing
+    column each.  The roots are not serialized.
 
-    ``support`` marks the (x, y, z) with p(z) > support_eps and
-    p(x, y | z) > support_eps, the entries the blocks are built from; code
-    that pairs entries of the pmf with these blocks must take its entries
-    from this mask.  ``_roots`` are the ``_component_roots`` of its
-    supported z slices, in ``per_z`` order; not serialized.
+    A block's root is its smallest x, so ``per_z_injective``, ``n_labels``
+    and ``block_entropy`` read the blocks off the roots.  The dict views
+    are built on first read and kept: ``per_z`` maps each supported z to
+    its ``CommonPartition``, and ``global_labels`` maps (z, block index
+    within z) to the label of its component in the union of the per-z
+    support graphs, numbered by their smallest (z, block) pair.
+    ``per_z_injective`` records whether two distinct blocks of one z ever
+    share a component, which is exactly the obstacle to relabelling the
+    per-z partitions into a single function of x alone and of y alone.
     """
 
-    per_z: Mapping[int, CommonPartition]
-    global_labels: Mapping[tuple[int, int], int]
-    per_z_injective: bool
+    zs: np.ndarray = field(repr=False)
     z_probs: np.ndarray = field(repr=False)
     support: np.ndarray = field(repr=False)
     _roots: tuple[np.ndarray, np.ndarray] = field(repr=False, compare=False)
+    _union_roots: tuple[np.ndarray, np.ndarray] = field(repr=False, compare=False)
+
+    @functools.cached_property
+    def per_z(self) -> dict[int, CommonPartition]:
+        return dict(zip(self.zs.tolist(), _partitions(self.support[:, :, self.zs], self._roots)))
+
+    @functools.cached_property
+    def global_labels(self) -> dict[tuple[int, int], int]:
+        group_of_z = dict.fromkeys(self.per_z, 0)
+        return _cross_z_merge(self.per_z, group_of_z, self.support, self._union_roots[0])[0]
+
+    @functools.cached_property
+    def _block_facts(self) -> tuple[list[int], bool, int]:
+        """The number of blocks of each supported z, in ``zs`` order;
+        whether no two blocks of one z share a union component; and how many
+        union components hold a block.  Each column carries the root of its
+        block in each slice, and of its component in the union, or |X|
+        where it has no edge there."""
+        n = len(self._roots[0])
+        union = self._union_roots[1][:, 0].tolist()
+        counts, injective = [], True
+        for roots in self._roots[1].T.tolist():
+            blocks = set(roots)
+            blocks.discard(n)
+            counts.append(len(blocks))
+            injective = injective and len({u for r, u in zip(roots, union) if r < n}) == len(blocks)
+        labels = set(union)
+        labels.discard(n)
+        return counts, injective, len(labels)
+
+    @property
+    def per_z_injective(self) -> bool:
+        return self._block_facts[1]
 
     @property
     def n_labels(self) -> int:
-        return 1 + max(self.global_labels.values(), default=-1)
+        """The number of union components that hold a block."""
+        return self._block_facts[2]
 
     def block_entropy(self, d: Dist3) -> float:
         """H(block label | Z) under d, the pmf this function was built from.
@@ -167,7 +207,7 @@ class CondCommonFunction:
         """
         row_roots, col_roots = self._roots
         k, x, y = np.nonzero(row_roots.T[:, :, None] == col_roots.T[:, None])
-        z = np.array(list(self.per_z), dtype=int)[k]
+        z = self.zs[k]
         cond = d.p[x, y, z] / self.z_probs[z]
         cell = k * len(row_roots) + row_roots[x, k]  # in (z, block) order
         sizes = np.bincount(cell)
@@ -177,8 +217,8 @@ class CondCommonFunction:
             pick = sizes == size
             masses[pick] = cond[order[starts[pick][:, None] + np.arange(size)]].sum(axis=1)
         masses, total = iter(masses.tolist()), 0.0
-        for z, part in self.per_z.items():
-            total += float(self.z_probs[z]) * entropy_bits([next(masses) for _ in part.blocks])
+        for z, n in zip(self.zs.tolist(), self._block_facts[0]):
+            total += float(self.z_probs[z]) * entropy_bits([next(masses) for _ in range(n)])
         return total
 
     def to_json(self) -> dict:
@@ -194,17 +234,19 @@ class CondCommonFunction:
 def conditional_common_function(
     d: Dist3, support_eps: float = config.SUPPORT_EPS
 ) -> CondCommonFunction:
-    """Per-z maximal common partitions with canonical cross-z merge labels."""
+    """Per-z maximal common partitions with canonical cross-z merge labels,
+    from one labelling of the supported z slices and, trailing, their union.
+
+    Only the arrays are built here; ``per_z`` and ``global_labels`` are
+    built when first read (see ``CondCommonFunction``)."""
     z_probs = d.p.sum(axis=(0, 1))
     zs = np.flatnonzero(z_probs > support_eps)
     support = np.zeros(d.p.shape, dtype=bool)
     support[:, :, zs] = d.p[:, :, zs] / z_probs[zs] > support_eps
-    # one labelling: the supported slices and, trailing, their union
     row_roots, col_roots = _component_roots(np.dstack([support[:, :, zs], support.any(axis=2)]))
     roots = row_roots[:, :-1], col_roots[:, :-1]
-    per_z = dict(zip(zs.tolist(), _partitions(support[:, :, zs], roots)))
-    labels, injective = _cross_z_merge(per_z, dict.fromkeys(per_z, 0), support, row_roots[:, -1:])
-    return CondCommonFunction(per_z, labels, injective, z_probs, support, roots)
+    union_roots = row_roots[:, -1:], col_roots[:, -1:]
+    return CondCommonFunction(zs, z_probs, support, roots, union_roots)
 
 
 def _cross_z_merge(

@@ -170,6 +170,8 @@ def _split_blocks(
     graphs[:da, :da, 0], graphs[:db, :db, 1] = linked.any(axis=(1, 3)), linked.any(axis=(0, 2))
     roots = _component_roots(graphs)[0]
     roots_a, roots_b = roots[:da, 0], roots[:db, 1]
+    if not roots_a.any() and not roots_b.any():  # each side one component
+        return None
     diag = np.real(np.diagonal(rho.rho)).reshape(da, db)
     cells = []
     # a component's root is its smallest level, the one that is its own root
@@ -180,8 +182,6 @@ def _split_blocks(
             p = float(diag[np.ix_(a_lev, b_lev)].sum())
             if p > 1e-12:
                 cells.append((p, a_lev, b_lev))
-    if len(cells) == 1 and cells[0][1].size == da and cells[0][2].size == db:
-        return None
     out = []
     for p, a_lev, b_lev in cells:
         idx = (a_lev[:, None] * db + b_lev[None, :]).ravel()

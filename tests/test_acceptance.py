@@ -16,6 +16,7 @@ import numpy as np
 
 from secrecy_forge import cli
 from secrecy_forge.classify import classify
+from secrecy_forge.common_info import conditional_common_function
 from secrecy_forge.dequantize import random_instrument_tree, verify_equivalence
 from secrecy_forge.distributions import (
     Dist3,
@@ -214,6 +215,12 @@ NESTING_IMPLICATIONS = (
 # rounding residue there (62 positive, 56 negative), and no other field moved.
 GOLDEN_CLASSIFY = "d53cf71609a239a63dbc58c45e638b1dc6fe0dab485ece3097b6d8af274c5b35"
 GOLDEN_KD = "84370f44f621ceb887cf70856fc615519890d905450c862657444128e0d484bc"
+# sha256 over [conditional_common_function(d).to_json(), its block_entropy(d)]
+# for every member of the corpus and the square of each UBI member, each as
+# json.dumps(..., sort_keys=True): the per-z partitions, global labels and
+# H(J|Z) that `commoninfo` prints.  Computed when conditional_common_function
+# still built its per-z dicts eagerly; they are now built on first read.
+GOLDEN_CCF = "f86c8765caa2c221bfd4b1b84a5ce581de4d9987221a0245dae9e62be0ec6ffb"
 
 
 def test_criterion_6_nesting_and_additivity():
@@ -224,6 +231,7 @@ def test_criterion_6_nesting_and_additivity():
     n_ubi = 0
     classify_hash = hashlib.sha256()
     kd_hash = hashlib.sha256()
+    ccf_hash = hashlib.sha256()
     for i in range(1000):
         d = block_product_dist(rng) if i % 10 < 3 else random_small_dist(rng)
         doc = classify(d).to_json()
@@ -231,15 +239,22 @@ def test_criterion_6_nesting_and_additivity():
         for premise, conclusion in NESTING_IMPLICATIONS:
             if doc[premise] == "yes" and doc[conclusion] == "no":
                 violations += 1
+        members = [d]
         if doc["ubi"] == "yes":
             n_ubi += 1
+            members.append(product_power(d, 2))
             single = kd_class(d)
-            double = kd_class(product_power(d, 2))
+            double = kd_class(members[1])
             for kd in (single, double):
                 kd_hash.update(json.dumps(kd.to_json(), sort_keys=True).encode())
             worst_add = max(worst_add, abs(double.value - 2 * single.value))
+        for m in members:
+            ccf = conditional_common_function(m)
+            rate = ccf.block_entropy(m)  # before the per-z dicts are read
+            ccf_hash.update(json.dumps([ccf.to_json(), rate], sort_keys=True).encode())
     golden = (classify_hash.hexdigest() == GOLDEN_CLASSIFY
-              and kd_hash.hexdigest() == GOLDEN_KD)
+              and kd_hash.hexdigest() == GOLDEN_KD
+              and ccf_hash.hexdigest() == GOLDEN_CCF)
     ok = violations == 0 and worst_add <= 1e-9 and n_ubi > 0 and golden
     elapsed = time.time() - start
     ok &= elapsed < 60.0

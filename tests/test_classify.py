@@ -498,10 +498,47 @@ def test_only_classify_walks_the_cells(monkeypatch):
         assert walks == []
 
 
+def test_kd_class_without_a_report_builds_no_per_z_dicts(monkeypatch):
+    # the BI gap, per-z injectivity and H(J|Z) come from the component roots,
+    # so kd_class without a report builds no per-z partition and runs no
+    # cross-z merge, and the canonical protocol on a per-z injective function
+    # runs no restricted merge: a finer merge of it stays injective
+    calls = []
+
+    def spy(name, real):
+        def counted(*args):
+            calls.append(name)
+            return real(*args)
+        return counted
+
+    for module in (common_info_module, classify_module):
+        for name in ("_partitions", "_cross_z_merge"):
+            monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
+    p = np.random.default_rng(9).random((3, 3, 3))
+    ubi, not_bi = two_block_uniform_example(), Dist3(p / p.sum())
+    for d in (ubi, product_power(ubi, 2), not_bi):
+        kd_class(d)
+        assert calls == []
+    assert classify(not_bi).bi == "no"
+    calls.clear()
+    ccf = conditional_common_function(ubi)
+    assert ccf.per_z_injective
+    status, cert = _pd_canonical(ccf)
+    assert (status, cert.extension_ubi) == ("yes", True)
+    assert "_cross_z_merge" not in calls
+    # a BI function that is not per-z injective still runs it
+    ccf = conditional_common_function(one_sided_coherence_example()[0])
+    assert not ccf.per_z_injective
+    calls.clear()
+    _pd_canonical(ccf)
+    assert calls.count("_cross_z_merge") == 1
+
+
 def test_each_support_graph_family_is_labelled_once(monkeypatch):
     # conditional_common_function labels its z slices and their union in one
-    # call; _pd_canonical labels its x-z and y-z graphs in one and the union
-    # of each message's z in one more
+    # call; _pd_canonical labels its x-z and y-z graphs in one and, unless
+    # the function is per-z injective, the union of each message's z in one
+    # more
     calls = []
     label = common_info_module._component_roots
 
@@ -511,13 +548,14 @@ def test_each_support_graph_family_is_labelled_once(monkeypatch):
 
     monkeypatch.setattr(common_info_module, "_component_roots", spy)
     p = np.random.default_rng(10).random((4, 2, 3))
-    for d in (product_power(two_block_uniform_example(), 2),
-              one_sided_coherence_example()[0], Dist3(p / p.sum())):
+    for d, labellings in ((product_power(two_block_uniform_example(), 2), 1),
+                          (one_sided_coherence_example()[0], 2),
+                          (Dist3(p / p.sum()), 1)):
         ccf = conditional_common_function(d)
         assert len(calls) == 1
         calls.clear()
         _pd_canonical(ccf)
-        assert len(calls) == 2
+        assert len(calls) == labellings
         calls.clear()
 
 

@@ -288,9 +288,22 @@ def test_cross_z_merge_matches_the_incidence_graph(case):
     alone = [_component_roots(support[:, :, [z]]) for z in zs]
     for got, want in zip(ccf._roots, zip(*alone)):
         np.testing.assert_array_equal(got, np.hstack(want))
+    # per_z_injective, n_labels and the per-z block counts are read off the
+    # roots before any dict view is built; the dict route must agree
+    weights = support * (1.0 + np.arange(support.size).reshape(support.shape) % 7)
+    d = Dist3(weights / weights.sum())
+    fresh = conditional_common_function(d)
+    facts = (fresh.per_z_injective, fresh.n_labels, fresh._block_facts[0])
+    bits = fresh.block_entropy(d)
+    assert "per_z" not in vars(fresh) and "global_labels" not in vars(fresh)
     assert ccf.per_z == {z: per_z[z] for z in zs}
     merged = _cross_z_merge(ccf.per_z, dict.fromkeys(zs, 0), support)
     assert (ccf.global_labels, ccf.per_z_injective) == merged
+    assert facts == (merged[1], 1 + max(merged[0].values(), default=-1),
+                     [len(per_z[z]) for z in zs])
+    read_first = conditional_common_function(d)
+    assert len(read_first.per_z) == len(zs)
+    assert read_first.block_entropy(d) == bits
     cert = _pd_canonical(ccf)[1]
     (part_xz,) = _partitions(support.any(axis=1)[:, :, None])
     (part_yz,) = _partitions(support.any(axis=0)[:, :, None])
