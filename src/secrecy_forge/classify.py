@@ -150,18 +150,21 @@ def _pd_canonical(ccf: CondCommonFunction) -> tuple[str, PDCertificate]:
     return (YES if ext_ubi else INCONCLUSIVE), cert
 
 
-def _ubi_pd_verdict(d: Dist3, ccf: CondCommonFunction, tol: float) -> str:
-    """classify's UBI-PD verdict on d, computing only what that needs.
+def _chain(d: Dist3, ccf: CondCommonFunction, tol: float, seed: dict) -> tuple[str, str, str]:
+    """The BI, UBI and UBI-PD verdicts of d, computing only what they need.
 
-    No value is reported, so block independence is decided by
-    ``_block_independent``'s batched gap, not by classify's per-cell walk;
-    the verdict is the same.  UBI implies UBI-PD (the nesting ClassReport
-    enforces), so the canonical protocol runs only for a BI distribution
-    that is not UBI.
+    Block independence comes from ``_block_independent``'s batched gap.
+    UBI implies UBI-PD (the nesting ClassReport enforces), so the canonical
+    protocol runs only for a BI distribution that is not UBI.  ``seed``
+    receives the cell walk and the protocol's certificate when either runs,
+    under the names of the ClassReport views they fill.
     """
-    if not _block_independent(d, ccf, tol):
-        return NO
-    return YES if ccf.per_z_injective else _pd_canonical(ccf)[0]
+    if not _block_independent(d, ccf, tol, seed):
+        return NO, NO, NO
+    if ccf.per_z_injective:
+        return YES, YES, YES
+    pd, seed["_pd_cert"] = _pd_canonical(ccf)
+    return YES, NO, pd
 
 
 # ---------------------------------------------------------------------------
@@ -294,13 +297,14 @@ def _cell_gap(q: np.ndarray, row_roots: np.ndarray, col_roots: np.ndarray) -> np
             - _xlogx(rows).sum(axis=0) - _xlogx(cols).sum(axis=0))
 
 
-def _block_independent(d: Dist3, ccf: CondCommonFunction, tol: float) -> bool:
+def _block_independent(d: Dist3, ccf: CondCommonFunction, tol: float, seed: dict) -> bool:
     """Whether I(X:Y | block label, Z) <= tol, from ``_cell_gap`` on d's
     supported z slices; ``_cell_entropies`` decides a gap within
-    ``PREFILTER_MARGIN`` of tol."""
+    ``PREFILTER_MARGIN`` of tol, and its walk is kept in ``seed``."""
     gap = _cell_gap(d.p[:, :, ccf.zs], *ccf._roots).sum()
     if abs(gap - tol) <= PREFILTER_MARGIN:
-        gap = _cell_entropies(d, ccf)[0]
+        seed["_cells"] = _cell_entropies(d, ccf)
+        gap = seed["_cells"][0]
     return bool(gap <= tol)
 
 
@@ -402,7 +406,7 @@ def is_ubi_pd_down(
             ch = Channel.deterministic(rgs)
             dbar = apply_channel_z(d, ch)
             ccf = conditional_common_function(dbar, support_eps)
-            if not _block_independent(dbar, ccf, tol):
+            if not _block_independent(dbar, ccf, tol, {}):
                 continue
             status, cert = _pd_canonical(ccf)
         if status != YES:
@@ -428,13 +432,17 @@ def is_ubi_pd_down(
 # combined report
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClassReport:
-    """Verdicts for every class plus certificates and numeric diagnostics.
+    """The six class verdicts of ``d``, plus views built on first read.
 
-    ``ccf`` (d's conditional common function) and ``down`` (the UBI-PD-down
-    search result, with its channel and degraded rate or its ceiling) are
-    what classify built; not serialized.
+    The verdicts, ``tolerances``, ``d`` and its conditional common function
+    ``ccf`` are set by ``classify``.  ``down`` (the UBI-PD-down search
+    result, with its channel and degraded rate or its ceiling),
+    ``certificates`` and ``diagnostics`` are cached properties, built on
+    first read at the report's own tolerances; classify seeds them with
+    what deciding the verdicts computed, so no search, protocol run or cell
+    walk runs twice.  ``d``, ``ccf`` and ``down`` are not serialized.
     """
 
     bi: str
@@ -443,21 +451,62 @@ class ClassReport:
     ubi_pd_down: str
     semi_unambiguous: str
     unambiguous: str
-    certificates: dict = field(repr=False)
-    diagnostics: dict = field(repr=False)
     tolerances: dict = field(repr=False)
+    d: Dist3 = field(repr=False)
     ccf: CondCommonFunction = field(repr=False)
-    down: PDDownResult = field(repr=False)
 
     def __post_init__(self) -> None:
-        if self.ubi == YES and (
-            self.bi != YES or self.ubi_pd != YES or self.ubi_pd_down != YES
-        ):
+        if self.ubi == YES and {self.bi, self.ubi_pd, self.ubi_pd_down} != {YES}:
             raise SecrecyForgeError("class nesting violated: UBI without PD chain")
         if self.unambiguous == YES and self.semi_unambiguous != YES:
-            raise SecrecyForgeError(
-                "class nesting violated: unambiguous but not semi-unambiguous"
-            )
+            raise SecrecyForgeError("class nesting violated: unambiguous but not semi-unambiguous")
+
+    @functools.cached_property
+    def _cells(self) -> tuple[float, float]:
+        return _cell_entropies(self.d, self.ccf)
+
+    @functools.cached_property
+    def _pd_cert(self) -> PDCertificate | None:
+        return _pd_canonical(self.ccf)[1] if self.bi == YES else None
+
+    @functools.cached_property
+    def down(self) -> PDDownResult:
+        tol, support_eps = self.tolerances["entropy"], self.tolerances["support"]
+        down = is_ubi_pd_down(self.d, tol, support_eps,
+                              _identity=(self.ccf, self.ubi_pd, self._pd_cert))
+        if down.status != YES and self.ubi_pd == YES:
+            # the identity channel always certifies a UBI-PD distribution,
+            # even when the search stopped short of it
+            ch = Channel.identity(self.d.dims[2])
+            down = PDDownResult(YES, ch, down.tested, "implied by UBI-PD (identity)",
+                                self._pd_cert, 0.0)
+        return down
+
+    @functools.cached_property
+    def certificates(self) -> dict:
+        certificates: dict = {}
+        if self.ubi == YES:
+            labels_x: dict[int, int] = {}
+            labels_y: dict[int, int] = {}
+            for z, part in self.ccf.per_z.items():
+                for x, b in part.block_of_x.items():
+                    labels_x[x] = self.ccf.global_labels[(z, b)]
+                for y, b in part.block_of_y.items():
+                    labels_y[y] = self.ccf.global_labels[(z, b)]
+            certificates["ubi"] = {
+                "label_of_x": {str(k): v for k, v in sorted(labels_x.items())},
+                "label_of_y": {str(k): v for k, v in sorted(labels_y.items())},
+            }
+        if self._pd_cert is not None:
+            certificates["ubi_pd"] = self._pd_cert.to_json()
+        certificates["ubi_pd_down"] = self.down.to_json()
+        return certificates
+
+    @functools.cached_property
+    def diagnostics(self) -> dict:
+        cmi, h_resid = self._cells
+        return {"cmi_xy_given_blocks": cmi, "h_xy_given_blocks": h_resid,
+                "per_z_injective": self.ccf.per_z_injective, "n_block_labels": self.ccf.n_labels}
 
     def to_json(self) -> dict:
         return {
@@ -478,66 +527,29 @@ def classify(
     tol: float = config.ENTROPY_TOL,
     support_eps: float = config.SUPPORT_EPS,
 ) -> ClassReport:
-    """Run every class check and assemble a consistent report.
+    """Decide the six verdicts along the class chain and report them.
 
-    The UBI-PD-down search tries at most ``CHANNEL_BUDGET`` channels, and
-    its certificate's ``reason`` says whether that budget cut it short.
+    Eager: BI, UBI and UBI-PD from ``_chain``, semi-unambiguity, the cell
+    walk only for a semi-unambiguous pmf (it decides unambiguity), and the
+    UBI-PD-down search only when UBI-PD does not settle that verdict (the
+    identity channel certifies it).  ``down``, ``certificates`` and
+    ``diagnostics`` are built on first read.  The search tries at most
+    ``CHANNEL_BUDGET`` channels; its ``reason`` says if that cut it short.
     """
     ccf = conditional_common_function(d, support_eps)
-    cmi, h_resid = _cell_entropies(d, ccf)
-    bi = YES if cmi <= tol else NO
-    ubi = YES if (bi == YES and ccf.per_z_injective) else NO
+    seed: dict = {}
+    bi, ubi, pd = _chain(d, ccf, tol, seed)
     # semi-unambiguous: every supported (x, y) pair occurs with exactly one z
     counts = (d.p > support_eps).sum(axis=2)
     semi = YES if np.all(counts[d.p.sum(axis=2) > support_eps] == 1) else NO
-    unamb = YES if (semi == YES and h_resid <= tol) else NO
-
-    certificates: dict = {}
-    if ubi == YES:
-        labels_x: dict[int, int] = {}
-        labels_y: dict[int, int] = {}
-        for z, part in ccf.per_z.items():
-            for x, b in part.block_of_x.items():
-                labels_x[x] = ccf.global_labels[(z, b)]
-            for y, b in part.block_of_y.items():
-                labels_y[y] = ccf.global_labels[(z, b)]
-        certificates["ubi"] = {
-            "label_of_x": {str(k): v for k, v in sorted(labels_x.items())},
-            "label_of_y": {str(k): v for k, v in sorted(labels_y.items())},
-        }
-
-    if bi == NO:
-        pd_status: str = NO
-        pd_cert = None
-    else:
-        pd_status, pd_cert = _pd_canonical(ccf)
-    if pd_cert is not None:
-        certificates["ubi_pd"] = pd_cert.to_json()
-
-    down = is_ubi_pd_down(d, tol, support_eps, _identity=(ccf, pd_status, pd_cert))
-    if down.status != YES and pd_status == YES:
-        # the identity channel always certifies a UBI-PD distribution, even
-        # when the search stopped short of it
-        ch = Channel.identity(d.dims[2])
-        down = PDDownResult(YES, ch, down.tested, "implied by UBI-PD (identity)", pd_cert, 0.0)
-    certificates["ubi_pd_down"] = down.to_json()
-
-    report = ClassReport(
-        bi=bi,
-        ubi=ubi,
-        ubi_pd=pd_status,
-        ubi_pd_down=down.status,
-        semi_unambiguous=semi,
-        unambiguous=unamb,
-        certificates=certificates,
-        diagnostics={
-            "cmi_xy_given_blocks": cmi,
-            "h_xy_given_blocks": h_resid,
-            "per_z_injective": ccf.per_z_injective,
-            "n_block_labels": ccf.n_labels,
-        },
-        tolerances={"entropy": tol, "support": support_eps},
-        ccf=ccf,
-        down=down,
-    )
+    if semi == YES and "_cells" not in seed:
+        seed["_cells"] = _cell_entropies(d, ccf)
+    unamb = YES if (semi == YES and seed["_cells"][1] <= tol) else NO
+    if pd != YES:
+        seed["down"] = is_ubi_pd_down(d, tol, support_eps, _identity=(ccf, pd, None))
+    pd_down = seed["down"].status if pd != YES else YES
+    report = ClassReport(bi, ubi, pd, pd_down, semi, unamb,
+                         {"entropy": tol, "support": support_eps}, d, ccf)
+    # what deciding the verdicts computed, under the views' names
+    vars(report).update(seed)
     return report

@@ -128,7 +128,7 @@ def common_information(
     return entropy_bits(part.probabilities(d2))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CondCommonFunction:
     """Per-z maximal partitions plus a canonical cross-z labelling, kept as
     the component roots they are read from.
@@ -156,8 +156,8 @@ class CondCommonFunction:
     zs: np.ndarray = field(repr=False)
     z_probs: np.ndarray = field(repr=False)
     support: np.ndarray = field(repr=False)
-    _roots: tuple[np.ndarray, np.ndarray] = field(repr=False, compare=False)
-    _union_roots: tuple[np.ndarray, np.ndarray] = field(repr=False, compare=False)
+    _roots: tuple[np.ndarray, np.ndarray] = field(repr=False)
+    _union_roots: tuple[np.ndarray, np.ndarray] = field(repr=False)
 
     @functools.cached_property
     def per_z(self) -> dict[int, CommonPartition]:

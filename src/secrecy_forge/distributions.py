@@ -73,7 +73,7 @@ class Dist2:
         return self.p.shape  # type: ignore[return-value]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dist3:
     """Joint distribution of (x, y, z) = (Alice, Bob, Eve)."""
 
@@ -87,7 +87,7 @@ class Dist3:
         return self.p.shape  # type: ignore[return-value]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Channel:
     """Row-stochastic map applied to Eve's symbol, k[z, zbar]."""
 

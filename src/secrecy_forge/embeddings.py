@@ -44,7 +44,7 @@ __all__ = [
 TWO_PI = 2.0 * math.pi
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PhaseAssignment:
     """Phase phi(x,y,z) in [0, 2pi) for every grid point.
 

@@ -28,8 +28,8 @@ from . import config
 from .classify import (
     YES,
     ClassReport,
+    _chain,
     classify,
-    _ubi_pd_verdict,
     is_ubi_pd_down,
 )
 from .common_info import CondCommonFunction, conditional_common_function
@@ -172,11 +172,9 @@ def kd_class(
     """
     if report is None:
         ccf = conditional_common_function(d, support_eps)
-        pd = _ubi_pd_verdict(d, ccf, tol)
-        down = None if pd == YES else is_ubi_pd_down(
-            d, tol, support_eps, _identity=(ccf, pd, None))
+        pd = _chain(d, ccf, tol, {})[2]
     else:
-        ccf, down, pd = report.ccf, report.down, report.ubi_pd
+        ccf, pd = report.ccf, report.ubi_pd
     if pd == YES:
         return MeasureResult(
             name="K_D",
@@ -185,6 +183,8 @@ def kd_class(
             method="common-block-entropy",
             diagnostics={"class": "ubi_pd"},
         )
+    down = report.down if report is not None else is_ubi_pd_down(
+        d, tol, support_eps, _identity=(ccf, pd, None))
     if down.channel is not None:
         return MeasureResult(
             name="K_D",

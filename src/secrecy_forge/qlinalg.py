@@ -52,7 +52,7 @@ def _check_dims(dims: Sequence[int], total: int) -> tuple[int, ...]:
     return dims
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QState:
     """Density operator with named subsystem dimensions.
 
@@ -62,7 +62,7 @@ class QState:
 
     rho: np.ndarray
     dims: tuple[int, ...]
-    spectrum: np.ndarray = field(init=False, repr=False, compare=False)
+    spectrum: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         rho = _frozen(self.rho)

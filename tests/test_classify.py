@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import importlib
 import itertools
+import json
 import math
 import tracemalloc
 
@@ -41,6 +42,7 @@ from secrecy_forge.keyrates import (
     one_sided_coherence_example,
     two_block_uniform_example,
 )
+from secrecy_forge.qlinalg import QState
 
 # the package's top level binds "classify" to the function, not the module
 classify_module = importlib.import_module("secrecy_forge.classify")
@@ -198,6 +200,21 @@ def test_merging_eve_repairs_crossed_pairings():
 
 def test_report_json_keys():
     assert set(classify(binary_eve_family(0.3)).to_json()) == REPORT_KEYS
+
+
+@pytest.mark.parametrize("make", [
+    two_block_uniform_example,
+    lambda: Channel.identity(2),
+    lambda: QState(np.eye(2) / 2, (2,)),
+    lambda: one_sided_coherence_example()[1],
+    lambda: classify(two_block_uniform_example()),
+    lambda: conditional_common_function(two_block_uniform_example()),
+])
+def test_frozen_array_holders_compare_by_identity(make):
+    # a generated __eq__ or __hash__ over array fields raises
+    a, b = make(), make()
+    assert a == a and a != b
+    assert hash(a) == hash(a) and len({a, b}) == 2
 
 
 IMPLICATIONS = (
@@ -476,26 +493,66 @@ def test_bi_verdict_within_the_margin_is_the_exact_one(monkeypatch, margin):
             assert got == kd_class(d, classify(d, tol=tol), tol=tol).to_json()
 
 
-def test_only_classify_walks_the_cells(monkeypatch):
-    # a decision needs no cell values: kd_class without a report and the
-    # search decide block independence from the batched gap
-    walks = []
-    walk = classify_module._cell_entropies
+def _spy_calls(monkeypatch, names, *modules):
+    """Rebind each named function of each module to one that appends its
+    name to the returned list."""
+    calls = []
 
-    def spy(d, ccf):
-        walks.append(id(d))
-        return walk(d, ccf)
+    def spy(name, real):
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return counted
 
-    monkeypatch.setattr(classify_module, "_cell_entropies", spy)
+    for module in modules:
+        for name in names:
+            monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
+    return calls
+
+
+@pytest.mark.parametrize("first", ["down", "certificates", "diagnostics", "to_json"])
+def test_classify_searches_and_walks_only_when_a_view_is_read(monkeypatch, first):
+    # UBI-PD settles UBI-PD-down, so classify runs no search on these, and
+    # walks the cells only to decide unambiguity of a semi-unambiguous pmf;
+    # the protocol runs eagerly only for BI that is not UBI.  Each view
+    # builds what it reads, once, and reuses what classify computed.
+    calls = _spy_calls(monkeypatch, ("is_ubi_pd_down", "_cell_entropies", "_pd_canonical"),
+                       classify_module)
+    ubi, walk, protocol = two_block_uniform_example(), "_cell_entropies", "_pd_canonical"
+    product = Dist3(np.einsum("x,y,z->xyz", [0.7, 0.3], [0.4, 0.6], [0.5, 0.5]))
+    for d, eager in ((ubi, [walk]), (product_power(ubi, 2), [walk]),
+                     (one_sided_coherence_example()[0], [protocol, walk]), (product, [])):
+        report = classify(d)
+        assert (report.ubi_pd, report.semi_unambiguous) == ("yes", "yes" if eager else "no")
+        assert calls == eager
+        calls.clear()
+        kd_class(d, report)
+        assert calls == []
+        view = getattr(report, first)
+        if first == "to_json":
+            view()
+        assert ("is_ubi_pd_down" in calls) == (first != "diagnostics")
+        assert (walk in calls) == (not eager and first in ("diagnostics", "to_json"))
+        report.to_json()
+        assert calls.count("is_ubi_pd_down") == 1
+        assert calls.count(walk) + eager.count(walk) == 1
+        calls.clear()
+    # a pmf that is not BI runs the search once, in classify, and the walk
+    # once, for its diagnostics
     p = np.random.default_rng(9).random((3, 3, 3))
-    ubi_square, not_bi = product_power(two_block_uniform_example(), 2), Dist3(p / p.sum())
-    for d in (ubi_square, not_bi):
-        classify(d)
-        assert walks == [id(d)]
-        walks.clear()
+    d = Dist3(p / p.sum())
+    report = classify(d)
+    assert report.bi == "no" and calls == ["is_ubi_pd_down"]
+    calls.clear()
+    kd_class(d, report)
+    getattr(report, first)
+    report.to_json()
+    assert calls == [walk]
+    # without a report, kd_class and the search decide BI from the batched gap
+    for d in (product_power(ubi, 2), d):
         kd_class(d)
         is_ubi_pd_down(d)
-        assert walks == []
+    assert walk not in calls[1:]
 
 
 def test_kd_class_without_a_report_builds_no_per_z_dicts(monkeypatch):
@@ -503,17 +560,8 @@ def test_kd_class_without_a_report_builds_no_per_z_dicts(monkeypatch):
     # so kd_class without a report builds no per-z partition and runs no
     # cross-z merge, and the canonical protocol on a per-z injective function
     # runs no restricted merge: a finer merge of it stays injective
-    calls = []
-
-    def spy(name, real):
-        def counted(*args):
-            calls.append(name)
-            return real(*args)
-        return counted
-
-    for module in (common_info_module, classify_module):
-        for name in ("_partitions", "_cross_z_merge"):
-            monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
+    calls = _spy_calls(monkeypatch, ("_partitions", "_cross_z_merge"),
+                       common_info_module, classify_module)
     p = np.random.default_rng(9).random((3, 3, 3))
     ubi, not_bi = two_block_uniform_example(), Dist3(p / p.sum())
     for d in (ubi, product_power(ubi, 2), not_bi):
@@ -609,6 +657,23 @@ def test_classify_search_equals_the_standalone_search(d, tols):
     # protocol run; the standalone search builds them again, through
     # apply_channel_z.  Every |Z| here is at most 5, so both search it.
     assert _down_fields(classify(d, **tols).down) == _down_fields(is_ubi_pd_down(d, **tols))
+
+
+@settings(max_examples=120)
+@given(st.one_of(small_dist3(), light_dist3()), st.sampled_from(TOLERANCE_PAIRS))
+def test_views_do_not_depend_on_the_order_they_are_read(d, tols):
+    reports = [classify(d, **tols) for _ in range(3)]
+    reports[0].to_json()
+    reports[1].diagnostics
+    reports[2].down
+    a, b, c = (json.dumps(r.to_json()) for r in reports)
+    assert a == b == c
+    a, b, c = (_down_fields(r.down) for r in reports)
+    assert a == b == c
+    # BI is decided by the batched gap, or by the walk itself within
+    # PREFILTER_MARGIN of tol; the two differ by far less than the margin
+    cmi = reports[0].diagnostics["cmi_xy_given_blocks"]
+    assert reports[0].bi == ("yes" if cmi <= tols["tol"] else "no")
 
 
 def _channel_loop_ceiling(d):
