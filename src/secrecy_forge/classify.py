@@ -56,7 +56,6 @@ from .distributions import (
     conditional_mutual_information,
     entropy_bits,
 )
-from .errors import SecrecyForgeError
 
 __all__ = [
     "ClassReport",
@@ -148,23 +147,6 @@ def _pd_canonical(ccf: CondCommonFunction) -> tuple[str, PDCertificate]:
     ext_ubi = ccf.per_z_injective or _cross_z_merge(ccf.per_z, group_of_z, ccf.support)[1]
     cert = PDCertificate(part_xz.block_of_x, part_yz.block_of_x, len(m_index), ext_ubi)
     return (YES if ext_ubi else INCONCLUSIVE), cert
-
-
-def _chain(d: Dist3, ccf: CondCommonFunction, tol: float, seed: dict) -> tuple[str, str, str]:
-    """The BI, UBI and UBI-PD verdicts of d, computing only what they need.
-
-    Block independence comes from ``_block_independent``'s batched gap.
-    UBI implies UBI-PD (the nesting ClassReport enforces), so the canonical
-    protocol runs only for a BI distribution that is not UBI.  ``seed``
-    receives the cell walk and the protocol's certificate when either runs,
-    under the names of the ClassReport views they fill.
-    """
-    if not _block_independent(d, ccf, tol, seed):
-        return NO, NO, NO
-    if ccf.per_z_injective:
-        return YES, YES, YES
-    pd, seed["_pd_cert"] = _pd_canonical(ccf)
-    return YES, NO, pd
 
 
 # ---------------------------------------------------------------------------
@@ -262,8 +244,8 @@ def _pd_down_extra_cmi(
 
 
 # The prefilters below reject a channel when its block-independence gap,
-# or its leak, exceeds tol by this margin, and _block_independent decides
-# the BI verdict from the gap where it lies farther than this from tol.
+# or its leak, exceeds tol by this margin, and ClassReport decides the BI
+# verdict from the gap where it lies farther than this from tol.
 # They sum the same terms as _cell_entropies and _pd_down_extra_cmi
 # in another order (unnormalized, all slices at once), so each agrees with
 # its exact test to about 1e-14; the margin keeps every rejection and
@@ -295,17 +277,6 @@ def _cell_gap(q: np.ndarray, row_roots: np.ndarray, col_roots: np.ndarray) -> np
     masses = np.bincount(bins.ravel(), rows.ravel(), rows.size).reshape(rows.shape)
     return (_xlogx(q).sum(axis=(0, 1)) + _xlogx(masses).sum(axis=0)
             - _xlogx(rows).sum(axis=0) - _xlogx(cols).sum(axis=0))
-
-
-def _block_independent(d: Dist3, ccf: CondCommonFunction, tol: float, seed: dict) -> bool:
-    """Whether I(X:Y | block label, Z) <= tol, from ``_cell_gap`` on d's
-    supported z slices; ``_cell_entropies`` decides a gap within
-    ``PREFILTER_MARGIN`` of tol, and its walk is kept in ``seed``."""
-    gap = _cell_gap(d.p[:, :, ccf.zs], *ccf._roots).sum()
-    if abs(gap - tol) <= PREFILTER_MARGIN:
-        seed["_cells"] = _cell_entropies(d, ccf)
-        gap = seed["_cells"][0]
-    return bool(gap <= tol)
 
 
 def _block_gaps(
@@ -372,7 +343,7 @@ def is_ubi_pd_down(
     tol: float = config.ENTROPY_TOL,
     support_eps: float = config.SUPPORT_EPS,
     *,
-    _identity: tuple[CondCommonFunction, str, PDCertificate | None] | None = None,
+    _report: ClassReport | None = None,
 ) -> PDDownResult:
     """Search deterministic channels on Z, coarsest first, for a UBI-PD image.
 
@@ -389,34 +360,33 @@ def is_ubi_pd_down(
     channel.  When no channel passes, the result carries the
     coarse-graining ceiling over the searched channels.
 
-    ``_identity`` is for callers in this package that have classified d:
-    d's conditional common function, UBI-PD verdict and certificate.  The
-    identity channel leaves d's pmf as it is, bit for bit, so these decide
-    that channel without a second build.
+    Each channel that passes the prefilters is decided by the
+    ``ClassReport`` of its degraded distribution: its UBI-PD verdict, its
+    conditional common function and its canonical certificate.
+    ``_report`` is for callers in this package that hold d's own report.
+    The identity channel leaves d's pmf as it is, bit for bit, so that
+    report decides the channel without a second build.
     """
     channels, cut, subsets, slots = _channel_table(d.dims[2])
     _, leaks, cmis = _block_gaps(d, tol, support_eps)
+    tolerances = {"entropy": tol, "support": support_eps}
     for tested, (rgs, leak) in enumerate(zip(channels, leaks), start=1):
         if leak > tol + PREFILTER_MARGIN:  # +inf where the gap fails
             continue
+        ch = Channel.deterministic(rgs)
         identity = max(rgs) + 1 == d.dims[2]
-        if _identity is not None and identity:
-            ch, dbar, (ccf, status, cert) = None, d, _identity
+        if identity and _report is not None:
+            degraded = _report
         else:
-            ch = Channel.deterministic(rgs)
-            dbar = apply_channel_z(d, ch)
-            ccf = conditional_common_function(dbar, support_eps)
-            if not _block_independent(dbar, ccf, tol, {}):
-                continue
-            status, cert = _pd_canonical(ccf)
-        if status != YES:
+            degraded = ClassReport(apply_channel_z(d, ch), tolerances)
+        if degraded.ubi_pd != YES:
             continue
-        ch = ch or Channel.deterministic(rgs)
         # through the identity Zbar is Z, so the leak is 0 by construction
-        extra = 0.0 if identity else _pd_down_extra_cmi(d, ch, ccf, support_eps)
+        extra = 0.0 if identity else _pd_down_extra_cmi(d, ch, degraded.ccf, support_eps)
         if extra <= tol:
-            rate = ccf.block_entropy(dbar)
-            return PDDownResult(YES, ch, tested, "channel found", cert, extra, rate)
+            rate = degraded.ccf.block_entropy(degraded.d)
+            return PDDownResult(YES, ch, tested, "channel found", degraded._pd_cert,
+                                extra, rate)
     # each batched I(X:Y|Zbar) is well within PREFILTER_MARGIN / 2 of the
     # exact one, so the exact first minimum is among these; the clamp at 0
     # absorbs rounding below the interval's lower bound
@@ -432,34 +402,74 @@ def is_ubi_pd_down(
 # combined report
 
 
-@dataclass(frozen=True, eq=False)
-class ClassReport:
-    """The six class verdicts of ``d``, plus views built on first read.
+VERDICTS = ("bi", "ubi", "ubi_pd", "ubi_pd_down", "semi_unambiguous", "unambiguous")
 
-    The verdicts, ``tolerances``, ``d`` and its conditional common function
-    ``ccf`` are set by ``classify``.  ``down`` (the UBI-PD-down search
-    result, with its channel and degraded rate or its ceiling),
-    ``certificates`` and ``diagnostics`` are cached properties, built on
-    first read at the report's own tolerances; classify seeds them with
-    what deciding the verdicts computed, so no search, protocol run or cell
-    walk runs twice.  ``d``, ``ccf`` and ``down`` are not serialized.
+
+@dataclass(frozen=True, eq=False, repr=False)
+class ClassReport:
+    """The six class verdicts of ``d`` at ``tolerances``, plus views built
+    on first read.
+
+    Building a report builds d's conditional common function ``ccf`` and
+    decides the chain BI -> UBI -> UBI-PD, which every user of a report
+    reads: BI from the batched cell gap (the exact cell walk only within
+    ``PREFILTER_MARGIN`` of tol), UBI from per-z injectivity, and UBI-PD
+    from the canonical protocol, which runs only for a pmf that is BI but
+    not UBI, as UBI implies UBI-PD; its certificate is kept.  The other
+    three verdicts and the views are cached properties, built on first
+    read: ``ubi_pd_down`` runs the channel search (``down``, with its
+    channel and degraded rate or its ceiling) only when UBI-PD does not
+    settle it, ``unambiguous`` walks the cells only for a semi-unambiguous
+    pmf, and ``certificates`` and ``diagnostics`` reuse what the verdicts
+    computed, so no search, protocol run or cell walk runs twice.  ``d``,
+    ``ccf`` and ``down`` are not serialized.
     """
 
-    bi: str
-    ubi: str
-    ubi_pd: str
-    ubi_pd_down: str
-    semi_unambiguous: str
-    unambiguous: str
-    tolerances: dict = field(repr=False)
-    d: Dist3 = field(repr=False)
-    ccf: CondCommonFunction = field(repr=False)
+    d: Dist3
+    tolerances: dict  # {"entropy": tol, "support": support_eps}
+    ccf: CondCommonFunction = field(init=False)
+    bi: str = field(init=False)
+    ubi: str = field(init=False)
+    ubi_pd: str = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.ubi == YES and {self.bi, self.ubi_pd, self.ubi_pd_down} != {YES}:
-            raise SecrecyForgeError("class nesting violated: UBI without PD chain")
-        if self.unambiguous == YES and self.semi_unambiguous != YES:
-            raise SecrecyForgeError("class nesting violated: unambiguous but not semi-unambiguous")
+        tol = self.tolerances["entropy"]
+        ccf = conditional_common_function(self.d, self.tolerances["support"])
+        object.__setattr__(self, "ccf", ccf)
+        gap = _cell_gap(self.d.p[:, :, ccf.zs], *ccf._roots).sum()
+        if abs(gap - tol) <= PREFILTER_MARGIN:
+            gap = self._cells[0]
+        if gap > tol:
+            chain = NO, NO, NO
+        elif ccf.per_z_injective:
+            chain = YES, YES, YES
+        else:
+            # the certificate fills _pd_cert, which a UBI report builds on first read
+            pd, cert = _pd_canonical(ccf)
+            object.__setattr__(self, "_pd_cert", cert)
+            chain = YES, NO, pd
+        for name, verdict in zip(VERDICTS, chain):
+            object.__setattr__(self, name, verdict)
+
+    def __repr__(self) -> str:
+        return f"ClassReport({', '.join(f'{v}={getattr(self, v)!r}' for v in VERDICTS)})"
+
+    @functools.cached_property
+    def ubi_pd_down(self) -> str:
+        # the identity channel certifies a UBI-PD distribution
+        return YES if self.ubi_pd == YES else self.down.status
+
+    @functools.cached_property
+    def semi_unambiguous(self) -> str:
+        # every supported (x, y) pair occurs with exactly one z
+        p, support_eps = self.d.p, self.tolerances["support"]
+        counts = (p > support_eps).sum(axis=2)
+        return YES if np.all(counts[p.sum(axis=2) > support_eps] == 1) else NO
+
+    @functools.cached_property
+    def unambiguous(self) -> str:
+        semi = self.semi_unambiguous == YES
+        return YES if semi and self._cells[1] <= self.tolerances["entropy"] else NO
 
     @functools.cached_property
     def _cells(self) -> tuple[float, float]:
@@ -472,8 +482,7 @@ class ClassReport:
     @functools.cached_property
     def down(self) -> PDDownResult:
         tol, support_eps = self.tolerances["entropy"], self.tolerances["support"]
-        down = is_ubi_pd_down(self.d, tol, support_eps,
-                              _identity=(self.ccf, self.ubi_pd, self._pd_cert))
+        down = is_ubi_pd_down(self.d, tol, support_eps, _report=self)
         if down.status != YES and self.ubi_pd == YES:
             # the identity channel always certifies a UBI-PD distribution,
             # even when the search stopped short of it
@@ -510,12 +519,7 @@ class ClassReport:
 
     def to_json(self) -> dict:
         return {
-            "bi": self.bi,
-            "ubi": self.ubi,
-            "ubi_pd": self.ubi_pd,
-            "ubi_pd_down": self.ubi_pd_down,
-            "semi_unambiguous": self.semi_unambiguous,
-            "unambiguous": self.unambiguous,
+            **{name: getattr(self, name) for name in VERDICTS},
             "certificates": self.certificates,
             "diagnostics": self.diagnostics,
             "tolerances": self.tolerances,
@@ -527,29 +531,16 @@ def classify(
     tol: float = config.ENTROPY_TOL,
     support_eps: float = config.SUPPORT_EPS,
 ) -> ClassReport:
-    """Decide the six verdicts along the class chain and report them.
+    """The ``ClassReport`` of d, with all six verdicts decided.
 
-    Eager: BI, UBI and UBI-PD from ``_chain``, semi-unambiguity, the cell
-    walk only for a semi-unambiguous pmf (it decides unambiguity), and the
-    UBI-PD-down search only when UBI-PD does not settle that verdict (the
-    identity channel certifies it).  ``down``, ``certificates`` and
-    ``diagnostics`` are built on first read.  The search tries at most
-    ``CHANNEL_BUDGET`` channels; its ``reason`` says if that cut it short.
+    Building the report decides BI, UBI and UBI-PD; classify then reads the
+    other three, which runs the UBI-PD-down search only when UBI-PD does
+    not settle that verdict and the cell walk only for a semi-unambiguous
+    pmf.  ``down``, ``certificates`` and ``diagnostics`` are built on first
+    read.  The search tries at most ``CHANNEL_BUDGET`` channels; its
+    ``reason`` says if that cut it short.
     """
-    ccf = conditional_common_function(d, support_eps)
-    seed: dict = {}
-    bi, ubi, pd = _chain(d, ccf, tol, seed)
-    # semi-unambiguous: every supported (x, y) pair occurs with exactly one z
-    counts = (d.p > support_eps).sum(axis=2)
-    semi = YES if np.all(counts[d.p.sum(axis=2) > support_eps] == 1) else NO
-    if semi == YES and "_cells" not in seed:
-        seed["_cells"] = _cell_entropies(d, ccf)
-    unamb = YES if (semi == YES and seed["_cells"][1] <= tol) else NO
-    if pd != YES:
-        seed["down"] = is_ubi_pd_down(d, tol, support_eps, _identity=(ccf, pd, None))
-    pd_down = seed["down"].status if pd != YES else YES
-    report = ClassReport(bi, ubi, pd, pd_down, semi, unamb,
-                         {"entropy": tol, "support": support_eps}, d, ccf)
-    # what deciding the verdicts computed, under the views' names
-    vars(report).update(seed)
+    report = ClassReport(d, {"entropy": tol, "support": support_eps})
+    for name in VERDICTS[3:]:
+        getattr(report, name)
     return report

@@ -86,7 +86,7 @@ def _walk(rounds: int, root, expand) -> list[tuple[History, object]]:
     return level
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InstrumentTree:
     """Protocol tree of local instruments plus per-transcript leaf channels.
 

@@ -59,7 +59,7 @@ def _check(p: np.ndarray, ndim: int, tol: float) -> np.ndarray:
     return _frozen(np.clip(arr, 0.0, None))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dist2:
     """Joint distribution of two variables, axes (x, y)."""
 

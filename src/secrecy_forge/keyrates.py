@@ -25,14 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import config
-from .classify import (
-    YES,
-    ClassReport,
-    _chain,
-    classify,
-    is_ubi_pd_down,
-)
-from .common_info import CondCommonFunction, conditional_common_function
+from .classify import YES, ClassReport, classify
+from .common_info import CondCommonFunction
 from .distributions import Channel, Dist3, entropy_bits, mutual_information
 from .embeddings import (
     PhaseAssignment,
@@ -160,31 +154,22 @@ def kd_class(
     otherwise.
 
     A report (classify's on d) supplies the verdict, conditional common
-    function and channel search result.  Without one only what the value
-    needs is computed, along the class chain: block independence from one
-    batched cell gap (classify's exact cell walk only for a gap within
-    ``PREFILTER_MARGIN`` of tol), UBI, then the canonical protocol, and the
-    channel search only when none certifies UBI-PD; the result equals that
-    with ``report=classify(d, tol, support_eps)``.
-    The search supplies the degraded rate or, when it certifies nothing,
-    the upper bound over the channels it searched and whether its budget
-    cut it short.
+    function and channel search result.  Without one, kd_class builds d's
+    ``ClassReport`` and takes the same path.  The search supplies the
+    degraded rate or, when it certifies nothing, the upper bound over the
+    channels it searched and whether its budget cut it short.
     """
     if report is None:
-        ccf = conditional_common_function(d, support_eps)
-        pd = _chain(d, ccf, tol, {})[2]
-    else:
-        ccf, pd = report.ccf, report.ubi_pd
-    if pd == YES:
+        report = ClassReport(d, {"entropy": tol, "support": support_eps})
+    if report.ubi_pd == YES:
         return MeasureResult(
             name="K_D",
-            value=ccf.block_entropy(d),
+            value=report.ccf.block_entropy(d),
             kind="exact",
             method="common-block-entropy",
             diagnostics={"class": "ubi_pd"},
         )
-    down = report.down if report is not None else is_ubi_pd_down(
-        d, tol, support_eps, _identity=(ccf, pd, None))
+    down = report.down
     if down.channel is not None:
         return MeasureResult(
             name="K_D",

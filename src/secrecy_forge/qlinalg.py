@@ -87,7 +87,7 @@ class QState:
         return self.rho.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PureState:
     """State vector with named subsystem dimensions."""
 

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import dataclasses
 import importlib
 import itertools
 import json
 import math
+import pkgutil
 import tracemalloc
 
 import numpy as np
@@ -13,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import secrecy_forge
 from secrecy_forge import config
 from secrecy_forge.classify import (
     CHANNEL_BUDGET,
@@ -28,8 +31,10 @@ from secrecy_forge.classify import (
     is_ubi_pd_down,
 )
 from secrecy_forge.common_info import _partitions, conditional_common_function
+from secrecy_forge.dequantize import InstrumentTree
 from secrecy_forge.distributions import (
     Channel,
+    Dist2,
     Dist3,
     apply_channel_z,
     conditional_mutual_information,
@@ -42,7 +47,7 @@ from secrecy_forge.keyrates import (
     one_sided_coherence_example,
     two_block_uniform_example,
 )
-from secrecy_forge.qlinalg import QState
+from secrecy_forge.qlinalg import PureState, QState
 
 # the package's top level binds "classify" to the function, not the module
 classify_module = importlib.import_module("secrecy_forge.classify")
@@ -209,12 +214,36 @@ def test_report_json_keys():
     lambda: one_sided_coherence_example()[1],
     lambda: classify(two_block_uniform_example()),
     lambda: conditional_common_function(two_block_uniform_example()),
+    lambda: Dist2(np.full((2, 2), 0.25)),
+    lambda: PureState(np.array([1.0, 0.0]), (2,)),
+    lambda: InstrumentTree(0, 1, 1, leaf_a={(): (np.eye(1),)}, leaf_b={(): (np.eye(1),)}),
 ])
 def test_frozen_array_holders_compare_by_identity(make):
     # a generated __eq__ or __hash__ over array fields raises
     a, b = make(), make()
     assert a == a and a != b
     assert hash(a) == hash(a) and len({a, b}) == 2
+
+
+def test_every_array_holding_dataclass_compares_by_identity():
+    # the guard behind the test above: a dataclass with a field whose
+    # annotation names ndarray must not get a generated __eq__ (the dict
+    # holders PDCertificate, MeasureResult and PDDownResult keep theirs)
+    holders = []
+    for info in pkgutil.iter_modules(secrecy_forge.__path__):
+        module = importlib.import_module(f"secrecy_forge.{info.name}")
+        holders += [cls for cls in vars(module).values()
+                    if isinstance(cls, type) and dataclasses.is_dataclass(cls)
+                    and cls.__module__ == module.__name__
+                    and any("ndarray" in str(f.type) for f in dataclasses.fields(cls))]
+    assert len(holders) >= 8
+    assert [cls.__name__ for cls in holders if cls.__dataclass_params__.eq] == []
+
+
+def test_report_repr_names_the_six_verdicts():
+    assert repr(classify(two_block_uniform_example())) == (
+        "ClassReport(bi='yes', ubi='yes', ubi_pd='yes', ubi_pd_down='yes', "
+        "semi_unambiguous='yes', unambiguous='yes')")
 
 
 IMPLICATIONS = (

@@ -601,7 +601,7 @@ class TestConditionalCommonFunctionBuilds:
             calls.append(d)
             return original(d, *args, **kwargs)
 
-        for mod in (common_info, classify_module, keyrates, cli):
+        for mod in (common_info, classify_module, cli):
             monkeypatch.setattr(mod, "conditional_common_function", counted)
         return calls
 
