@@ -13,7 +13,6 @@ import argparse
 import functools
 import math
 import sys
-from pathlib import Path
 from typing import Any
 
 import numpy as np
@@ -180,7 +179,9 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _emit(args: argparse.Namespace, tols: dict[str, float], result: Any) -> None:
-    """Print or write the envelope; ``inputs`` digests every file argument given."""
+    """Print the envelope, or write it to ``--out`` through ``io.write_file``,
+    which rewrites an existing file in place; ``inputs`` digests every file
+    argument given."""
     envelope = {
         "version": __version__,
         "command": args.command,
@@ -195,7 +196,7 @@ def _emit(args: argparse.Namespace, tols: dict[str, float], result: Any) -> None
     }
     text = io.json_text(envelope)
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        io.write_file(args.out, text)
     else:
         sys.stdout.write(text)
 

@@ -9,7 +9,8 @@ each float as it writes: ``json_text`` to 12 significant digits, which
 keeps golden files stable across platforms without hiding real numeric
 drift, ``dump_json`` not at all (Python's shortest repr), so a pmf reads
 back bitwise.  The writer dispatches on exact built-in types first, and
-formats each distinct value of a float64 array once.
+formats each distinct value of a float64 array once.  ``write_file`` is
+the one place the package writes a file.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
+import stat
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any, Callable
@@ -140,9 +143,32 @@ def _load_json(path: str | Path) -> Any:
         raise UsageError(f"{path}: invalid JSON ({exc})") from exc
 
 
+def write_file(path: str | Path, text: str) -> None:
+    """Write text to path as UTF-8, over an existing file in place.
+
+    The file is opened without ``O_TRUNC``, every byte is written, and a
+    regular file is then cut at the end of the new text; ``/dev/stdout``,
+    a pipe or ``/dev/null`` is not cut.  The inode stays, and with it links,
+    mode and owner, as with ``open(path, "w")``.  Cutting a file to length
+    0 and closing it makes ext4 (``auto_da_alloc``, on by default) flush
+    it to disk, a wait on the disk for every file; cutting it at the new
+    length does not.  Nothing calls ``fsync``.  An OSError becomes a
+    UsageError naming the path.
+    """
+    try:
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+        with open(fd, "wb") as fh:
+            fh.write(text.encode("utf-8"))
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                fh.truncate()
+    except OSError as exc:
+        raise UsageError(f"{path}: {exc.strerror or exc}") from exc
+
+
 def dump_json(obj: Any, path: str | Path) -> None:
-    """Write obj with every float digit kept, so loaders read back the same values."""
-    Path(path).write_text(_write(obj, float) + "\n", encoding="utf-8")
+    """Write obj with every float digit kept, so loaders read back the same
+    values; through ``write_file``, so an existing file is rewritten in place."""
+    write_file(path, _write(obj, float) + "\n")
 
 
 def sha256_file(path: str | Path) -> str:

@@ -426,6 +426,18 @@ class TestExitCodes:
         assert cli.run(["classify", "--dist", "/nonexistent.json"]) == 2
         assert capsys.readouterr().err != ""
 
+    @pytest.mark.parametrize("where, reason", [
+        ("missing/x.json", "No such file or directory"),
+        (".", "Is a directory"),
+    ])
+    def test_unwritable_out_is_a_usage_error(self, capsys, tmp_path, where,
+                                             reason):
+        target = tmp_path / where
+        assert cli.run(["reproduce", "lemma", "--out", str(target)]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"error: {target}: {reason}\n"
+
     def test_unknown_measure_name(self, capsys, files):
         assert cli.run(["measures", "--state", files["state"],
                         "--which", "ef,bogus"]) == 2
@@ -630,6 +642,38 @@ def test_only_classify_reads_the_channel_set():
         or (isinstance(node, ast.alias) and node.name in names)
     )
     assert set(readers) <= {"classify.py"}, readers
+
+
+def test_only_io_write_file_writes_files():
+    # one writer rewrites an existing file in place; a second write path
+    # (write_text, write_bytes, os.open, or open in a writing mode) would
+    # bring back open(path, "w")'s truncation to length 0
+    def writes(call):
+        func = call.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+        if name in ("write_text", "write_bytes", "fdopen") or (
+                name == "open" and isinstance(func, ast.Attribute)
+                and getattr(func.value, "id", "") == "os"):
+            return True
+        if name != "open":
+            return False
+        mode = next((kw.value for kw in call.keywords if kw.arg == "mode"),
+                    call.args[1] if len(call.args) > 1 else ast.Constant("r"))
+        return not isinstance(mode, ast.Constant) or bool(set(mode.value) & set("wax+"))
+
+    def writers(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        found = {where} if isinstance(node, ast.Call) and writes(node) else set()
+        for child in ast.iter_child_nodes(node):
+            found |= writers(child, where)
+        return found
+
+    src = Path(secrecy_forge.__file__).parent
+    found = {f"{path.stem}.{where}"
+             for path in sorted(src.glob("*.py"))
+             for where in writers(ast.parse(path.read_text(encoding="utf-8")), "<module>")}
+    assert found == {"io.write_file"}
 
 
 def test_every_import_is_read():

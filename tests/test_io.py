@@ -1,9 +1,13 @@
 """JSON round trips and input validation for every on-disk format."""
 
+import builtins
 import copy
 import hashlib
 import json
 import math
+import os
+import stat
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -575,3 +579,92 @@ def test_tree_rejects_unreached_key(tmp_path):
     path.write_text(json.dumps(_two_round_tree(("", "0", "7,7"), "0,0", "0,0")))
     with pytest.raises(UsageError, match="no transcript reaches"):
         load_tree(path)
+
+
+# ---------------------------------------------------------------------------
+# the file writer: an existing --out file is rewritten in place
+
+
+def _lemma(out: Path | str) -> int:
+    return cli.run(["reproduce", "lemma", "--seed", "0", "--out", str(out)])
+
+
+@pytest.fixture(scope="module")
+def lemma_bytes(tmp_path_factory):
+    """The envelope's bytes as written into a new file."""
+    path = tmp_path_factory.mktemp("fresh") / "lemma.json"
+    assert _lemma(path) == 0
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("old", [b"x" * 100_000, b"x"], ids=["longer", "shorter"])
+def test_out_over_an_existing_file_leaves_exactly_the_new_bytes(tmp_path, lemma_bytes, old):
+    target = tmp_path / "lemma.json"
+    target.write_bytes(old)
+    assert _lemma(target) == 0
+    assert target.read_bytes() == lemma_bytes
+
+
+def test_dump_json_over_an_existing_file_leaves_exactly_the_new_bytes(tmp_path):
+    path = tmp_path / "doc.json"
+    long, short = {"p": [0.125] * 1000}, {"p": [1.0]}
+    for doc in (long, short, long):
+        dump_json(doc, path)
+        assert path.read_text() == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def test_out_keeps_the_inode_mode_and_hard_links(tmp_path, lemma_bytes):
+    target, twin = tmp_path / "lemma.json", tmp_path / "twin.json"
+    target.write_bytes(b"x" * 100_000)
+    target.chmod(0o600)
+    os.link(target, twin)
+    before = target.stat()
+    assert _lemma(target) == 0
+    after = target.stat()
+    assert (after.st_ino, after.st_nlink) == (before.st_ino, 2)
+    assert stat.S_IMODE(after.st_mode) == 0o600
+    assert twin.read_bytes() == lemma_bytes
+
+
+def test_out_writes_through_a_symlink(tmp_path, lemma_bytes):
+    real, link = tmp_path / "real.json", tmp_path / "link.json"
+    real.write_bytes(b"old")
+    link.symlink_to(real)
+    assert _lemma(link) == 0
+    assert link.is_symlink()
+    assert real.read_bytes() == lemma_bytes
+
+
+def test_out_to_dev_null(tmp_path):
+    assert _lemma(os.devnull) == 0
+
+
+def test_no_existing_output_is_opened_with_truncation(tmp_path, monkeypatch):
+    # open(path, "w") and O_TRUNC cut a file to length 0 before writing,
+    # which makes ext4 flush it on close; the writer cuts it at its new end
+    target, doc = tmp_path / "lemma.json", tmp_path / "doc.json"
+    assert _lemma(target) == 0
+    dump_json({"p": [0.5]}, doc)
+    real_os_open, real_open = os.open, builtins.open
+    opened, truncated = [], []
+
+    def spy_os_open(path, flags, *args, **kwargs):
+        opened.append(os.fspath(path))
+        if flags & os.O_TRUNC and os.path.exists(path):
+            truncated.append(os.fspath(path))
+        return real_os_open(path, flags, *args, **kwargs)
+
+    def spy_open(file, mode="r", *args, **kwargs):
+        if not isinstance(file, int):
+            opened.append(os.fspath(file))
+            if "w" in mode and os.path.exists(file):
+                truncated.append(os.fspath(file))
+        return real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", spy_os_open)
+    monkeypatch.setattr(builtins, "open", spy_open)
+    monkeypatch.setattr("io.open", spy_open)  # the name pathlib opens through
+    assert _lemma(target) == 0
+    dump_json({"p": [0.25]}, doc)
+    assert {str(target), str(doc)} <= set(opened)
+    assert truncated == []

@@ -85,19 +85,20 @@ def test_reproduce_envelopes_are_pinned(tmp_path, example):
 
 
 def test_reproduce_all_is_byte_identical_across_runs(tmp_path):
-    # two fresh interpreters at one seed: every envelope and input file the
-    # script writes must match byte for byte
-    for out in ("first", "second"):
-        res = _run_reproduce_all(["--seed", "0", "--out-dir", out], tmp_path)
+    # two fresh interpreters at one seed, the second into the first's
+    # directory: every envelope and input file the script writes must match
+    # byte for byte, and each is rewritten in place, as the same file
+    def snapshot():
+        res = _run_reproduce_all(["--seed", "0", "--out-dir", "first"], tmp_path)
         assert res.returncode == 0, res.stderr
-    first, second = (
-        {p.relative_to(tmp_path / out): p.read_bytes()
-         for p in sorted((tmp_path / out).rglob("*.json"))}
-        for out in ("first", "second")
-    )
-    assert len(first) >= 6 + 16  # six reproduce examples, 16 session envelopes
-    assert first.keys() == second.keys()
-    assert [name for name in first if first[name] != second[name]] == []
+        return {p.relative_to(tmp_path / "first"): (p.read_bytes(), p.stat().st_ino)
+                for p in sorted((tmp_path / "first").rglob("*.json"))}
+
+    before, after = snapshot(), snapshot()
+    assert len(before) >= 6 + 16  # six reproduce examples, 16 session envelopes
+    assert before.keys() == after.keys()
+    assert [name for name in before if before[name] != after[name]] == []
+    first = {name: blob for name, (blob, _) in after.items()}
     # the envelopes are json.dumps' text on real data; the session's input
     # files are written compactly by the benchmark, so dump_json renders them
     # again here
